@@ -29,7 +29,7 @@
 //! All subcommands share one flag parser: an unrecognized `--flag`
 //! prints the usage text and exits 2 instead of being silently ignored.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use bench::args::{self, Parsed, Spec};
 use bench::trace;
@@ -381,6 +381,52 @@ fn run_serve(argv: &[String]) {
     }
 }
 
+/// Read the manifest named by `--plan`, refusing one this binary cannot
+/// replay faithfully: a plan recorded with the engine-internal fault sites
+/// compiled in fires nothing at those sites in a default-features build,
+/// so its digests could only ever mismatch.
+fn load_plan(path: &str) -> obs::json::Json {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read plan {path}: {e}");
+        usage(2);
+    });
+    let plan = obs::json::parse(&text).unwrap_or_else(|e| {
+        eprintln!("bad plan JSON in {path}: {e}");
+        usage(2);
+    });
+    let needs_sites = matches!(
+        plan.get("engine_sites_compiled"),
+        Some(obs::json::Json::Bool(true))
+    );
+    if needs_sites && !cfg!(feature = "faults") {
+        eprintln!("plan {path} was recorded with engine fault sites; rebuild with --features faults to replay it");
+        std::process::exit(2);
+    }
+    plan
+}
+
+/// Where a run leaves its artefacts: `--out`, else `results/`. A `--plan`
+/// replay has no default — it writes only when `--out` names a directory
+/// other than the replayed manifest's own, so a replay that fails can
+/// never overwrite the pin it failed against.
+fn artifact_dir(p: &Parsed) -> Option<PathBuf> {
+    let out = p.value("--out").map(PathBuf::from);
+    let Some(plan) = p.value("--plan") else {
+        return Some(out.unwrap_or_else(|| repo_root().join("results")));
+    };
+    let plan_dir = Path::new(plan)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    out.filter(|dir| match (dir.canonicalize(), plan_dir.canonicalize()) {
+        (Ok(a), Ok(b)) => a != b,
+        _ => true, // `dir` does not exist yet, so it is not the plan's
+    })
+}
+
+/// Shown in place of an artefact path a replay did not write.
+const NOT_WRITTEN: &str = "(not written: replay; pass --out <another dir> to keep a copy)";
+
 /// `bench chaos`: one fault-injection run under the retry/backoff policy,
 /// verified against the lost-update oracle; exits nonzero on any oracle
 /// violation (or digest mismatch when replaying a manifest).
@@ -402,16 +448,7 @@ fn run_chaos(argv: &[String]) -> ! {
     limit_positionals(&p, 2, "chaos");
 
     // A replayed manifest supplies every knob; explicit CLI args win.
-    let replay = p.value("--plan").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read plan {path}: {e}");
-            usage(2);
-        });
-        obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad plan JSON in {path}: {e}");
-            usage(2);
-        })
-    });
+    let replay = p.value("--plan").map(load_plan);
     let rstr = |key: &str| {
         replay
             .as_ref()
@@ -538,11 +575,7 @@ fn run_chaos(argv: &[String]) -> ! {
     }
 
     let report = bench::chaos::run(&cfg);
-    let out_dir = p
-        .value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("results"));
-    let art = bench::chaos::write_artifacts(&report, &cfg, &out_dir);
+    let art = artifact_dir(&p).map(|dir| bench::chaos::write_artifacts(&report, &cfg, &dir));
 
     let r = &report.outcomes.retry;
     println!(
@@ -588,8 +621,13 @@ fn run_chaos(argv: &[String]) -> ! {
         "  lost updates {}  phantom updates {}",
         report.lost_updates, report.phantom_updates
     );
-    println!("manifest: {}", art.manifest.display());
-    println!("jsonl:    {}", art.jsonl.display());
+    match &art {
+        Some(art) => {
+            println!("manifest: {}", art.manifest.display());
+            println!("jsonl:    {}", art.jsonl.display());
+        }
+        None => println!("manifest: {NOT_WRITTEN}"),
+    }
 
     let mut failed = false;
     if !report.consistent() {
@@ -682,16 +720,7 @@ fn run_recover(argv: &[String]) -> ! {
     }
 
     // A replayed manifest supplies every knob; explicit CLI args win.
-    let replay = p.value("--plan").map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read plan {path}: {e}");
-            usage(2);
-        });
-        obs::json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad plan JSON in {path}: {e}");
-            usage(2);
-        })
-    });
+    let replay = p.value("--plan").map(load_plan);
     let rstr = |key: &str| {
         replay
             .as_ref()
@@ -787,11 +816,7 @@ fn run_recover(argv: &[String]) -> ! {
     }
 
     let report = bench::recover::run(&cfg);
-    let out_dir = p
-        .value("--out")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| repo_root().join("results"));
-    let manifest = bench::recover::write_manifest(&report, &cfg, &out_dir);
+    let manifest = artifact_dir(&p).map(|dir| bench::recover::write_manifest(&report, &cfg, &dir));
 
     println!(
         "recover: {} / {} / {} worker(s), epoch {}, kill slot {} of {}",
@@ -842,7 +867,10 @@ fn run_recover(argv: &[String]) -> ! {
         report.digests_match,
         report.second_match
     );
-    println!("manifest: {}", manifest.display());
+    match &manifest {
+        Some(path) => println!("manifest: {}", path.display()),
+        None => println!("manifest: {NOT_WRITTEN}"),
+    }
 
     let mut failed = !report.consistent();
     if failed {

@@ -25,7 +25,8 @@ use faults::FaultPlan;
 use oltp::{CcPolicy, Db};
 use uarch_sim::Sim;
 
-use crate::common::{build_system_cc_inner, build_system_durable_inner, SystemKind};
+use crate::common::{build_system_inner, SystemKind};
+use crate::durability::DurableDb;
 use crate::placement::Placement;
 
 /// Configures and builds one engine instance on a simulator.
@@ -110,21 +111,15 @@ impl SystemBuilder {
 
     /// Build the engine on `sim`.
     pub fn build(&self, sim: &Sim) -> Box<dyn Db> {
-        build_system_cc_inner(
-            self.kind,
-            sim,
-            self.effective_partitions(),
-            self.cc,
-            self.placement,
-        )
+        self.build_durable(sim)
     }
 
     /// Build the engine on `sim`, typed for durability: the caller can
     /// switch the log(s) into durable mode with
-    /// [`crate::durability::DurableDb::enable_durability`] and later
+    /// [`DurableDb::enable_durability`] and later
     /// harvest the retained streams for crash recovery.
-    pub fn build_durable(&self, sim: &Sim) -> Box<dyn crate::durability::DurableDb> {
-        build_system_durable_inner(
+    pub fn build_durable(&self, sim: &Sim) -> Box<dyn DurableDb> {
+        build_system_inner(
             self.kind,
             sim,
             self.effective_partitions(),

@@ -11,826 +11,149 @@
 //! WAL, 8 KB-page B+tree ("page size of 8KB ... we could not find any
 //! publicly available information about tuning the node size", §4.1.3).
 //!
-//! Shared-everything concurrency mirrors [`crate::shore_mt`]: one
-//! engine-wide mutex around the storage structures, per-worker
-//! [`Session`] handles, and 2PL locks that persist across operations.
+//! This file is the DBMS D *profile* of the [`crate::disk`] kernel it
+//! shares with [`crate::shore_mt`]: the legacy frontend charged around
+//! every transaction and statement, leaner but colder storage-manager
+//! modules, and the packed-key B+tree page layout.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use indexes::DiskBTreePacked;
+use uarch_sim::Mem;
 
-use indexes::{DiskBTreePacked, Index};
-use obs::Phase;
-use oltp::{
-    tuple, CcPolicy, ConcurrencyControl, Db, OltpError, OltpResult, Row, Session, TableDef,
-    TableId, Value,
-};
-use storage::{
-    lock::LockOutcome, BufferPool, HeapFile, LockManager, LockMode, LockTarget, LogKind, Rid,
-    TxnId, TxnManager, Wal,
-};
-use uarch_sim::{CorePort, Mem, ModuleId, ModuleSpec, Sim};
+use crate::disk::{DiskCost, DiskEngine, DiskProfile, DiskRoles};
+use crate::scaffold::{Module, Ports};
 
-/// Engine name used for span attribution (matches [`Db::name`]).
-const ENGINE: &str = "DBMS D";
+/// The DBMS D engine. See the module docs.
+pub type DbmsD = DiskEngine<DbmsDProfile>;
 
-/// Instruction budgets (see EXPERIMENTS.md for the calibration).
+/// DBMS D's axes over the disk-based kernel.
+pub struct DbmsDProfile;
+
+// Frontend modules.
+const NET: usize = 0;
+const PARSER: usize = 1;
+const OPTIMIZER: usize = 2;
+const EXECUTOR: usize = 3;
+const CATALOG: usize = 4;
+
+/// Frontend instruction budgets (see EXPERIMENTS.md for the calibration).
 mod cost {
-    // Frontend, charged per transaction.
+    // Charged per transaction.
     pub const NET_RECV: u64 = 5200;
     pub const PARSE: u64 = 4300;
     pub const OPTIMIZE: u64 = 3800; // plan-cache probe + validation
     pub const NET_REPLY: u64 = 2200;
-    // Frontend, charged per statement/operation.
+    // Charged per statement/operation.
     pub const EXEC_OP: u64 = 5600; // interpreted executor: statement entry
     pub const EXEC_OP_NEXT: u64 = 1500; // iterator next() within a statement
-    pub const CATALOG_NEXT: u64 = 150;
     pub const CATALOG: u64 = 800;
-    // Storage manager.
-    pub const BEGIN: u64 = 2600;
-    pub const COMMIT: u64 = 2400;
-    pub const ABORT: u64 = 1900;
-    pub const LOCK_WRAP: u64 = 1200;
-    pub const RELEASE: u64 = 1600;
-    pub const INDEX_WRAP: u64 = 1400;
-    pub const HEAP_WRAP: u64 = 1000;
-    pub const LOG_COMMIT: u64 = 2600;
-    pub const LOG_UPDATE: u64 = 1200;
-    pub const SCAN_NEXT: u64 = 220;
-    // Latch spin per other open session on each serialized engine entry
-    // (lock buckets, txn manager, log tail). Higher than Shore-MT's: the
-    // legacy storage manager holds its latches across longer code paths.
-    pub const LATCH_SPIN: u64 = 260;
+    pub const CATALOG_NEXT: u64 = 150;
+    /// Interpreted value processing per row byte.
+    pub const VALUE_PER_BYTE: u64 = 8;
 }
 
-struct Mods {
-    net: ModuleId,
-    parser: ModuleId,
-    optimizer: ModuleId,
-    executor: ModuleId,
-    catalog: ModuleId,
-    txn: ModuleId,
-    lock: ModuleId,
-    btree: ModuleId,
-    bpool: ModuleId,
-    heap: ModuleId,
-    log: ModuleId,
-}
+impl DiskProfile for DbmsDProfile {
+    const LABEL: &'static str = "DBMS D";
+    const LATCH_SITE: &'static str = "dbms_d/latch";
+    const WAL_SITE: &'static str = "dbms_d/wal";
+    // Legacy code: large footprints, low dynamic reuse, many branches.
+    const MODULES: &'static [Module] = &[
+        Module::new("dbmsd/network", 48 << 10, 1.5, 0.24),
+        Module::new("dbmsd/parser", 64 << 10, 1.35, 0.28),
+        Module::new("dbmsd/optimizer", 64 << 10, 1.3, 0.28),
+        Module::new("dbmsd/executor", 56 << 10, 1.5, 0.26),
+        Module::new("dbmsd/catalog", 16 << 10, 1.8, 0.20),
+        Module::new("dbmsd/txn-mgmt", 24 << 10, 1.8, 0.20).engine_side(),
+        Module::new("dbmsd/lock-mgr", 16 << 10, 2.0, 0.15).engine_side(),
+        Module::new("dbmsd/btree", 16 << 10, 2.2, 0.10).engine_side(),
+        Module::new("dbmsd/bufferpool", 20 << 10, 2.2, 0.10).engine_side(),
+        Module::new("dbmsd/heap", 12 << 10, 2.2, 0.10).engine_side(),
+        Module::new("dbmsd/log", 16 << 10, 2.0, 0.12).engine_side(),
+    ];
+    const ROLES: DiskRoles = DiskRoles {
+        txn: 5,
+        lock: 6,
+        btree: 7,
+        bpool: 8,
+        heap: 9,
+        log: 10,
+    };
+    const COST: DiskCost = DiskCost {
+        begin: 2600,
+        commit: 2400,
+        abort: 1900,
+        log_commit: 2600,
+        log_update: 1200,
+        lock_wrap: 1200,
+        release: 1600,
+        index_wrap: 1400,
+        heap_wrap: 1000,
+        scan_next: 220,
+        // Higher than Shore-MT's: the legacy storage manager holds its
+        // latches across longer code paths.
+        latch_spin: 260,
+    };
+    type Index = DiskBTreePacked;
 
-struct Table {
-    def: TableDef,
-    heap: HeapFile,
-    index: DiskBTreePacked,
-}
-
-/// Mutable engine state shared by all sessions.
-struct Inner {
-    pool: BufferPool,
-    locks: LockManager,
-    wal: Wal,
-    tm: TxnManager,
-    tables: Vec<Table>,
-}
-
-struct Shared {
-    sim: Sim,
-    m: Mods,
-    inner: Mutex<Inner>,
-    /// Open sessions; >1 means the engine's internal latches are contended.
-    open_sessions: AtomicUsize,
-    metrics: obs::metrics::EngineMetrics,
-    /// Pluggable protocol; `None` = the historical hierarchical-2PL path
-    /// through [`LockManager`] (bit-identical to pre-refactor builds).
-    cc: Option<Arc<dyn ConcurrencyControl>>,
-}
-
-/// The DBMS D engine. See the module docs.
-pub struct DbmsD {
-    shared: Arc<Shared>,
-}
-
-/// One worker's connection to a [`DbmsD`] engine.
-pub struct DbmsDSession {
-    shared: Arc<Shared>,
-    core: usize,
-    cur: Option<TxnId>,
-    ops_in_txn: u32,
-    /// Exclusive port to this session's simulated core: enables the
-    /// simulator's lock-free access path. `None` if another session on
-    /// the same core already holds it (accesses then use the fallback).
-    _port: Option<CorePort>,
-}
-
-const POOL_FRAMES: usize = 96 * 1024;
-
-impl DbmsD {
-    /// Build the engine on a simulator.
-    pub fn new(sim: &Sim) -> Self {
-        Self::with_cc(sim, CcPolicy::EngineDefault)
+    fn new_index(mem: &Mem) -> DiskBTreePacked {
+        DiskBTreePacked::new(mem)
     }
 
-    /// Build the engine with a pluggable CC protocol.
-    /// [`CcPolicy::EngineDefault`] keeps the historical hierarchical 2PL
-    /// (no-wait) through the storage [`LockManager`].
-    pub fn with_cc(sim: &Sim, policy: CcPolicy) -> Self {
-        // Legacy code: large footprints, low dynamic reuse, many branches.
-        let m = Mods {
-            net: sim.register_module(
-                ModuleSpec::new("dbmsd/network", 48 << 10)
-                    .reuse(1.5)
-                    .branchiness(0.24),
-            ),
-            parser: sim.register_module(
-                ModuleSpec::new("dbmsd/parser", 64 << 10)
-                    .reuse(1.35)
-                    .branchiness(0.28),
-            ),
-            optimizer: sim.register_module(
-                ModuleSpec::new("dbmsd/optimizer", 64 << 10)
-                    .reuse(1.3)
-                    .branchiness(0.28),
-            ),
-            executor: sim.register_module(
-                ModuleSpec::new("dbmsd/executor", 56 << 10)
-                    .reuse(1.5)
-                    .branchiness(0.26),
-            ),
-            catalog: sim.register_module(
-                ModuleSpec::new("dbmsd/catalog", 16 << 10)
-                    .reuse(1.8)
-                    .branchiness(0.20),
-            ),
-            txn: sim.register_module(
-                ModuleSpec::new("dbmsd/txn-mgmt", 24 << 10)
-                    .reuse(1.8)
-                    .branchiness(0.20)
-                    .engine_side(true),
-            ),
-            lock: sim.register_module(
-                ModuleSpec::new("dbmsd/lock-mgr", 16 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.15)
-                    .engine_side(true),
-            ),
-            btree: sim.register_module(
-                ModuleSpec::new("dbmsd/btree", 16 << 10)
-                    .reuse(2.2)
-                    .branchiness(0.10)
-                    .engine_side(true),
-            ),
-            bpool: sim.register_module(
-                ModuleSpec::new("dbmsd/bufferpool", 20 << 10)
-                    .reuse(2.2)
-                    .branchiness(0.10)
-                    .engine_side(true),
-            ),
-            heap: sim.register_module(
-                ModuleSpec::new("dbmsd/heap", 12 << 10)
-                    .reuse(2.2)
-                    .branchiness(0.10)
-                    .engine_side(true),
-            ),
-            log: sim.register_module(
-                ModuleSpec::new("dbmsd/log", 16 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.12)
-                    .engine_side(true),
-            ),
-        };
-        let mem = sim.mem(0);
-        let inner = Inner {
-            pool: BufferPool::new(&mem, POOL_FRAMES),
-            locks: LockManager::new(&mem, 64 * 1024),
-            wal: Wal::new(&mem, 1 << 20, 8),
-            tm: TxnManager::new(),
-            tables: Vec::new(),
-        };
-        DbmsD {
-            shared: Arc::new(Shared {
-                sim: sim.clone(),
-                m,
-                inner: Mutex::new(inner),
-                open_sessions: AtomicUsize::new(0),
-                metrics: obs::metrics::EngineMetrics::new(ENGINE),
-                cc: oltp::cc::build(policy, sim.cores()),
-            }),
-        }
+    /// The request travels the whole frontend before the SM sees it.
+    fn charge_begin(ports: &Ports) {
+        ports.mem(NET).exec(cost::NET_RECV);
+        ports.mem(PARSER).exec(cost::PARSE);
+        ports.mem(OPTIMIZER).exec(cost::OPTIMIZE);
     }
 
-    /// Enable durable-log record retention (for crash-replay testing).
-    pub fn retain_log(&mut self) {
-        self.shared.inner.lock().unwrap().wal.retain_records(true);
-    }
-
-    /// The retained log records (see [`storage::recovery`]).
-    pub fn log_records(&self) -> Vec<storage::wal::LogRecord> {
-        self.shared.inner.lock().unwrap().wal.records().to_vec()
-    }
-
-    #[cfg(test)]
-    fn lock_entries(&self) -> usize {
-        self.shared.inner.lock().unwrap().locks.entries()
-    }
-}
-
-impl crate::durability::DurableDb for DbmsD {
-    fn enable_durability(&mut self, cfg: &crate::durability::DurabilityCfg) {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        crate::durability::configure_wal(&mut inner.wal, &mem, cfg);
-    }
-
-    fn log_streams(&self) -> Vec<Vec<storage::wal::LogRecord>> {
-        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
-    }
-
-    fn log_status(&self) -> Vec<crate::durability::LogStatus> {
-        vec![crate::durability::wal_status(
-            0,
-            &self.shared.inner.lock().unwrap().wal,
-        )]
-    }
-
-    fn flush_all(&mut self) {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        if inner.wal.flushed() < inner.wal.horizon() {
-            inner.wal.flush(&mem);
-        }
-    }
-
-    fn take_commit_latencies(&mut self) -> Vec<f64> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .wal
-            .take_commit_latencies()
-    }
-}
-
-fn table(inner: &Inner, t: TableId) -> OltpResult<usize> {
-    if (t.0 as usize) < inner.tables.len() {
-        Ok(t.0 as usize)
-    } else {
-        Err(OltpError::NoSuchTable(t))
-    }
-}
-
-impl DbmsDSession {
-    fn mem(&self, module: ModuleId) -> Mem {
-        self.shared.sim.mem(self.core).with_module(module)
-    }
-
-    fn txn(&self) -> OltpResult<TxnId> {
-        self.cur.ok_or(OltpError::NoActiveTxn)
-    }
-
-    /// Interpreted value processing proportional to row bytes (§6.2).
-    fn value_work(&self, bytes: usize) {
-        self.mem(self.shared.m.executor).exec(bytes as u64 * 8);
-    }
-
-    /// Per-statement frontend work: full executor dispatch + catalog
-    /// resolution for the first operation of a transaction, iterator
-    /// `next()` glue for subsequent ones.
-    fn frontend_op(&mut self) {
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        if self.ops_in_txn == 0 {
-            self.mem(self.shared.m.executor).exec(cost::EXEC_OP);
-            self.mem(self.shared.m.catalog).exec(cost::CATALOG);
+    /// Full executor dispatch + catalog resolution for the first operation
+    /// of a transaction, iterator `next()` glue for subsequent ones.
+    fn charge_op(ports: &Ports, first: bool) {
+        let (exec, catalog) = if first {
+            (cost::EXEC_OP, cost::CATALOG)
         } else {
-            self.mem(self.shared.m.executor).exec(cost::EXEC_OP_NEXT);
-            self.mem(self.shared.m.catalog).exec(cost::CATALOG_NEXT);
-        }
-        self.ops_in_txn += 1;
-    }
-
-    /// Spin on a contended internal latch: each concurrently open session
-    /// beyond this one costs a deterministic burst of spin instructions;
-    /// free with a single session open (single-worker runs unchanged).
-    fn latch_contention(&self, mem: &Mem) {
-        let others = self
-            .shared
-            .open_sessions
-            .load(Ordering::Relaxed)
-            .saturating_sub(1);
-        if others > 0 {
-            mem.exec(cost::LATCH_SPIN * others as u64);
-            self.shared.metrics.latch_waits.inc(self.core);
-        }
-    }
-
-    fn acquire(
-        &self,
-        inner: &mut Inner,
-        t: TableId,
-        key: u64,
-        target: LockTarget,
-        mode: LockMode,
-    ) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-        let mem = self.mem(self.shared.m.lock);
-        mem.exec(cost::LOCK_WRAP);
-        self.latch_contention(&mem);
-        faults::inject!(
-            "dbms_d/latch",
-            self.core,
-            OltpError::LatchTimeout("dbms_d/latch")
-        );
-        if let Some(cc) = &self.shared.cc {
-            let write = matches!(mode, LockMode::X | LockMode::Ix);
-            let r = if write {
-                cc.on_write(txn.0, t, key, self.core, &mem)
-            } else {
-                cc.on_read(txn.0, t, key, self.core, &mem)
-            };
-            return r.map_err(|v| {
-                self.shared.metrics.conflicts.inc(self.core);
-                v.into_error()
-            });
-        }
-        match inner.locks.lock(&mem, txn, target, mode) {
-            LockOutcome::Granted => Ok(()),
-            LockOutcome::Conflict => {
-                self.shared.metrics.conflicts.inc(self.core);
-                Err(OltpError::Conflict { table: t, key })
-            }
-        }
-    }
-
-    fn lock_pair(&self, inner: &mut Inner, t: TableId, key: u64, write: bool) -> OltpResult<()> {
-        let (tm, rm) = if write {
-            (LockMode::Ix, LockMode::X)
-        } else {
-            (LockMode::Is, LockMode::S)
+            (cost::EXEC_OP_NEXT, cost::CATALOG_NEXT)
         };
-        // Under a pluggable protocol the table-intent level collapses into
-        // the per-key hook, so each operation consults the CC layer once.
-        if self.shared.cc.is_none() {
-            self.acquire(inner, t, key, LockTarget::Table(t.0), tm)?;
-        }
-        self.acquire(inner, t, key, LockTarget::Row(t.0, key), rm)
-    }
-}
-
-impl Drop for DbmsDSession {
-    fn drop(&mut self) {
-        self.shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl Db for DbmsD {
-    fn name(&self) -> &'static str {
-        "DBMS D"
+        ports.mem(EXECUTOR).exec(exec);
+        ports.mem(CATALOG).exec(catalog);
     }
 
-    fn create_table(&mut self, def: TableDef) -> TableId {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.btree);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        let id = TableId(inner.tables.len() as u32);
-        inner.tables.push(Table {
-            def,
-            heap: HeapFile::new(),
-            index: DiskBTreePacked::new(&mem),
-        });
-        id
+    fn charge_reply(ports: &Ports) {
+        ports.mem(NET).exec(cost::NET_REPLY);
     }
 
-    fn row_count(&self, t: TableId) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .tables
-            .get(t.0 as usize)
-            .map_or(0, |tb| tb.heap.rows())
-    }
-
-    fn session(&self, core: usize) -> Box<dyn Session> {
-        assert!(core < self.shared.sim.cores());
-        self.shared.open_sessions.fetch_add(1, Ordering::Relaxed);
-        Box::new(DbmsDSession {
-            shared: Arc::clone(&self.shared),
-            core,
-            cur: None,
-            ops_in_txn: 0,
-            _port: self.shared.sim.try_checkout(core),
-        })
-    }
-}
-
-impl Session for DbmsDSession {
-    fn name(&self) -> &'static str {
-        "DBMS D"
-    }
-
-    fn core(&self) -> usize {
-        self.core
-    }
-
-    fn begin(&mut self) {
-        assert!(self.cur.is_none(), "transaction already active");
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let (txn, _) = inner.tm.begin();
-        self.cur = Some(txn);
-        self.ops_in_txn = 0;
-        // The request travels the whole frontend before the SM sees it.
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        self.mem(self.shared.m.net).exec(cost::NET_RECV);
-        self.mem(self.shared.m.parser).exec(cost::PARSE);
-        self.mem(self.shared.m.optimizer).exec(cost::OPTIMIZE);
-        let mem = self.mem(self.shared.m.txn);
-        mem.exec(cost::BEGIN);
-        self.latch_contention(&mem);
-        if let Some(cc) = &self.shared.cc {
-            cc.begin(txn.0, self.core, &self.mem(self.shared.m.lock));
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        inner.wal.append(&mem, txn, LogKind::Begin, 0);
-    }
-
-    fn commit(&mut self) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let _c = obs::span(ENGINE, Phase::Commit, self.core);
-        self.mem(self.shared.m.txn).exec(cost::COMMIT);
-        if let Some(cc) = &shared.cc {
-            // Validation precedes durability; on failure the txn stays
-            // open and the caller aborts, dropping CC state.
-            faults::inject!(
-                "cc/validate",
-                self.core,
-                OltpError::ValidationFailed {
-                    table: TableId(0),
-                    key: 0
-                }
-            );
-            let _v = obs::span(ENGINE, Phase::Cc, self.core);
-            if let Err(v) = cc.validate(txn.0, self.core, &self.mem(self.shared.m.lock)) {
-                self.shared.metrics.conflicts.inc(self.core);
-                return Err(v.into_error());
-            }
-        }
-        {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem = self.mem(self.shared.m.log);
-            mem.exec(cost::LOG_COMMIT);
-            self.latch_contention(&mem);
-            // WAL write failure: txn stays open, caller aborts (undo is
-            // logged there), locks release on the abort path.
-            faults::inject!(
-                "dbms_d/wal",
-                self.core,
-                OltpError::LogWriteFailed("dbms_d/wal")
-            );
-            inner.wal.append(&mem, txn, LogKind::Commit, 16);
-        }
-        {
-            let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-            let mem = self.mem(self.shared.m.lock);
-            mem.exec(cost::RELEASE);
-            match &shared.cc {
-                Some(cc) => cc.commit(txn.0, self.core, &mem),
-                None => inner.locks.release_all(&mem, txn),
-            }
-        }
-        self.mem(self.shared.m.net).exec(cost::NET_REPLY);
-        self.cur = None;
-        self.shared.metrics.commits.inc(self.core);
-        Ok(())
-    }
-
-    fn abort(&mut self) {
-        if let Some(txn) = self.cur.take() {
-            let shared = Arc::clone(&self.shared);
-            let inner = &mut *shared.inner.lock().unwrap();
-            let _c = obs::span(ENGINE, Phase::Commit, self.core);
-            self.mem(self.shared.m.txn).exec(cost::ABORT);
-            {
-                let _l = obs::span(ENGINE, Phase::Log, self.core);
-                let mem = self.mem(self.shared.m.log);
-                inner.wal.append(&mem, txn, LogKind::Abort, 0);
-            }
-            {
-                let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-                let mem = self.mem(self.shared.m.lock);
-                match &shared.cc {
-                    Some(cc) => cc.abort(txn.0, self.core, &mem),
-                    None => inner.locks.release_all(&mem, txn),
-                }
-            }
-            self.mem(self.shared.m.net).exec(cost::NET_REPLY);
-            self.shared.metrics.aborts.inc(self.core);
-        }
-    }
-
-    fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        debug_assert!(
-            inner.tables[ti].def.schema.check(row),
-            "row/schema mismatch"
-        );
-        self.frontend_op();
-        self.lock_pair(inner, t, key, true)?;
-        let data = tuple::encode(row);
-        self.value_work(data.len());
-        let len = data.len() as u32;
-        let redo = data.clone();
-        let rid = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.insert(pool, &mem, data)
-        };
-        let inserted = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.insert(&mem, key, rid.to_u64())
-        };
-        if !inserted {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.delete(pool, &mem, rid);
-            return Err(OltpError::DuplicateKey { table: t, key });
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner
-            .wal
-            .append_data(&mem, txn, LogKind::Insert, t.0, key, Some(&redo), None, len);
-        Ok(())
-    }
-
-    fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        self.frontend_op();
-        self.lock_pair(inner, t, key, false)?;
-        let probe = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.get(&mem, key)
-        };
-        let Some(payload) = probe else {
-            return Ok(false);
-        };
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mem = self.mem(self.shared.m.bpool);
-        mem.exec(cost::HEAP_WRAP);
-        let mut decoded: Option<Row> = None;
-        let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-        tables[ti]
-            .heap
-            .read(pool, &mem, Rid::from_u64(payload), &mut |d| {
-                decoded = tuple::decode(d).ok();
-            });
-        match decoded {
-            Some(row) => {
-                self.value_work(tuple::encoded_len(&row));
-                f(&row);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        self.frontend_op();
-        self.lock_pair(inner, t, key, true)?;
-        let probe = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.get(&mem, key)
-        };
-        let Some(payload) = probe else {
-            return Ok(false);
-        };
-        let rid = Rid::from_u64(payload);
-        let mem = self.mem(self.shared.m.bpool);
-        let mut row: Option<Row> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.read(pool, &mem, rid, &mut |d| {
-                row = tuple::decode(d).ok();
-            });
-        }
-        let Some(mut row) = row else { return Ok(false) };
-        // Before-image for undo-capable recovery (durable mode only).
-        let undo = inner.wal.retaining().then(|| tuple::encode(&row));
-        f(&mut row);
-        debug_assert!(
-            inner.tables[ti].def.schema.check(&row),
-            "row/schema mismatch"
-        );
-        let data = tuple::encode(&row);
-        let len = data.len() as u32;
-        let redo = data.clone();
-        let new_rid = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(data.len() * 2);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti]
-                .heap
-                .update(pool, &mem, rid, data)
-                .expect("row vanished mid-update")
-        };
-        if new_rid != rid {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            inner.tables[ti].index.replace(&mem, key, new_rid.to_u64());
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner.wal.append_data(
-            &mem,
-            txn,
-            LogKind::Update,
-            t.0,
-            key,
-            Some(&redo),
-            undo.as_ref(),
-            len * 2,
-        );
-        Ok(true)
-    }
-
-    fn scan(
-        &mut self,
-        t: TableId,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, &[Value]) -> bool,
-    ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        self.frontend_op();
-        self.acquire(inner, t, lo, LockTarget::Table(t.0), LockMode::S)?;
-        let mem_btree = self.mem(self.shared.m.btree);
-        let mem_pool = self.mem(self.shared.m.bpool);
-        let mut rids: Vec<(u64, u64)> = Vec::new();
-        {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            mem_btree.exec(cost::INDEX_WRAP);
-            inner.tables[ti]
-                .index
-                .scan(&mem_btree, lo, hi, &mut |k, p| {
-                    rids.push((k, p));
-                    true
-                });
-        }
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mut visited = 0;
-        for (k, p) in rids {
-            mem_pool.exec(cost::SCAN_NEXT);
-            let mut keep = true;
-            let mut decoded: Option<Row> = None;
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti]
-                .heap
-                .read(pool, &mem_pool, Rid::from_u64(p), &mut |d| {
-                    decoded = tuple::decode(d).ok();
-                });
-            if let Some(row) = decoded {
-                self.value_work(tuple::encoded_len(&row));
-                visited += 1;
-                keep = f(k, &row);
-            }
-            if !keep {
-                break;
-            }
-        }
-        Ok(visited)
-    }
-
-    fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        self.frontend_op();
-        self.lock_pair(inner, t, key, true)?;
-        let removed = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.remove(&mem, key)
-        };
-        let Some(payload) = removed else {
-            return Ok(false);
-        };
-        let mut undo: Option<bytes::Bytes> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            if inner.wal.retaining() {
-                // Before-image read so recovery can restore the row if
-                // this transaction never commits (durable mode only).
-                tables[ti]
-                    .heap
-                    .read(pool, &mem, Rid::from_u64(payload), &mut |d| {
-                        undo = Some(d.clone());
-                    });
-            }
-            tables[ti].heap.delete(pool, &mem, Rid::from_u64(payload));
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner.wal.append_data(
-            &mem,
-            txn,
-            LogKind::Delete,
-            t.0,
-            key,
-            None,
-            undo.as_ref(),
-            16,
-        );
-        Ok(true)
+    fn value_work(ports: &Ports, bytes: usize) {
+        ports
+            .mem(EXECUTOR)
+            .exec(bytes as u64 * cost::VALUE_PER_BYTE);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oltp::{Column, DataType, Schema};
-    use uarch_sim::MachineConfig;
+    use crate::shore_mt::ShoreMt;
+    use oltp::{Column, DataType, Db, Schema, TableDef, TableId, Value};
+    use uarch_sim::{MachineConfig, Sim};
 
-    fn setup() -> DbmsD {
-        DbmsD::new(&Sim::new(MachineConfig::ivy_bridge(1)))
-    }
-
-    fn micro_table(db: &mut DbmsD) -> TableId {
-        db.create_table(TableDef::new(
+    fn micro_def() -> TableDef {
+        TableDef::new(
             "t",
             Schema::new(vec![
                 Column::new("key", DataType::Long),
                 Column::new("val", DataType::Long),
             ]),
             1000,
-        ))
-    }
-
-    #[test]
-    fn crud_round_trip() {
-        let mut db = setup();
-        let t = micro_table(&mut db);
-        let mut s = db.session(0);
-        s.begin();
-        for k in 0..100u64 {
-            s.insert(t, k, &[Value::Long(k as i64), Value::Long(0)])
-                .unwrap();
-        }
-        s.commit().unwrap();
-        s.begin();
-        assert!(s.update(t, 42, &mut |r| r[1] = Value::Long(7)).unwrap());
-        assert_eq!(s.read(t, 42).unwrap().unwrap()[1], Value::Long(7));
-        assert!(s.delete(t, 42).unwrap());
-        assert!(s.read(t, 42).unwrap().is_none());
-        s.commit().unwrap();
-        assert_eq!(db.row_count(t), 99);
+        )
     }
 
     #[test]
     fn frontend_instruction_footprint_exceeds_shore_mt() {
         // The paper's central Shore-MT vs DBMS D contrast: same storage
         // architecture, very different instruction counts per transaction.
-        use crate::shore_mt::ShoreMt;
         let run = |mk: &dyn Fn(&Sim) -> Box<dyn Db>| {
             let sim = Sim::new(MachineConfig::ivy_bridge(1));
             let mut db = mk(&sim);
-            let t = db.create_table(TableDef::new(
-                "t",
-                Schema::new(vec![
-                    Column::new("key", DataType::Long),
-                    Column::new("val", DataType::Long),
-                ]),
-                1000,
-            ));
+            let t = db.create_table(micro_def());
             let mut s = db.session(0);
             s.begin();
             for k in 0..500u64 {
@@ -855,9 +178,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_and_locks() {
-        let mut db = setup();
-        let t = micro_table(&mut db);
+    fn scan_releases_its_table_lock() {
+        let mut db = DbmsD::new(&Sim::new(MachineConfig::ivy_bridge(1)));
+        let t: TableId = db.create_table(micro_def());
         let mut s = db.session(0);
         s.begin();
         for k in 0..30u64 {
@@ -868,6 +191,7 @@ mod tests {
         s.begin();
         let n = s.scan(t, 5, 14, &mut |_, _| true).unwrap();
         assert_eq!(n, 10);
+        assert!(db.lock_entries() > 0);
         s.commit().unwrap();
         assert_eq!(db.lock_entries(), 0);
     }

@@ -114,3 +114,10 @@ pub(crate) fn wal_status(stream: usize, wal: &Wal) -> LogStatus {
         device: wal.device_stats(),
     }
 }
+
+/// Group-flush `wal` if it has an unflushed tail.
+pub(crate) fn flush_behind(wal: &mut Wal, mem: &Mem) {
+    if wal.flushed() < wal.horizon() {
+        wal.flush(mem);
+    }
+}

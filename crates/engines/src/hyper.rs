@@ -11,26 +11,32 @@
 //! Figure 2) while its stalls *per transaction* remain among the lowest
 //! (Figure 3).
 //!
-//! Concurrency model mirrors [`crate::voltdb`]: per-partition
-//! `Mutex`-guarded islands, one worker per partition in the paper's
-//! deployment, and a no-wait owner claim surfacing serial-execution
-//! violations as [`OltpError::Conflict`] when partitions are shared.
+//! This file is the HyPer *profile* of the [`crate::partitioned`] kernel
+//! it shares with [`crate::voltdb`]: three small modules, budgets an order
+//! of magnitude below the other systems, the ART, and index, row and value
+//! work all running in the one compiled-procedure segment.
 
-use std::sync::{Arc, Mutex, RwLock};
-
-use indexes::{Art, Index};
+use bytes::Bytes;
+use indexes::Art;
 use obs::Phase;
-use oltp::{
-    tuple, CcPolicy, ConcurrencyControl, Db, OltpError, OltpResult, Row, Session, TableDef,
-    TableId, Value,
+use oltp::{tuple, Row};
+use storage::{MemStore, RowId};
+use uarch_sim::Mem;
+
+use crate::partitioned::{
+    PTable, PartitionCost, PartitionProfile, PartitionRoles, PartitionedEngine,
 };
-use storage::{LogKind, MemStore, RowId, TxnId, TxnManager, Wal};
-use uarch_sim::{AllocHomeGuard, CorePort, Mem, ModuleId, ModuleSpec, Sim};
+use crate::scaffold::{Module, Ports};
 
-use crate::placement::Placement;
+/// The HyPer engine. See the module docs.
+pub type HyPer = PartitionedEngine<HyPerProfile>;
 
-/// Engine label on trace spans.
-const ENGINE: &str = "HyPer";
+/// HyPer's axes over the partitioned kernel.
+pub struct HyPerProfile;
+
+const RUNTIME: usize = 0;
+const PROC: usize = 1;
+const LOG: usize = 2;
 
 /// Instruction budgets: an order of magnitude below the other systems.
 mod cost {
@@ -50,803 +56,99 @@ mod cost {
     pub const STR_CMP: u64 = 340;
 }
 
-struct Mods {
-    runtime: ModuleId,
-    proc: ModuleId,
-    log: ModuleId,
-}
+impl PartitionProfile for HyPerProfile {
+    const LABEL: &'static str = "HyPer";
+    const CLAIM_SITE: &'static str = "hyper/claim";
+    const LOG_SITE: &'static str = "hyper/wal";
+    const MODULES: &'static [Module] = &[
+        Module::new("hyper/runtime", 16 << 10, 2.4, 0.08),
+        // The compiled stored procedures: tiny, loop-dense, almost
+        // branch-free — the fruit of Neumann-style code generation.
+        Module::new("hyper/compiled-proc", 12 << 10, 5.0, 0.01).engine_side(),
+        Module::new("hyper/redo-log", 8 << 10, 2.6, 0.06),
+    ];
+    const ROLES: PartitionRoles = PartitionRoles {
+        cc_txn: RUNTIME,
+        cc_access: PROC,
+        index: PROC,
+        store: PROC,
+        log: LOG,
+        mp_coord: RUNTIME,
+        mp_probe: PROC,
+    };
+    const COST: PartitionCost = PartitionCost {
+        wal_group: 32,
+        log_commit: cost::REDO,
+        commit_record: 24,
+        mp_coord: cost::MP_COORD,
+        mp_probe: cost::PROC_OP,
+    };
+    const LOG_SPAN_COVERS_CC_RELEASE: bool = false;
+    type Index = Art;
+    type State = ();
 
-struct PTable {
-    store: MemStore,
-    index: Art,
-    /// Whether the primary-key column is a string.
-    str_key: bool,
-}
-
-/// One partition's private state (see [`crate::voltdb::VoltDb`] for the
-/// owner-claim rules).
-struct PartState {
-    tables: Vec<PTable>,
-    /// One command/redo log per partition (no shared log-buffer lines).
-    wal: Wal,
-    owner: Option<TxnId>,
-}
-
-struct Shared {
-    sim: Sim,
-    m: Mods,
-    defs: RwLock<Vec<TableDef>>,
-    parts: Vec<Mutex<PartState>>,
-    tm: Mutex<TxnManager>,
-    metrics: obs::metrics::EngineMetrics,
-    /// NUMA placement: decides which home tag each partition's
-    /// allocations carry (no effect on single-socket machines).
-    placement: Placement,
-    /// Pluggable protocol; `None` = the historical owner-claim path
-    /// (bit-identical to pre-refactor builds).
-    cc: Option<Arc<dyn ConcurrencyControl>>,
-}
-
-impl Shared {
-    /// Scope partition `p`'s allocations to its home-tag arena (NUMA
-    /// machines with a tagging placement only).
-    fn home_guard(&self, p: usize) -> Option<AllocHomeGuard> {
-        if self.sim.sockets() <= 1 {
-            return None;
-        }
-        self.placement
-            .partition_tag(p)
-            .map(|t| self.sim.alloc_home_guard(t))
-    }
-}
-
-/// The HyPer engine. See the module docs.
-pub struct HyPer {
-    shared: Arc<Shared>,
-}
-
-/// One worker's connection to a [`HyPer`] engine, pinned to the partition
-/// `core % partitions`.
-pub struct HyPerSession {
-    shared: Arc<Shared>,
-    core: usize,
-    cur: Option<TxnId>,
-    /// Exclusive port to this session's simulated core: enables the
-    /// simulator's lock-free access path. `None` if another session on
-    /// the same core already holds it (accesses then use the fallback).
-    _port: Option<CorePort>,
-}
-
-impl HyPer {
-    /// Build the engine with `partitions` partitions.
-    pub fn new(sim: &Sim, partitions: usize) -> Self {
-        Self::with_cc(sim, partitions, CcPolicy::EngineDefault)
+    fn new_index(mem: &Mem) -> Art {
+        Art::new(mem)
     }
 
-    /// Build the engine with a pluggable CC protocol.
-    /// [`CcPolicy::EngineDefault`] keeps the historical no-wait
-    /// partition-owner claim.
-    pub fn with_cc(sim: &Sim, partitions: usize, policy: CcPolicy) -> Self {
-        Self::with_cc_placed(sim, partitions, policy, Placement::Spread)
+    fn charge_begin(ports: &Ports, _: &()) {
+        ports.mem(RUNTIME).exec(cost::RT_BEGIN);
     }
 
-    /// [`HyPer::with_cc`] with an explicit NUMA placement: partition
-    /// allocations carry the placement's home tag so a multi-socket
-    /// simulator can charge remote accesses by partition home.
-    pub fn with_cc_placed(
-        sim: &Sim,
-        partitions: usize,
-        policy: CcPolicy,
-        placement: Placement,
-    ) -> Self {
-        assert!(partitions >= 1);
-        let m = Mods {
-            runtime: sim.register_module(
-                ModuleSpec::new("hyper/runtime", 16 << 10)
-                    .reuse(2.4)
-                    .branchiness(0.08),
-            ),
-            // The compiled stored procedures: tiny, loop-dense, almost
-            // branch-free — the fruit of Neumann-style code generation.
-            proc: sim.register_module(
-                ModuleSpec::new("hyper/compiled-proc", 12 << 10)
-                    .reuse(5.0)
-                    .branchiness(0.01)
-                    .engine_side(true),
-            ),
-            log: sim.register_module(
-                ModuleSpec::new("hyper/redo-log", 8 << 10)
-                    .reuse(2.6)
-                    .branchiness(0.06),
-            ),
-        };
-        let mem = sim.mem(0);
-        HyPer {
-            shared: Arc::new(Shared {
-                m,
-                defs: RwLock::new(Vec::new()),
-                parts: (0..partitions)
-                    .map(|p| {
-                        // Home each partition's redo log with its data.
-                        let _h = (sim.sockets() > 1)
-                            .then(|| placement.partition_tag(p))
-                            .flatten()
-                            .map(|t| sim.alloc_home_guard(t));
-                        Mutex::new(PartState {
-                            tables: Vec::new(),
-                            wal: Wal::new(&mem, 1 << 20, 32),
-                            owner: None,
-                        })
-                    })
-                    .collect(),
-                tm: Mutex::new(TxnManager::new()),
-                metrics: obs::metrics::EngineMetrics::new(ENGINE),
-                placement,
-                cc: oltp::cc::build(policy, partitions),
-                sim: sim.clone(),
-            }),
-        }
-    }
-}
-
-impl crate::durability::DurableDb for HyPer {
-    fn enable_durability(&mut self, cfg: &crate::durability::DurabilityCfg) {
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.log);
-            crate::durability::configure_wal(&mut part.lock().unwrap().wal, &mem, cfg);
-        }
+    fn charge_op(ports: &Ports, _first: bool) {
+        ports.mem(PROC).exec(cost::PROC_OP);
     }
 
-    fn log_streams(&self) -> Vec<Vec<storage::wal::LogRecord>> {
-        self.shared
-            .parts
-            .iter()
-            .map(|p| p.lock().unwrap().wal.records().to_vec())
-            .collect()
+    fn charge_commit(ports: &Ports, _: &()) {
+        ports.mem(RUNTIME).exec(cost::COMMIT);
     }
 
-    fn log_status(&self) -> Vec<crate::durability::LogStatus> {
-        self.shared
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| crate::durability::wal_status(i, &p.lock().unwrap().wal))
-            .collect()
+    fn charge_abort(ports: &Ports) {
+        ports.mem(RUNTIME).exec(cost::ABORT);
     }
 
-    fn flush_all(&mut self) {
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.log);
-            let part = &mut *part.lock().unwrap();
-            if part.wal.flushed() < part.wal.horizon() {
-                part.wal.flush(&mem);
-            }
-        }
-    }
-
-    fn take_commit_latencies(&mut self) -> Vec<f64> {
-        self.shared
-            .parts
-            .iter()
-            .flat_map(|p| p.lock().unwrap().wal.take_commit_latencies())
-            .collect()
-    }
-}
-
-impl HyPerSession {
-    fn mem(&self, module: ModuleId) -> Mem {
-        self.shared.sim.mem(self.core).with_module(module)
-    }
-
-    fn part(&self) -> usize {
-        self.core % self.shared.parts.len()
-    }
-
-    fn txn(&self) -> OltpResult<TxnId> {
-        self.cur.ok_or(OltpError::NoActiveTxn)
-    }
-
-    fn table(&self, t: TableId) -> OltpResult<usize> {
-        if (t.0 as usize) < self.shared.defs.read().unwrap().len() {
-            Ok(t.0 as usize)
-        } else {
-            Err(OltpError::NoSuchTable(t))
-        }
-    }
-
-    /// No-wait serial-execution claim (see [`crate::voltdb`]); delegated
-    /// to the CC layer's read/write hooks under a pluggable protocol.
-    fn claim(&self, part: &mut PartState, t: TableId, key: u64, write: bool) -> OltpResult<()> {
-        let Some(txn) = self.cur else { return Ok(()) };
-        faults::inject!(
-            "hyper/claim",
-            self.core,
-            OltpError::Conflict { table: t, key }
-        );
-        if let Some(cc) = &self.shared.cc {
-            let mem = self.mem(self.shared.m.proc);
-            let r = if write {
-                cc.on_write(txn.0, t, key, self.core, &mem)
-            } else {
-                cc.on_read(txn.0, t, key, self.core, &mem)
-            };
-            return r.map_err(|v| {
-                self.shared.metrics.conflicts.inc(self.core);
-                v.into_error()
-            });
-        }
-        match part.owner {
-            None => {
-                part.owner = Some(txn);
-                Ok(())
-            }
-            Some(o) if o == txn => Ok(()),
-            Some(_) => {
-                self.shared.metrics.conflicts.inc(self.core);
-                Err(OltpError::Conflict { table: t, key })
-            }
-        }
-    }
+    /// Nothing ahead of the probe: the ART compares the full key once, at
+    /// the leaf, charged with the value work.
+    fn key_work(_: &Ports, _: &PTable<Art>) {}
 
     /// Compiled value processing + leaf string comparison (§6.2).
-    fn value_work(&self, part: &PartState, ti: usize, bytes: usize) {
-        let mem = self.mem(self.shared.m.proc);
+    fn value_work(ports: &Ports, table: &PTable<Art>, bytes: usize) {
+        let mem = ports.mem(PROC);
         mem.exec(bytes as u64 * cost::VALUE_PER_BYTE);
-        if part.tables[ti].str_key {
+        if table.str_key {
             mem.exec(cost::STR_CMP);
         }
     }
 
-    /// Own-partition probe missed on a multi-socket machine: hand the
-    /// compiled fragment to the other partitions via the runtime (see
-    /// [`crate::voltdb::VoltDbSession::mp_read`] for the claim rules —
-    /// remote partitions are probed, never claimed). Single-socket
-    /// machines return `Ok(false)` untouched.
-    fn mp_read(
-        &mut self,
-        ti: usize,
-        key: u64,
-        skip: usize,
-        f: &mut dyn FnMut(&[Value]),
-    ) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        if shared.sim.sockets() <= 1 || shared.parts.len() <= 1 {
-            return Ok(false);
-        }
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            self.mem(shared.m.runtime).exec(cost::MP_COORD);
-        }
-        let mem = self.mem(shared.m.proc);
-        for q in 0..shared.parts.len() {
-            if q == skip {
-                continue;
-            }
-            let part = &mut *shared.parts[q].lock().unwrap();
-            mem.exec(cost::PROC_OP);
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                part.tables[ti].index.get(&mem, key)
-            };
-            let Some(payload) = probe else { continue };
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mut decoded: Option<Row> = None;
-            let mut bytes = 0;
-            part.tables[ti]
-                .store
-                .read(&mem, RowId::from_u64(payload), &mut |d| {
-                    bytes = d.len();
-                    decoded = tuple::decode(d).ok();
-                });
-            self.value_work(part, ti, bytes);
-            return match decoded {
-                Some(row) => {
-                    f(&row);
-                    Ok(true)
-                }
-                None => Ok(false),
-            };
-        }
-        Ok(false)
+    /// Value work and the row store are one stretch of generated code.
+    fn store_insert(ports: &Ports, table: &mut PTable<Art>, data: Bytes) -> RowId {
+        let _s = ports.span(Phase::Storage);
+        Self::value_work(ports, table, data.len());
+        table.store.insert(ports.mem(PROC), data)
     }
 
-    /// [`HyPerSession::mp_read`]'s write-side twin.
-    fn mp_update(
-        &mut self,
-        ti: usize,
-        key: u64,
-        skip: usize,
-        f: &mut dyn FnMut(&mut Row),
-    ) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        if shared.sim.sockets() <= 1 || shared.parts.len() <= 1 {
-            return Ok(false);
+    /// One batched commit per row: the scan step, the row dereference, the
+    /// row load, and the per-byte value work ride a single core
+    /// acquisition. Event accounting is identical to issuing the ops
+    /// separately.
+    fn scan_row(ports: &Ports, store: &MemStore, id: RowId) -> Option<Row> {
+        let slot = store.slot(id);
+        let mut b = ports.mem(PROC).batch();
+        b.exec(cost::SCAN_NEXT).exec(storage::ROW_READ_INSTRS);
+        if let Some((addr, data)) = slot {
+            b.read(addr, data.len().max(1) as u32)
+                .exec(data.len() as u64 * cost::VALUE_PER_BYTE);
         }
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            self.mem(shared.m.runtime).exec(cost::MP_COORD);
-        }
-        let mem = self.mem(shared.m.proc);
-        for q in 0..shared.parts.len() {
-            if q == skip {
-                continue;
-            }
-            let part = &mut *shared.parts[q].lock().unwrap();
-            mem.exec(cost::PROC_OP);
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                part.tables[ti].index.get(&mem, key)
-            };
-            let Some(payload) = probe else { continue };
-            let id = RowId::from_u64(payload);
-            let mut row: Option<Row> = None;
-            {
-                let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                part.tables[ti]
-                    .store
-                    .read(&mem, id, &mut |d| row = tuple::decode(d).ok());
-            }
-            let Some(mut row) = row else { return Ok(false) };
-            f(&mut row);
-            debug_assert!(
-                shared.defs.read().unwrap()[ti].schema.check(&row),
-                "row/schema mismatch"
-            );
-            let encoded = tuple::encode(&row);
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(part, ti, encoded.len() * 2);
-            part.tables[ti].store.update(&mem, id, encoded);
-            return Ok(true);
-        }
-        Ok(false)
-    }
-}
-
-impl Db for HyPer {
-    fn name(&self) -> &'static str {
-        "HyPer"
-    }
-
-    fn partitions(&self) -> usize {
-        self.shared.parts.len()
-    }
-
-    fn create_table(&mut self, def: TableDef) -> TableId {
-        let defs = &mut *self.shared.defs.write().unwrap();
-        let id = TableId(defs.len() as u32);
-        defs.push(def);
-        let str_key = matches!(
-            defs[id.0 as usize].schema.columns().first().map(|c| c.ty),
-            Some(oltp::DataType::Str)
-        );
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let _h = self.shared.home_guard(p);
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.proc);
-            part.lock().unwrap().tables.push(PTable {
-                store: MemStore::new(),
-                index: Art::new(&mem),
-                str_key,
-            });
-        }
-        id
-    }
-
-    fn row_count(&self, t: TableId) -> u64 {
-        self.shared
-            .parts
-            .iter()
-            .map(|p| {
-                p.lock()
-                    .unwrap()
-                    .tables
-                    .get(t.0 as usize)
-                    .map_or(0, |tb| tb.store.live())
-            })
-            .sum()
-    }
-
-    fn session(&self, core: usize) -> Box<dyn Session> {
-        assert!(core < self.shared.sim.cores());
-        Box::new(HyPerSession {
-            shared: Arc::clone(&self.shared),
-            core,
-            cur: None,
-            _port: self.shared.sim.try_checkout(core),
-        })
-    }
-}
-
-impl Session for HyPerSession {
-    fn name(&self) -> &'static str {
-        "HyPer"
-    }
-
-    fn core(&self) -> usize {
-        self.core
-    }
-
-    fn begin(&mut self) {
-        assert!(self.cur.is_none(), "transaction already active");
-        let _s = obs::span(ENGINE, Phase::Dispatch, self.core);
-        let (txn, _) = self.shared.tm.lock().unwrap().begin();
-        self.cur = Some(txn);
-        self.mem(self.shared.m.runtime).exec(cost::RT_BEGIN);
-        if let Some(cc) = &self.shared.cc {
-            cc.begin(txn.0, self.core, &self.mem(self.shared.m.runtime));
-        }
-    }
-
-    fn commit(&mut self) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let _c = obs::span(ENGINE, Phase::Commit, self.core);
-        self.mem(self.shared.m.runtime).exec(cost::COMMIT);
-        if let Some(cc) = &self.shared.cc {
-            // Validation failure leaves the txn open (writes may have
-            // applied in place); the caller aborts, dropping CC state.
-            faults::inject!(
-                "cc/validate",
-                self.core,
-                OltpError::ValidationFailed {
-                    table: TableId(0),
-                    key: 0
-                }
-            );
-            let _v = obs::span(ENGINE, Phase::Cc, self.core);
-            if let Err(v) = cc.validate(txn.0, self.core, &self.mem(self.shared.m.runtime)) {
-                self.shared.metrics.conflicts.inc(self.core);
-                return Err(v.into_error());
-            }
-        }
-        {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem = self.mem(self.shared.m.log);
-            mem.exec(cost::REDO);
-            // Redo-log write failure; the caller aborts, releasing the claim.
-            faults::inject!(
-                "hyper/wal",
-                self.core,
-                OltpError::LogWriteFailed("hyper/wal")
-            );
-            let part = &mut *self.shared.parts[self.part()].lock().unwrap();
-            part.wal.append(&mem, txn, LogKind::Commit, 24);
-            if part.owner == Some(txn) {
-                part.owner = None;
-            }
-        }
-        if let Some(cc) = &self.shared.cc {
-            cc.commit(txn.0, self.core, &self.mem(self.shared.m.runtime));
-        }
-        self.cur = None;
-        self.shared.metrics.commits.inc(self.core);
-        Ok(())
-    }
-
-    fn abort(&mut self) {
-        if let Some(txn) = self.cur.take() {
-            let _s = obs::span(ENGINE, Phase::Commit, self.core);
-            self.mem(self.shared.m.runtime).exec(cost::ABORT);
-            let part = &mut *self.shared.parts[self.part()].lock().unwrap();
-            if part.owner == Some(txn) {
-                part.owner = None;
-            }
-            if part.wal.retaining() {
-                // Durable mode: mark the rollback so recovery classifies
-                // this txn aborted, not crashed mid-flight.
-                let mem = self.mem(self.shared.m.log);
-                part.wal.append(&mem, txn, LogKind::Abort, 0);
-            }
-            if let Some(cc) = &self.shared.cc {
-                cc.abort(txn.0, self.core, &self.mem(self.shared.m.runtime));
-            }
-            self.shared.metrics.aborts.inc(self.core);
-        }
-    }
-
-    fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        debug_assert!(
-            shared.defs.read().unwrap()[ti].schema.check(row),
-            "row/schema mismatch"
-        );
-        let mem = self.mem(self.shared.m.proc);
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            mem.exec(cost::PROC_OP);
-        }
-        let p = self.part();
-        // Rows and index nodes land in the partition's home-tag arena.
-        let _h = shared.home_guard(p);
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, key, true)?;
-        let encoded = tuple::encode(row);
-        // Durable mode: the redo log carries data records too (the
-        // default log appends only Commit markers).
-        let redo = part.wal.retaining().then(|| encoded.clone());
-        let id = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(part, ti, encoded.len());
-            part.tables[ti].store.insert(&mem, encoded)
-        };
-        let table = &mut part.tables[ti];
-        let inserted = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.insert(&mem, key, id.to_u64())
-        };
-        if !inserted {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            table.store.delete(&mem, id);
-            return Err(OltpError::DuplicateKey { table: t, key });
-        }
-        if let Some(redo) = redo {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem_log = self.mem(self.shared.m.log);
-            let len = redo.len() as u32;
-            part.wal.append_data(
-                &mem_log,
-                txn,
-                LogKind::Insert,
-                t.0,
-                key,
-                Some(&redo),
-                None,
-                len,
-            );
-        }
-        Ok(())
-    }
-
-    fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let mem = self.mem(self.shared.m.proc);
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            mem.exec(cost::PROC_OP);
-        }
-        let p = self.part();
-        {
-            let part = &mut *shared.parts[p].lock().unwrap();
-            self.claim(part, t, key, false)?;
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                part.tables[ti].index.get(&mem, key)
-            };
-            if let Some(payload) = probe {
-                let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                let mut decoded: Option<Row> = None;
-                let mut bytes = 0;
-                part.tables[ti]
-                    .store
-                    .read(&mem, RowId::from_u64(payload), &mut |d| {
-                        bytes = d.len();
-                        decoded = tuple::decode(d).ok();
-                    });
-                self.value_work(part, ti, bytes);
-                return match decoded {
-                    Some(row) => {
-                        f(&row);
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                };
-            }
-        }
-        self.mp_read(ti, key, p, f)
-    }
-
-    fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        let mem = self.mem(self.shared.m.proc);
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            mem.exec(cost::PROC_OP);
-        }
-        let p = self.part();
-        {
-            let part = &mut *shared.parts[p].lock().unwrap();
-            self.claim(part, t, key, true)?;
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                part.tables[ti].index.get(&mem, key)
-            };
-            if let Some(payload) = probe {
-                let id = RowId::from_u64(payload);
-                let mut row: Option<Row> = None;
-                {
-                    let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                    part.tables[ti]
-                        .store
-                        .read(&mem, id, &mut |d| row = tuple::decode(d).ok());
-                }
-                let Some(mut row) = row else { return Ok(false) };
-                // Before-image for undo-capable recovery (durable mode).
-                let undo = part.wal.retaining().then(|| tuple::encode(&row));
-                f(&mut row);
-                debug_assert!(
-                    shared.defs.read().unwrap()[ti].schema.check(&row),
-                    "row/schema mismatch"
-                );
-                let encoded = tuple::encode(&row);
-                {
-                    let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                    self.value_work(part, ti, encoded.len() * 2);
-                    let table = &mut part.tables[ti];
-                    table.store.update(&mem, id, encoded.clone());
-                }
-                if part.wal.retaining() {
-                    let _l = obs::span(ENGINE, Phase::Log, self.core);
-                    let mem_log = self.mem(self.shared.m.log);
-                    let len = encoded.len() as u32;
-                    part.wal.append_data(
-                        &mem_log,
-                        txn,
-                        LogKind::Update,
-                        t.0,
-                        key,
-                        Some(&encoded),
-                        undo.as_ref(),
-                        len * 2,
-                    );
-                }
-                return Ok(true);
-            }
-        }
-        self.mp_update(ti, key, p, f)
-    }
-
-    fn scan(
-        &mut self,
-        t: TableId,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, &[Value]) -> bool,
-    ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let mem = self.mem(self.shared.m.proc);
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            mem.exec(cost::PROC_OP);
-        }
-        let p = self.part();
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, lo, false)?;
-        let table = &mut part.tables[ti];
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.scan(&mem, lo, hi, &mut |k, v| {
-                pairs.push((k, v));
-                true
-            });
-        }
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mut visited = 0;
-        for (k, payload) in pairs {
-            // One batched commit per row: the scan step, the row
-            // dereference, the row load, and the per-byte value work ride
-            // a single core acquisition. Event accounting is identical to
-            // issuing the ops separately (and the early-exit contract of
-            // `f` is unchanged — later rows issue nothing).
-            let slot = table.store.slot(RowId::from_u64(payload));
-            let mut b = mem.batch();
-            b.exec(cost::SCAN_NEXT).exec(storage::ROW_READ_INSTRS);
-            if let Some((addr, data)) = slot {
-                b.read(addr, data.len().max(1) as u32)
-                    .exec(data.len() as u64 * cost::VALUE_PER_BYTE);
-            }
-            b.commit();
-            if let Some(row) = slot.and_then(|(_, d)| tuple::decode(d).ok()) {
-                visited += 1;
-                if !f(k, &row) {
-                    break;
-                }
-            }
-        }
-        Ok(visited)
-    }
-
-    fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        let mem = self.mem(self.shared.m.proc);
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            mem.exec(cost::PROC_OP);
-        }
-        let p = self.part();
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, key, true)?;
-        let table = &mut part.tables[ti];
-        let removed = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.remove(&mem, key)
-        };
-        let Some(payload) = removed else {
-            return Ok(false);
-        };
-        let mut undo: Option<bytes::Bytes> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            if part.wal.retaining() {
-                // Before-image read so recovery can restore the row if
-                // this transaction never commits (durable mode only).
-                table.store.read(&mem, RowId::from_u64(payload), &mut |d| {
-                    undo = Some(d.clone());
-                });
-            }
-            table.store.delete(&mem, RowId::from_u64(payload));
-        }
-        if part.wal.retaining() {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem_log = self.mem(self.shared.m.log);
-            part.wal.append_data(
-                &mem_log,
-                txn,
-                LogKind::Delete,
-                t.0,
-                key,
-                None,
-                undo.as_ref(),
-                16,
-            );
-        }
-        Ok(true)
+        b.commit();
+        slot.and_then(|(_, d)| tuple::decode(d).ok())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oltp::{Column, DataType, Schema};
-    use uarch_sim::MachineConfig;
-
-    fn table_def() -> TableDef {
-        TableDef::new(
-            "t",
-            Schema::new(vec![
-                Column::new("key", DataType::Long),
-                Column::new("val", DataType::Long),
-            ]),
-            1000,
-        )
-    }
-
-    #[test]
-    fn crud_round_trip() {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = HyPer::new(&sim, 1);
-        let t = db.create_table(table_def());
-        let mut s = db.session(0);
-        s.begin();
-        for k in 0..200u64 {
-            s.insert(t, k, &[Value::Long(k as i64), Value::Long(0)])
-                .unwrap();
-        }
-        assert!(s.update(t, 77, &mut |r| r[1] = Value::Long(1)).unwrap());
-        assert_eq!(s.read(t, 77).unwrap().unwrap()[1], Value::Long(1));
-        assert!(s.delete(t, 77).unwrap());
-        assert!(s.read(t, 77).unwrap().is_none());
-        s.commit().unwrap();
-        assert_eq!(db.row_count(t), 199);
-    }
+    use oltp::{Column, DataType, Db, Schema, TableDef, Value};
+    use uarch_sim::{MachineConfig, Sim};
 
     #[test]
     fn instructions_per_txn_are_tiny() {
@@ -854,7 +156,14 @@ mod tests {
         // instructions per transaction than the interpreted systems.
         let sim = Sim::new(MachineConfig::ivy_bridge(1));
         let mut db = HyPer::new(&sim, 1);
-        let t = db.create_table(table_def());
+        let t = db.create_table(TableDef::new(
+            "t",
+            Schema::new(vec![
+                Column::new("key", DataType::Long),
+                Column::new("val", DataType::Long),
+            ]),
+            1000,
+        ));
         let mut s = db.session(0);
         s.begin();
         for k in 0..1000u64 {
@@ -870,26 +179,5 @@ mod tests {
         }
         let per_txn = (sim.counters(0).instructions - before) / 100;
         assert!(per_txn < 6000, "per_txn={per_txn}");
-    }
-
-    #[test]
-    fn art_scan_is_ordered() {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = HyPer::new(&sim, 1);
-        let t = db.create_table(table_def());
-        let mut s = db.session(0);
-        s.begin();
-        for k in (0..100u64).rev() {
-            s.insert(t, k, &[Value::Long(k as i64), Value::Long(k as i64)])
-                .unwrap();
-        }
-        let mut seen = Vec::new();
-        s.scan(t, 10, 20, &mut |k, _| {
-            seen.push(k);
-            true
-        })
-        .unwrap();
-        s.commit().unwrap();
-        assert_eq!(seen, (10..=20).collect::<Vec<u64>>());
     }
 }

@@ -9,738 +9,97 @@
 //! hierarchical 2PL, WAL, and a non-cache-conscious 8 KB-page B+tree
 //! (the source of its high LLC data stalls, §4.1.3).
 //!
-//! Shared-everything concurrency: the storage structures (buffer pool,
-//! lock table, WAL, heap/index) live behind one engine-wide mutex inside
-//! an `Arc`; every worker opens a [`Session`] bound to its core. Each
-//! operation holds the engine lock only for its own duration, while 2PL
-//! row/table locks persist across operations — so concurrent sessions
-//! conflict exactly where the lock manager says they do.
+//! This file is the Shore-MT *profile* of the [`crate::disk`] kernel: the
+//! storage manager's module footprints and budgets, the slotted-page
+//! B+tree, and the Shore-Kits plan code that is the only thing running
+//! outside the storage manager.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use indexes::DiskBTree;
+use uarch_sim::Mem;
 
-use indexes::{DiskBTree, Index};
-use obs::Phase;
-use oltp::{
-    tuple, CcPolicy, ConcurrencyControl, Db, OltpError, OltpResult, Row, Session, TableDef,
-    TableId, Value,
-};
-use storage::{
-    lock::LockOutcome, BufferPool, HeapFile, LockManager, LockMode, LockTarget, LogKind, Rid,
-    TxnId, TxnManager, Wal,
-};
-use uarch_sim::{CorePort, Mem, ModuleId, ModuleSpec, Sim};
-
-/// Engine name used for span attribution (matches [`Db::name`]).
-const ENGINE: &str = "Shore-MT";
-
-/// Per-operation instruction budgets (tuned against the paper's Shore-MT
-/// bars; see EXPERIMENTS.md).
-mod cost {
-    pub const BEGIN: u64 = 5200;
-    pub const COMMIT: u64 = 4200;
-    pub const ABORT: u64 = 2800;
-    pub const LOG_COMMIT: u64 = 3600;
-    pub const LOG_UPDATE: u64 = 1800;
-    pub const EXEC_OP: u64 = 5600; // plan setup for the first operation
-    pub const EXEC_OP_NEXT: u64 = 1000; // plan-loop glue for later operations
-    pub const LOCK_WRAP: u64 = 1800; // per lock acquisition
-    pub const RELEASE: u64 = 2300;
-    pub const INDEX_WRAP: u64 = 2300; // latch/SMO checks around descent
-    pub const HEAP_WRAP: u64 = 1500;
-    pub const SCAN_NEXT: u64 = 220; // per scanned row
-                                    // Latch spin per *other* open session on each serialized engine
-                                    // entry (lock-table bucket, txn manager, log tail): shared-everything
-                                    // engines pay this coherence/contention tax as workers are added,
-                                    // while the partitioned engines own their data outright.
-    pub const LATCH_SPIN: u64 = 220;
-}
-
-struct Mods {
-    kits: ModuleId, // Shore-Kits hard-coded plans (outside the SM)
-    txn: ModuleId,
-    lock: ModuleId,
-    btree: ModuleId,
-    bpool: ModuleId,
-    heap: ModuleId,
-    log: ModuleId,
-}
-
-struct Table {
-    def: TableDef,
-    heap: HeapFile,
-    index: DiskBTree,
-}
-
-/// Mutable engine state shared by all sessions.
-struct Inner {
-    pool: BufferPool,
-    locks: LockManager,
-    wal: Wal,
-    tm: TxnManager,
-    tables: Vec<Table>,
-}
-
-/// Immutable handle state + the engine-wide mutex.
-struct Shared {
-    sim: Sim,
-    m: Mods,
-    inner: Mutex<Inner>,
-    /// Open sessions; >1 means the engine's internal latches are contended.
-    open_sessions: AtomicUsize,
-    metrics: obs::metrics::EngineMetrics,
-    /// Pluggable protocol; `None` = the historical hierarchical-2PL path
-    /// through [`LockManager`] (bit-identical to pre-refactor builds).
-    cc: Option<Arc<dyn ConcurrencyControl>>,
-}
+use crate::disk::{DiskCost, DiskEngine, DiskProfile, DiskRoles};
+use crate::scaffold::{Module, Ports};
 
 /// The Shore-MT engine. See the module docs.
-pub struct ShoreMt {
-    shared: Arc<Shared>,
-}
+pub type ShoreMt = DiskEngine<ShoreMtProfile>;
 
-/// One worker's connection to a [`ShoreMt`] engine.
-pub struct ShoreMtSession {
-    shared: Arc<Shared>,
-    core: usize,
-    cur: Option<TxnId>,
-    ops_in_txn: u32,
-    /// Exclusive port to this session's simulated core: enables the
-    /// simulator's lock-free access path. `None` if another session on
-    /// the same core already holds it (accesses then use the fallback).
-    _port: Option<CorePort>,
-}
+/// Shore-MT's axes over the disk-based kernel.
+pub struct ShoreMtProfile;
 
-/// Buffer-pool frames: sized to keep every experiment memory-resident
-/// (the paper's setup; eviction is still exercised by dedicated tests).
-const POOL_FRAMES: usize = 96 * 1024;
+/// Shore-Kits hard-coded plans (outside the storage manager).
+const KITS: usize = 0;
+/// Plan setup for a transaction's first operation / plan-loop glue for
+/// later ones.
+const EXEC_OP: u64 = 5600;
+const EXEC_OP_NEXT: u64 = 1000;
+/// Interpreted value processing per row byte.
+const VALUE_PER_BYTE: u64 = 7;
 
-impl ShoreMt {
-    /// Build the engine on a simulator.
-    pub fn new(sim: &Sim) -> Self {
-        Self::with_cc(sim, CcPolicy::EngineDefault)
+impl DiskProfile for ShoreMtProfile {
+    const LABEL: &'static str = "Shore-MT";
+    const LATCH_SITE: &'static str = "shore_mt/latch";
+    const WAL_SITE: &'static str = "shore_mt/wal";
+    const MODULES: &'static [Module] = &[
+        Module::new("shore/kits-plans", 40 << 10, 2.7, 0.24),
+        Module::new("shore/txn-mgmt", 28 << 10, 2.5, 0.22).engine_side(),
+        Module::new("shore/lock-mgr", 24 << 10, 2.6, 0.22).engine_side(),
+        Module::new("shore/btree", 24 << 10, 2.9, 0.16).engine_side(),
+        Module::new("shore/bufferpool", 24 << 10, 2.9, 0.16).engine_side(),
+        Module::new("shore/heap", 16 << 10, 2.8, 0.16).engine_side(),
+        Module::new("shore/log", 20 << 10, 2.4, 0.18).engine_side(),
+    ];
+    const ROLES: DiskRoles = DiskRoles {
+        txn: 1,
+        lock: 2,
+        btree: 3,
+        bpool: 4,
+        heap: 5,
+        log: 6,
+    };
+    const COST: DiskCost = DiskCost {
+        begin: 5200,
+        commit: 4200,
+        abort: 2800,
+        log_commit: 3600,
+        log_update: 1800,
+        lock_wrap: 1800,
+        release: 2300,
+        index_wrap: 2300,
+        heap_wrap: 1500,
+        scan_next: 220,
+        latch_spin: 220,
+    };
+    type Index = DiskBTree;
+
+    fn new_index(mem: &Mem) -> DiskBTree {
+        DiskBTree::new(mem)
     }
 
-    /// Build the engine with a pluggable CC protocol.
-    /// [`CcPolicy::EngineDefault`] keeps the historical hierarchical 2PL
-    /// (no-wait) through the storage [`LockManager`].
-    pub fn with_cc(sim: &Sim, policy: CcPolicy) -> Self {
-        let m = Mods {
-            kits: sim.register_module(
-                ModuleSpec::new("shore/kits-plans", 40 << 10)
-                    .reuse(2.7)
-                    .branchiness(0.24),
-            ),
-            txn: sim.register_module(
-                ModuleSpec::new("shore/txn-mgmt", 28 << 10)
-                    .reuse(2.5)
-                    .branchiness(0.22)
-                    .engine_side(true),
-            ),
-            lock: sim.register_module(
-                ModuleSpec::new("shore/lock-mgr", 24 << 10)
-                    .reuse(2.6)
-                    .branchiness(0.22)
-                    .engine_side(true),
-            ),
-            btree: sim.register_module(
-                ModuleSpec::new("shore/btree", 24 << 10)
-                    .reuse(2.9)
-                    .branchiness(0.16)
-                    .engine_side(true),
-            ),
-            bpool: sim.register_module(
-                ModuleSpec::new("shore/bufferpool", 24 << 10)
-                    .reuse(2.9)
-                    .branchiness(0.16)
-                    .engine_side(true),
-            ),
-            heap: sim.register_module(
-                ModuleSpec::new("shore/heap", 16 << 10)
-                    .reuse(2.8)
-                    .branchiness(0.16)
-                    .engine_side(true),
-            ),
-            log: sim.register_module(
-                ModuleSpec::new("shore/log", 20 << 10)
-                    .reuse(2.4)
-                    .branchiness(0.18)
-                    .engine_side(true),
-            ),
-        };
-        let mem = sim.mem(0);
-        let inner = Inner {
-            pool: BufferPool::new(&mem, POOL_FRAMES),
-            locks: LockManager::new(&mem, 64 * 1024),
-            wal: Wal::new(&mem, 1 << 20, 8),
-            tm: TxnManager::new(),
-            tables: Vec::new(),
-        };
-        ShoreMt {
-            shared: Arc::new(Shared {
-                sim: sim.clone(),
-                m,
-                inner: Mutex::new(inner),
-                open_sessions: AtomicUsize::new(0),
-                metrics: obs::metrics::EngineMetrics::new(ENGINE),
-                cc: oltp::cc::build(policy, sim.cores()),
-            }),
-        }
+    /// No frontend: the request is already inside the storage manager.
+    fn charge_begin(_: &Ports) {}
+
+    /// The hard-coded plan sets up once per transaction; subsequent
+    /// operations run inside its loop.
+    fn charge_op(ports: &Ports, first: bool) {
+        ports
+            .mem(KITS)
+            .exec(if first { EXEC_OP } else { EXEC_OP_NEXT });
     }
 
-    /// Enable durable-log record retention (for crash-replay testing).
-    pub fn retain_log(&mut self) {
-        self.shared.inner.lock().unwrap().wal.retain_records(true);
-    }
+    fn charge_reply(_: &Ports) {}
 
-    /// The retained log records (see [`storage::recovery`]).
-    pub fn log_records(&self) -> Vec<storage::wal::LogRecord> {
-        self.shared.inner.lock().unwrap().wal.records().to_vec()
-    }
-
-    #[cfg(test)]
-    fn lock_entries(&self) -> usize {
-        self.shared.inner.lock().unwrap().locks.entries()
-    }
-}
-
-impl crate::durability::DurableDb for ShoreMt {
-    fn enable_durability(&mut self, cfg: &crate::durability::DurabilityCfg) {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        crate::durability::configure_wal(&mut inner.wal, &mem, cfg);
-    }
-
-    fn log_streams(&self) -> Vec<Vec<storage::wal::LogRecord>> {
-        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
-    }
-
-    fn log_status(&self) -> Vec<crate::durability::LogStatus> {
-        vec![crate::durability::wal_status(
-            0,
-            &self.shared.inner.lock().unwrap().wal,
-        )]
-    }
-
-    fn flush_all(&mut self) {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.log);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        if inner.wal.flushed() < inner.wal.horizon() {
-            inner.wal.flush(&mem);
-        }
-    }
-
-    fn take_commit_latencies(&mut self) -> Vec<f64> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .wal
-            .take_commit_latencies()
-    }
-}
-
-fn table(inner: &Inner, t: TableId) -> OltpResult<usize> {
-    if (t.0 as usize) < inner.tables.len() {
-        Ok(t.0 as usize)
-    } else {
-        Err(OltpError::NoSuchTable(t))
-    }
-}
-
-impl ShoreMtSession {
-    fn mem(&self, module: ModuleId) -> Mem {
-        self.shared.sim.mem(self.core).with_module(module)
-    }
-
-    fn txn(&self) -> OltpResult<TxnId> {
-        self.cur.ok_or(OltpError::NoActiveTxn)
-    }
-
-    /// Spin on a contended internal latch: each concurrently open session
-    /// beyond this one costs a deterministic burst of spin instructions.
-    /// With a single session open this is free, so single-worker runs are
-    /// bit-identical to the pre-concurrency engine.
-    fn latch_contention(&self, mem: &Mem) {
-        let others = self
-            .shared
-            .open_sessions
-            .load(Ordering::Relaxed)
-            .saturating_sub(1);
-        if others > 0 {
-            mem.exec(cost::LATCH_SPIN * others as u64);
-            self.shared.metrics.latch_waits.inc(self.core);
-        }
-    }
-
-    /// Statement dispatch: the hard-coded plan sets up once per
-    /// transaction; subsequent operations run inside its loop.
-    fn exec_op(&mut self) {
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        let n = if self.ops_in_txn == 0 {
-            cost::EXEC_OP
-        } else {
-            cost::EXEC_OP_NEXT
-        };
-        self.ops_in_txn += 1;
-        self.mem(self.shared.m.kits).exec(n);
-    }
-
-    /// Interpreted value processing proportional to row bytes (§6.2).
-    fn value_work(&self, bytes: usize) {
-        self.mem(self.shared.m.kits).exec(bytes as u64 * 7);
-    }
-
-    fn acquire(
-        &self,
-        inner: &mut Inner,
-        t: TableId,
-        key: u64,
-        target: LockTarget,
-        mode: LockMode,
-    ) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-        let mem = self.mem(self.shared.m.lock);
-        mem.exec(cost::LOCK_WRAP);
-        self.latch_contention(&mem);
-        faults::inject!(
-            "shore_mt/latch",
-            self.core,
-            OltpError::LatchTimeout("shore_mt/latch")
-        );
-        if let Some(cc) = &self.shared.cc {
-            let write = matches!(mode, LockMode::X | LockMode::Ix);
-            let r = if write {
-                cc.on_write(txn.0, t, key, self.core, &mem)
-            } else {
-                cc.on_read(txn.0, t, key, self.core, &mem)
-            };
-            return r.map_err(|v| {
-                self.shared.metrics.conflicts.inc(self.core);
-                v.into_error()
-            });
-        }
-        match inner.locks.lock(&mem, txn, target, mode) {
-            LockOutcome::Granted => Ok(()),
-            LockOutcome::Conflict => {
-                self.shared.metrics.conflicts.inc(self.core);
-                Err(OltpError::Conflict { table: t, key })
-            }
-        }
-    }
-
-    fn lock_pair(&self, inner: &mut Inner, t: TableId, key: u64, write: bool) -> OltpResult<()> {
-        let (tm, rm) = if write {
-            (LockMode::Ix, LockMode::X)
-        } else {
-            (LockMode::Is, LockMode::S)
-        };
-        // Under a pluggable protocol the table-intent level collapses into
-        // the per-key hook, so each operation consults the CC layer once.
-        if self.shared.cc.is_none() {
-            self.acquire(inner, t, key, LockTarget::Table(t.0), tm)?;
-        }
-        self.acquire(inner, t, key, LockTarget::Row(t.0, key), rm)
-    }
-}
-
-impl Drop for ShoreMtSession {
-    fn drop(&mut self) {
-        self.shared.open_sessions.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-impl Db for ShoreMt {
-    fn name(&self) -> &'static str {
-        "Shore-MT"
-    }
-
-    fn create_table(&mut self, def: TableDef) -> TableId {
-        let mem = self.shared.sim.mem(0).with_module(self.shared.m.btree);
-        let inner = &mut *self.shared.inner.lock().unwrap();
-        let id = TableId(inner.tables.len() as u32);
-        inner.tables.push(Table {
-            def,
-            heap: HeapFile::new(),
-            index: DiskBTree::new(&mem),
-        });
-        id
-    }
-
-    fn row_count(&self, t: TableId) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .unwrap()
-            .tables
-            .get(t.0 as usize)
-            .map_or(0, |tb| tb.heap.rows())
-    }
-
-    fn session(&self, core: usize) -> Box<dyn Session> {
-        assert!(core < self.shared.sim.cores());
-        self.shared.open_sessions.fetch_add(1, Ordering::Relaxed);
-        Box::new(ShoreMtSession {
-            shared: Arc::clone(&self.shared),
-            core,
-            cur: None,
-            ops_in_txn: 0,
-            _port: self.shared.sim.try_checkout(core),
-        })
-    }
-}
-
-impl Session for ShoreMtSession {
-    fn name(&self) -> &'static str {
-        "Shore-MT"
-    }
-
-    fn core(&self) -> usize {
-        self.core
-    }
-
-    fn begin(&mut self) {
-        assert!(self.cur.is_none(), "transaction already active");
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        let (txn, _) = inner.tm.begin();
-        self.cur = Some(txn);
-        self.ops_in_txn = 0;
-        let mem = self.mem(self.shared.m.txn);
-        mem.exec(cost::BEGIN);
-        self.latch_contention(&mem);
-        if let Some(cc) = &self.shared.cc {
-            cc.begin(txn.0, self.core, &self.mem(self.shared.m.lock));
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        inner.wal.append(&mem, txn, LogKind::Begin, 0);
-    }
-
-    fn commit(&mut self) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let _c = obs::span(ENGINE, Phase::Commit, self.core);
-        self.mem(self.shared.m.txn).exec(cost::COMMIT);
-        if let Some(cc) = &shared.cc {
-            // Validation precedes durability; on failure the txn stays
-            // open and the caller aborts, dropping CC state.
-            faults::inject!(
-                "cc/validate",
-                self.core,
-                OltpError::ValidationFailed {
-                    table: TableId(0),
-                    key: 0
-                }
-            );
-            let _v = obs::span(ENGINE, Phase::Cc, self.core);
-            if let Err(v) = cc.validate(txn.0, self.core, &self.mem(self.shared.m.lock)) {
-                self.shared.metrics.conflicts.inc(self.core);
-                return Err(v.into_error());
-            }
-        }
-        {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem = self.mem(self.shared.m.log);
-            mem.exec(cost::LOG_COMMIT);
-            self.latch_contention(&mem);
-            // WAL write failure: the txn stays open with its locks held;
-            // the caller aborts, which releases them.
-            faults::inject!(
-                "shore_mt/wal",
-                self.core,
-                OltpError::LogWriteFailed("shore_mt/wal")
-            );
-            inner.wal.append(&mem, txn, LogKind::Commit, 16);
-        }
-        let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-        let mem = self.mem(self.shared.m.lock);
-        mem.exec(cost::RELEASE);
-        match &shared.cc {
-            Some(cc) => cc.commit(txn.0, self.core, &mem),
-            None => inner.locks.release_all(&mem, txn),
-        }
-        self.cur = None;
-        self.shared.metrics.commits.inc(self.core);
-        Ok(())
-    }
-
-    fn abort(&mut self) {
-        if let Some(txn) = self.cur.take() {
-            let shared = Arc::clone(&self.shared);
-            let inner = &mut *shared.inner.lock().unwrap();
-            let _c = obs::span(ENGINE, Phase::Commit, self.core);
-            self.mem(self.shared.m.txn).exec(cost::ABORT);
-            {
-                let _l = obs::span(ENGINE, Phase::Log, self.core);
-                let mem = self.mem(self.shared.m.log);
-                inner.wal.append(&mem, txn, LogKind::Abort, 0);
-            }
-            let _cc = obs::span(ENGINE, Phase::Cc, self.core);
-            let mem = self.mem(self.shared.m.lock);
-            match &shared.cc {
-                Some(cc) => cc.abort(txn.0, self.core, &mem),
-                None => inner.locks.release_all(&mem, txn),
-            }
-            self.shared.metrics.aborts.inc(self.core);
-        }
-    }
-
-    fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        debug_assert!(
-            inner.tables[ti].def.schema.check(row),
-            "row/schema mismatch"
-        );
-        self.exec_op();
-        self.lock_pair(inner, t, key, true)?;
-        let data = tuple::encode(row);
-        self.value_work(data.len());
-        let len = data.len() as u32;
-        let redo = data.clone();
-        let rid = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.insert(pool, &mem, data)
-        };
-        let inserted = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.insert(&mem, key, rid.to_u64())
-        };
-        if !inserted {
-            // Undo the heap insert (simplified physical undo).
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.delete(pool, &mem, rid);
-            return Err(OltpError::DuplicateKey { table: t, key });
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner
-            .wal
-            .append_data(&mem, txn, LogKind::Insert, t.0, key, Some(&redo), None, len);
-        Ok(())
-    }
-
-    fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        self.exec_op();
-        self.lock_pair(inner, t, key, false)?;
-        let probe = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.get(&mem, key)
-        };
-        let Some(payload) = probe else {
-            return Ok(false);
-        };
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mem = self.mem(self.shared.m.bpool);
-        mem.exec(cost::HEAP_WRAP);
-        let mut ok = false;
-        let mut decoded: Option<Row> = None;
-        let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-        tables[ti]
-            .heap
-            .read(pool, &mem, Rid::from_u64(payload), &mut |d| {
-                decoded = tuple::decode(d).ok();
-                ok = true;
-            });
-        if let Some(row) = decoded {
-            self.value_work(tuple::encoded_len(&row));
-            f(&row);
-        }
-        Ok(ok)
-    }
-
-    fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        self.exec_op();
-        self.lock_pair(inner, t, key, true)?;
-        let probe = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.get(&mem, key)
-        };
-        let Some(payload) = probe else {
-            return Ok(false);
-        };
-        let rid = Rid::from_u64(payload);
-        let mem = self.mem(self.shared.m.bpool);
-        let mut row: Option<Row> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti].heap.read(pool, &mem, rid, &mut |d| {
-                row = tuple::decode(d).ok();
-            });
-        }
-        let Some(mut row) = row else { return Ok(false) };
-        // Before-image for undo-capable recovery (durable mode only).
-        let undo = inner.wal.retaining().then(|| tuple::encode(&row));
-        f(&mut row);
-        debug_assert!(
-            inner.tables[ti].def.schema.check(&row),
-            "row/schema mismatch"
-        );
-        let data = tuple::encode(&row);
-        let len = data.len() as u32;
-        let redo = data.clone();
-        let new_rid = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(data.len() * 2);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti]
-                .heap
-                .update(pool, &mem, rid, data)
-                .expect("row vanished mid-update")
-        };
-        if new_rid != rid {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            inner.tables[ti].index.replace(&mem, key, new_rid.to_u64());
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner.wal.append_data(
-            &mem,
-            txn,
-            LogKind::Update,
-            t.0,
-            key,
-            Some(&redo),
-            undo.as_ref(),
-            len * 2,
-        );
-        Ok(true)
-    }
-
-    fn scan(
-        &mut self,
-        t: TableId,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, &[Value]) -> bool,
-    ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        self.exec_op();
-        // Range scans take a table-level S lock (no next-key locking).
-        self.acquire(inner, t, lo, LockTarget::Table(t.0), LockMode::S)?;
-        let mem_btree = self.mem(self.shared.m.btree);
-        let mem_pool = self.mem(self.shared.m.bpool);
-        let mut rids: Vec<(u64, u64)> = Vec::new();
-        {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            mem_btree.exec(cost::INDEX_WRAP);
-            inner.tables[ti]
-                .index
-                .scan(&mem_btree, lo, hi, &mut |k, p| {
-                    rids.push((k, p));
-                    true
-                });
-        }
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mut visited = 0;
-        for (k, p) in rids {
-            mem_pool.exec(cost::SCAN_NEXT);
-            let mut keep = true;
-            let mut decoded: Option<Row> = None;
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            tables[ti]
-                .heap
-                .read(pool, &mem_pool, Rid::from_u64(p), &mut |d| {
-                    decoded = tuple::decode(d).ok();
-                });
-            if let Some(row) = decoded {
-                self.value_work(tuple::encoded_len(&row));
-                visited += 1;
-                keep = f(k, &row);
-            }
-            if !keep {
-                break;
-            }
-        }
-        Ok(visited)
-    }
-
-    fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
-        let ti = table(inner, t)?;
-        let txn = self.txn()?;
-        self.exec_op();
-        self.lock_pair(inner, t, key, true)?;
-        let removed = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            let mem = self.mem(self.shared.m.btree);
-            mem.exec(cost::INDEX_WRAP);
-            inner.tables[ti].index.remove(&mem, key)
-        };
-        let Some(payload) = removed else {
-            return Ok(false);
-        };
-        let mut undo: Option<bytes::Bytes> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mem = self.mem(self.shared.m.heap);
-            mem.exec(cost::HEAP_WRAP);
-            let (tables, pool) = (&mut inner.tables, &mut inner.pool);
-            if inner.wal.retaining() {
-                // Before-image read so recovery can restore the row if
-                // this transaction never commits (durable mode only).
-                tables[ti]
-                    .heap
-                    .read(pool, &mem, Rid::from_u64(payload), &mut |d| {
-                        undo = Some(d.clone());
-                    });
-            }
-            tables[ti].heap.delete(pool, &mem, Rid::from_u64(payload));
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.log);
-        mem.exec(cost::LOG_UPDATE);
-        inner.wal.append_data(
-            &mem,
-            txn,
-            LogKind::Delete,
-            t.0,
-            key,
-            None,
-            undo.as_ref(),
-            16,
-        );
-        Ok(true)
+    fn value_work(ports: &Ports, bytes: usize) {
+        ports.mem(KITS).exec(bytes as u64 * VALUE_PER_BYTE);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oltp::{Column, DataType, Schema};
-    use uarch_sim::MachineConfig;
+    use crate::DurableDb;
+    use oltp::{Column, DataType, Db, OltpError, Schema, TableDef, TableId, Value};
+    use storage::LogKind;
+    use uarch_sim::{MachineConfig, Sim};
 
     fn setup() -> (Sim, ShoreMt) {
         let sim = Sim::new(MachineConfig::ivy_bridge(1));
@@ -757,81 +116,6 @@ mod tests {
             ]),
             1000,
         ))
-    }
-
-    #[test]
-    fn crud_round_trip() {
-        let (_sim, mut db) = setup();
-        let t = micro_table(&mut db);
-        let mut s = db.session(0);
-        s.begin();
-        s.insert(t, 1, &[Value::Long(1), Value::Long(100)]).unwrap();
-        s.commit().unwrap();
-
-        s.begin();
-        assert_eq!(s.read(t, 1).unwrap().unwrap()[1], Value::Long(100));
-        assert!(s.update(t, 1, &mut |r| r[1] = Value::Long(200)).unwrap());
-        assert_eq!(s.read(t, 1).unwrap().unwrap()[1], Value::Long(200));
-        assert!(s.delete(t, 1).unwrap());
-        assert!(s.read(t, 1).unwrap().is_none());
-        s.commit().unwrap();
-        assert_eq!(db.row_count(t), 0);
-    }
-
-    #[test]
-    fn duplicate_insert_fails_cleanly() {
-        let (_sim, mut db) = setup();
-        let t = micro_table(&mut db);
-        let mut s = db.session(0);
-        s.begin();
-        s.insert(t, 5, &[Value::Long(5), Value::Long(1)]).unwrap();
-        let err = s
-            .insert(t, 5, &[Value::Long(5), Value::Long(2)])
-            .unwrap_err();
-        assert!(matches!(err, OltpError::DuplicateKey { .. }));
-        s.commit().unwrap();
-        assert_eq!(db.row_count(t), 1);
-        s.begin();
-        assert_eq!(s.read(t, 5).unwrap().unwrap()[1], Value::Long(1));
-        s.commit().unwrap();
-    }
-
-    #[test]
-    fn scan_in_key_order() {
-        let (_sim, mut db) = setup();
-        let t = micro_table(&mut db);
-        let mut s = db.session(0);
-        s.begin();
-        for k in (0..50u64).rev() {
-            s.insert(t, k, &[Value::Long(k as i64), Value::Long(k as i64 * 10)])
-                .unwrap();
-        }
-        s.commit().unwrap();
-        s.begin();
-        let mut seen = Vec::new();
-        s.scan(t, 10, 19, &mut |k, row| {
-            seen.push((k, row[1].long()));
-            true
-        })
-        .unwrap();
-        s.commit().unwrap();
-        assert_eq!(seen.len(), 10);
-        assert_eq!(seen[0], (10, 100));
-        assert!(seen.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn ops_outside_txn_rejected() {
-        let (_sim, mut db) = setup();
-        let t = micro_table(&mut db);
-        let mut s = db.session(0);
-        assert_eq!(
-            s.insert(t, 1, &[Value::Long(1), Value::Long(1)])
-                .unwrap_err(),
-            OltpError::NoActiveTxn
-        );
-        assert_eq!(s.commit().unwrap_err(), OltpError::NoActiveTxn);
-        s.abort(); // no-op without a txn
     }
 
     #[test]
@@ -878,7 +162,8 @@ mod tests {
         s.begin();
         s.insert(t, 9, &[Value::Long(9), Value::Long(9)]).unwrap();
         s.commit().unwrap();
-        let kinds: Vec<LogKind> = db.log_records().iter().map(|r| r.kind).collect();
+        let streams = db.log_streams();
+        let kinds: Vec<LogKind> = streams[0].iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [LogKind::Begin, LogKind::Insert, LogKind::Commit]);
     }
 

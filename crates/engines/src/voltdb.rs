@@ -1,4 +1,5 @@
-//! VoltDB archetype: partition-per-core serial execution.
+//! VoltDB archetype: partition-per-core serial execution with interpreted
+//! stored procedures.
 //!
 //! §2.1/§3: VoltDB physically partitions the data, runs exactly one worker
 //! thread per partition, and therefore needs *no* locking or latching for
@@ -9,32 +10,43 @@
 //! systems'. Its tree index is "a traditional B-tree with node size tuned
 //! to the last-level cache line size", our [`CcBTree`].
 //!
-//! Concurrency model: each [`Session`] maps its core onto one data
-//! partition (`core % partitions`). Partitions are independent
-//! `Mutex`-guarded islands — in the paper's deployment (one worker per
-//! partition) the mutexes are uncontended and workers proceed fully in
-//! parallel. If more workers than partitions are opened, a no-wait
-//! owner-claim scheme makes the serial-execution rule visible: the first
-//! transaction to touch a partition owns it until commit/abort, and any
-//! other transaction's operation fails with [`OltpError::Conflict`].
+//! This file is the VoltDB *profile* of the [`crate::partitioned`] kernel
+//! it shares with [`crate::hyper`]: the Java runtime / network / dispatch /
+//! plan-interpreter frontend, the C++ execution engine's per-byte value
+//! loops and per-level string compares, and the multi-partition
+//! coordinator that idles while the single-site guarantee holds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
 
+use bytes::Bytes;
 use indexes::{CcBTree, Index};
 use obs::Phase;
-use oltp::{
-    tuple, CcPolicy, ConcurrencyControl, Db, OltpError, OltpResult, Row, Session, TableDef,
-    TableId, Value,
+use oltp::{tuple, Row};
+use storage::{MemStore, RowId};
+use uarch_sim::Mem;
+
+use crate::partitioned::{
+    PTable, PartitionCost, PartitionProfile, PartitionRoles, PartitionedEngine,
 };
-use storage::{LogKind, MemStore, RowId, TxnId, TxnManager, Wal};
-use uarch_sim::{AllocHomeGuard, CorePort, Mem, ModuleId, ModuleSpec, Sim};
+use crate::scaffold::{Module, Ports};
 
-use crate::durability::{configure_wal, wal_status};
-use crate::placement::Placement;
+/// The VoltDB engine. See the module docs.
+pub type VoltDb = PartitionedEngine<VoltDbProfile>;
 
-/// Engine name used for span attribution (matches [`Db::name`]).
-const ENGINE: &str = "VoltDB";
+/// VoltDB's axes over the partitioned kernel.
+pub struct VoltDbProfile;
+
+const JAVA_RT: usize = 0;
+const NET: usize = 1;
+const DISPATCH: usize = 2;
+const PLAN: usize = 3;
+const EE: usize = 4;
+const INDEX: usize = 5;
+const STORE: usize = 6;
+const CLOG: usize = 7;
+/// Multi-partition initiator/coordinator code (idle when the paper's
+/// single-site guarantee is given).
+const MP_COORD: usize = 8;
 
 /// Instruction budgets.
 mod cost {
@@ -58,872 +70,147 @@ mod cost {
     pub const STR_CMP_PER_LEVEL: u64 = 700;
 }
 
-struct Mods {
-    java_rt: ModuleId,
-    net: ModuleId,
-    dispatch: ModuleId,
-    plan: ModuleId,
-    ee: ModuleId,
-    index: ModuleId,
-    store: ModuleId,
-    clog: ModuleId,
-    /// Multi-partition initiator/coordinator code (idle when the paper's
-    /// single-site guarantee is given).
-    mp_coord: ModuleId,
-}
+/// Whether every transaction is guaranteed single-sited (the paper's
+/// configuration, and the default).
+pub struct SingleSited(AtomicBool);
 
-struct PTable {
-    store: MemStore,
-    index: CcBTree,
-    /// Whether the primary-key column is a string (extra compare work).
-    str_key: bool,
-}
-
-/// One partition's private state: its table replicas, its command log, and
-/// the single-sited execution claim.
-struct PartState {
-    tables: Vec<PTable>,
-    /// One command/redo log per partition (no shared log-buffer lines).
-    wal: Wal,
-    /// The transaction currently executing on this partition, if any
-    /// (serial execution: one transaction at a time per partition).
-    owner: Option<TxnId>,
-}
-
-struct Shared {
-    sim: Sim,
-    m: Mods,
-    defs: RwLock<Vec<TableDef>>,
-    parts: Vec<Mutex<PartState>>,
-    tm: Mutex<TxnManager>,
-    single_sited: AtomicBool,
-    metrics: obs::metrics::EngineMetrics,
-    /// NUMA placement: decides which home tag each partition's
-    /// allocations carry (no effect on single-socket machines).
-    placement: Placement,
-    /// Pluggable protocol; `None` = the historical owner-claim path
-    /// (bit-identical to pre-refactor builds).
-    cc: Option<Arc<dyn ConcurrencyControl>>,
-}
-
-impl Shared {
-    /// Scope partition `p`'s allocations to its home-tag arena (NUMA
-    /// machines with a tagging placement only).
-    fn home_guard(&self, p: usize) -> Option<AllocHomeGuard> {
-        if self.sim.sockets() <= 1 {
-            return None;
-        }
-        self.placement
-            .partition_tag(p)
-            .map(|t| self.sim.alloc_home_guard(t))
+impl Default for SingleSited {
+    fn default() -> Self {
+        SingleSited(AtomicBool::new(true))
     }
-}
-
-/// The VoltDB engine. See the module docs.
-pub struct VoltDb {
-    shared: Arc<Shared>,
-}
-
-/// One worker's connection to a [`VoltDb`] engine, pinned to the partition
-/// `core % partitions`.
-pub struct VoltDbSession {
-    shared: Arc<Shared>,
-    core: usize,
-    cur: Option<TxnId>,
-    ops_in_txn: u32,
-    /// Exclusive port to this session's simulated core: enables the
-    /// simulator's lock-free access path. `None` if another session on
-    /// the same core already holds it (accesses then use the fallback).
-    _port: Option<CorePort>,
 }
 
 impl VoltDb {
-    /// Build the engine with `partitions` single-threaded partitions
-    /// (the paper configures one partition in single-threaded runs and one
-    /// per worker otherwise, with all transactions single-sited).
-    pub fn new(sim: &Sim, partitions: usize) -> Self {
-        Self::with_cc(sim, partitions, CcPolicy::EngineDefault)
-    }
-
-    /// Build the engine with a pluggable CC protocol.
-    /// [`CcPolicy::EngineDefault`] keeps the historical no-wait
-    /// partition-owner claim.
-    pub fn with_cc(sim: &Sim, partitions: usize, policy: CcPolicy) -> Self {
-        Self::with_cc_placed(sim, partitions, policy, Placement::Spread)
-    }
-
-    /// [`VoltDb::with_cc`] with an explicit NUMA placement: partition
-    /// allocations carry the placement's home tag so a multi-socket
-    /// simulator can charge remote accesses by partition home.
-    pub fn with_cc_placed(
-        sim: &Sim,
-        partitions: usize,
-        policy: CcPolicy,
-        placement: Placement,
-    ) -> Self {
-        assert!(partitions >= 1);
-        let m = Mods {
-            java_rt: sim.register_module(
-                ModuleSpec::new("voltdb/java-runtime", 56 << 10)
-                    .reuse(1.9)
-                    .branchiness(0.26),
-            ),
-            net: sim.register_module(
-                ModuleSpec::new("voltdb/network", 28 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.20),
-            ),
-            dispatch: sim.register_module(
-                ModuleSpec::new("voltdb/proc-dispatch", 24 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.20),
-            ),
-            plan: sim.register_module(
-                ModuleSpec::new("voltdb/plan-interp", 44 << 10)
-                    .reuse(2.0)
-                    .branchiness(0.26),
-            ),
-            ee: sim.register_module(
-                ModuleSpec::new("voltdb/exec-engine", 28 << 10)
-                    .reuse(2.4)
-                    .branchiness(0.18)
-                    .engine_side(true),
-            ),
-            index: sim.register_module(
-                ModuleSpec::new("voltdb/cc-btree", 18 << 10)
-                    .reuse(2.7)
-                    .branchiness(0.14)
-                    .engine_side(true),
-            ),
-            store: sim.register_module(
-                ModuleSpec::new("voltdb/table-store", 12 << 10)
-                    .reuse(2.8)
-                    .branchiness(0.14)
-                    .engine_side(true),
-            ),
-            clog: sim.register_module(
-                ModuleSpec::new("voltdb/command-log", 14 << 10)
-                    .reuse(2.2)
-                    .branchiness(0.16),
-            ),
-            mp_coord: sim.register_module(
-                ModuleSpec::new("voltdb/mp-coordinator", 40 << 10)
-                    .reuse(1.5)
-                    .branchiness(0.24),
-            ),
-        };
-        let mem = sim.mem(0);
-        VoltDb {
-            shared: Arc::new(Shared {
-                m,
-                defs: RwLock::new(Vec::new()),
-                parts: (0..partitions)
-                    .map(|p| {
-                        // Home each partition's command log with its data.
-                        let _h = (sim.sockets() > 1)
-                            .then(|| placement.partition_tag(p))
-                            .flatten()
-                            .map(|t| sim.alloc_home_guard(t));
-                        Mutex::new(PartState {
-                            tables: Vec::new(),
-                            wal: Wal::new(&mem, 1 << 20, 16),
-                            owner: None,
-                        })
-                    })
-                    .collect(),
-                tm: Mutex::new(TxnManager::new()),
-                single_sited: AtomicBool::new(true),
-                metrics: obs::metrics::EngineMetrics::new(ENGINE),
-                placement,
-                cc: oltp::cc::build(policy, partitions),
-                sim: sim.clone(),
-            }),
-        }
-    }
-
     /// Drop the single-site guarantee: every transaction goes through the
     /// multi-partition coordinator path. §7's side note measures this
     /// costing VoltDB ~60% more instruction stalls; `figures
     /// ablation-voltdb-mp` reproduces it.
     pub fn set_single_sited(&mut self, yes: bool) {
-        self.shared.single_sited.store(yes, Ordering::Relaxed);
+        self.state().0.store(yes, Ordering::Relaxed);
     }
 }
 
-impl crate::durability::DurableDb for VoltDb {
-    fn enable_durability(&mut self, cfg: &crate::durability::DurabilityCfg) {
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.clog);
-            configure_wal(&mut part.lock().unwrap().wal, &mem, cfg);
+impl PartitionProfile for VoltDbProfile {
+    const LABEL: &'static str = "VoltDB";
+    const CLAIM_SITE: &'static str = "voltdb/claim";
+    const LOG_SITE: &'static str = "voltdb/clog";
+    const MODULES: &'static [Module] = &[
+        Module::new("voltdb/java-runtime", 56 << 10, 1.9, 0.26),
+        Module::new("voltdb/network", 28 << 10, 2.0, 0.20),
+        Module::new("voltdb/proc-dispatch", 24 << 10, 2.0, 0.20),
+        Module::new("voltdb/plan-interp", 44 << 10, 2.0, 0.26),
+        Module::new("voltdb/exec-engine", 28 << 10, 2.4, 0.18).engine_side(),
+        Module::new("voltdb/cc-btree", 18 << 10, 2.7, 0.14).engine_side(),
+        Module::new("voltdb/table-store", 12 << 10, 2.8, 0.14).engine_side(),
+        Module::new("voltdb/command-log", 14 << 10, 2.2, 0.16),
+        Module::new("voltdb/mp-coordinator", 40 << 10, 1.5, 0.24),
+    ];
+    const ROLES: PartitionRoles = PartitionRoles {
+        cc_txn: EE,
+        cc_access: EE,
+        index: INDEX,
+        store: STORE,
+        log: CLOG,
+        mp_coord: MP_COORD,
+        mp_probe: EE,
+    };
+    const COST: PartitionCost = PartitionCost {
+        wal_group: 16,
+        log_commit: cost::CLOG,
+        commit_record: 32,
+        mp_coord: cost::MP_COORD,
+        mp_probe: cost::EE_OP,
+    };
+    // The command-log span has always run to the end of commit.
+    const LOG_SPAN_COVERS_CC_RELEASE: bool = true;
+    type Index = CcBTree;
+    type State = SingleSited;
+
+    fn new_index(mem: &Mem) -> CcBTree {
+        CcBTree::new(mem)
+    }
+
+    fn charge_begin(ports: &Ports, single_sited: &SingleSited) {
+        ports.mem(NET).exec(cost::NET_RECV);
+        ports.mem(JAVA_RT).exec(cost::RT_BEGIN);
+        ports.mem(DISPATCH).exec(cost::DISPATCH);
+        if !single_sited.0.load(Ordering::Relaxed) {
+            ports.mem(MP_COORD).exec(cost::MP_COORD);
         }
     }
 
-    fn log_streams(&self) -> Vec<Vec<storage::wal::LogRecord>> {
-        self.shared
-            .parts
-            .iter()
-            .map(|p| p.lock().unwrap().wal.records().to_vec())
-            .collect()
-    }
-
-    fn log_status(&self) -> Vec<crate::durability::LogStatus> {
-        self.shared
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| wal_status(i, &p.lock().unwrap().wal))
-            .collect()
-    }
-
-    fn flush_all(&mut self) {
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.clog);
-            let part = &mut *part.lock().unwrap();
-            if part.wal.flushed() < part.wal.horizon() {
-                part.wal.flush(&mem);
-            }
-        }
-    }
-
-    fn take_commit_latencies(&mut self) -> Vec<f64> {
-        self.shared
-            .parts
-            .iter()
-            .flat_map(|p| p.lock().unwrap().wal.take_commit_latencies())
-            .collect()
-    }
-}
-
-impl VoltDbSession {
-    fn mem(&self, module: ModuleId) -> Mem {
-        self.shared.sim.mem(self.core).with_module(module)
-    }
-
-    fn part(&self) -> usize {
-        self.core % self.shared.parts.len()
-    }
-
-    fn txn(&self) -> OltpResult<TxnId> {
-        self.cur.ok_or(OltpError::NoActiveTxn)
-    }
-
-    fn table(&self, t: TableId) -> OltpResult<usize> {
-        if (t.0 as usize) < self.shared.defs.read().unwrap().len() {
-            Ok(t.0 as usize)
-        } else {
-            Err(OltpError::NoSuchTable(t))
-        }
-    }
-
-    /// Serial-execution claim: the first transaction to touch a partition
-    /// owns it until commit/abort; any other transaction's operation is a
-    /// no-wait [`OltpError::Conflict`]. Never fires in the paper's
-    /// one-worker-per-partition deployment. Under a pluggable protocol the
-    /// claim is delegated to the CC layer's read/write hooks instead.
-    fn claim(&self, part: &mut PartState, t: TableId, key: u64, write: bool) -> OltpResult<()> {
-        let Some(txn) = self.cur else { return Ok(()) };
-        faults::inject!(
-            "voltdb/claim",
-            self.core,
-            OltpError::Conflict { table: t, key }
-        );
-        if let Some(cc) = &self.shared.cc {
-            let mem = self.mem(self.shared.m.ee);
-            let r = if write {
-                cc.on_write(txn.0, t, key, self.core, &mem)
-            } else {
-                cc.on_read(txn.0, t, key, self.core, &mem)
-            };
-            return r.map_err(|v| {
-                self.shared.metrics.conflicts.inc(self.core);
-                v.into_error()
-            });
-        }
-        match part.owner {
-            None => {
-                part.owner = Some(txn);
-                Ok(())
-            }
-            Some(o) if o == txn => Ok(()),
-            Some(_) => {
-                self.shared.metrics.conflicts.inc(self.core);
-                Err(OltpError::Conflict { table: t, key })
-            }
-        }
-    }
-
-    /// Per-operation interpreted plan fragment + EE entry. The fragment
-    /// is planned once per procedure; later operations iterate it.
-    fn op_overhead(&mut self) {
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        let n = if self.ops_in_txn == 0 {
+    /// Interpreted plan fragment + EE entry. The fragment is planned once
+    /// per procedure; later operations iterate it.
+    fn charge_op(ports: &Ports, first: bool) {
+        let plan = if first {
             cost::PLAN_OP
         } else {
             cost::PLAN_OP_NEXT
         };
-        self.ops_in_txn += 1;
-        self.mem(self.shared.m.plan).exec(n);
-        self.mem(self.shared.m.ee).exec(cost::EE_OP);
+        ports.mem(PLAN).exec(plan);
+        ports.mem(EE).exec(cost::EE_OP);
     }
 
-    /// Value-processing instructions proportional to the row bytes
-    /// (interpreted copy/compare loops; the §6.2 data-type effect).
-    fn value_work(&self, bytes: usize) {
-        self.mem(self.shared.m.ee)
-            .exec(bytes as u64 * cost::VALUE_PER_BYTE);
+    fn charge_commit(ports: &Ports, single_sited: &SingleSited) {
+        ports.mem(JAVA_RT).exec(cost::COMMIT);
+        if !single_sited.0.load(Ordering::Relaxed) {
+            ports.mem(MP_COORD).exec(cost::MP_COMMIT);
+        }
+    }
+
+    fn charge_abort(ports: &Ports) {
+        ports.mem(JAVA_RT).exec(cost::ABORT);
     }
 
     /// Extra key-comparison instructions for string-keyed tables: each
     /// level of the descent compares ~50-byte keys in a tight loop that
     /// re-uses the lines the probe already touched.
-    fn key_work(&self, part: &PartState, ti: usize) {
-        let t = &part.tables[ti];
-        if t.str_key {
-            let h = u64::from(t.index.stats().height);
-            self.mem(self.shared.m.index)
-                .exec(h * cost::STR_CMP_PER_LEVEL);
+    fn key_work(ports: &Ports, table: &PTable<CcBTree>) {
+        let _i = ports.span(Phase::Index);
+        if table.str_key {
+            let h = u64::from(table.index.stats().height);
+            ports.mem(INDEX).exec(h * cost::STR_CMP_PER_LEVEL);
         }
     }
 
-    /// Own-partition probe missed on a multi-socket machine: the key may
-    /// belong to another partition (a cross-socket request in the islands
-    /// workload). Route through the multi-partition coordinator and probe
-    /// the remaining partitions. The remote partition is *not* claimed —
-    /// the coordinator serializes the fragment, and commit only releases
-    /// this session's own partition. Single-socket machines return
-    /// `Ok(false)` before touching anything, keeping the historical
-    /// single-partition behaviour bit-identical.
-    fn mp_read(
-        &mut self,
-        ti: usize,
-        key: u64,
-        skip: usize,
-        f: &mut dyn FnMut(&[Value]),
-    ) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        if shared.sim.sockets() <= 1 || shared.parts.len() <= 1 {
-            return Ok(false);
-        }
+    /// Interpreted copy/compare loops in the EE (the §6.2 data-type
+    /// effect).
+    fn value_work(ports: &Ports, _: &PTable<CcBTree>, bytes: usize) {
+        ports.mem(EE).exec(bytes as u64 * cost::VALUE_PER_BYTE);
+    }
+
+    /// The EE serializes the tuple, the index layer prepares the key,
+    /// then the table store takes the row — three separately attributed
+    /// steps.
+    fn store_insert(ports: &Ports, table: &mut PTable<CcBTree>, data: Bytes) -> RowId {
         {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            self.mem(shared.m.mp_coord).exec(cost::MP_COORD);
+            let _s = ports.span(Phase::Storage);
+            Self::value_work(ports, table, data.len());
         }
-        let mem_index = self.mem(shared.m.index);
-        let mem_store = self.mem(shared.m.store);
-        for q in 0..shared.parts.len() {
-            if q == skip {
-                continue;
-            }
-            let part = &mut *shared.parts[q].lock().unwrap();
-            self.mem(shared.m.ee).exec(cost::EE_OP);
-            let table = &mut part.tables[ti];
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                table.index.get(&mem_index, key)
-            };
-            let Some(payload) = probe else { continue };
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            let mut decoded: Option<Row> = None;
-            let mut bytes = 0;
-            table
-                .store
-                .read(&mem_store, RowId::from_u64(payload), &mut |d| {
-                    bytes = d.len();
-                    decoded = tuple::decode(d).ok();
-                });
-            self.value_work(bytes);
-            return match decoded {
-                Some(row) => {
-                    f(&row);
-                    Ok(true)
-                }
-                None => Ok(false),
-            };
-        }
-        Ok(false)
+        Self::key_work(ports, table);
+        let _s = ports.span(Phase::Storage);
+        table.store.insert(ports.mem(STORE), data)
     }
 
-    /// [`VoltDbSession::mp_read`]'s write-side twin.
-    fn mp_update(
-        &mut self,
-        ti: usize,
-        key: u64,
-        skip: usize,
-        f: &mut dyn FnMut(&mut Row),
-    ) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        if shared.sim.sockets() <= 1 || shared.parts.len() <= 1 {
-            return Ok(false);
-        }
-        {
-            let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-            self.mem(shared.m.mp_coord).exec(cost::MP_COORD);
-        }
-        let mem_index = self.mem(shared.m.index);
-        let mem_store = self.mem(shared.m.store);
-        for q in 0..shared.parts.len() {
-            if q == skip {
-                continue;
-            }
-            let part = &mut *shared.parts[q].lock().unwrap();
-            self.mem(shared.m.ee).exec(cost::EE_OP);
-            let table = &mut part.tables[ti];
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                table.index.get(&mem_index, key)
-            };
-            let Some(payload) = probe else { continue };
-            let id = RowId::from_u64(payload);
-            let mut row: Option<Row> = None;
-            {
-                let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                table
-                    .store
-                    .read(&mem_store, id, &mut |d| row = tuple::decode(d).ok());
-            }
-            let Some(mut row) = row else { return Ok(false) };
-            f(&mut row);
-            debug_assert!(
-                shared.defs.read().unwrap()[ti].schema.check(&row),
-                "row/schema mismatch"
-            );
-            let encoded = tuple::encode(&row);
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(encoded.len() * 2);
-            table.store.update(&mem_store, id, encoded);
-            return Ok(true);
-        }
-        Ok(false)
-    }
-}
-
-impl Db for VoltDb {
-    fn name(&self) -> &'static str {
-        "VoltDB"
-    }
-
-    fn partitions(&self) -> usize {
-        self.shared.parts.len()
-    }
-
-    fn create_table(&mut self, def: TableDef) -> TableId {
-        let defs = &mut *self.shared.defs.write().unwrap();
-        let id = TableId(defs.len() as u32);
-        defs.push(def);
-        let str_key = matches!(
-            defs[id.0 as usize].schema.columns().first().map(|c| c.ty),
-            Some(oltp::DataType::Str)
-        );
-        for (p, part) in self.shared.parts.iter().enumerate() {
-            let _h = self.shared.home_guard(p);
-            let mem = self
-                .shared
-                .sim
-                .mem(p % self.shared.sim.cores())
-                .with_module(self.shared.m.index);
-            part.lock().unwrap().tables.push(PTable {
-                store: MemStore::new(),
-                index: CcBTree::new(&mem),
-                str_key,
-            });
-        }
-        id
-    }
-
-    fn row_count(&self, t: TableId) -> u64 {
-        self.shared
-            .parts
-            .iter()
-            .map(|p| {
-                p.lock()
-                    .unwrap()
-                    .tables
-                    .get(t.0 as usize)
-                    .map_or(0, |tb| tb.store.live())
-            })
-            .sum()
-    }
-
-    fn session(&self, core: usize) -> Box<dyn Session> {
-        assert!(core < self.shared.sim.cores());
-        Box::new(VoltDbSession {
-            shared: Arc::clone(&self.shared),
-            core,
-            cur: None,
-            ops_in_txn: 0,
-            _port: self.shared.sim.try_checkout(core),
-        })
-    }
-}
-
-impl Session for VoltDbSession {
-    fn name(&self) -> &'static str {
-        "VoltDB"
-    }
-
-    fn core(&self) -> usize {
-        self.core
-    }
-
-    fn begin(&mut self) {
-        assert!(self.cur.is_none(), "transaction already active");
-        let (txn, _) = self.shared.tm.lock().unwrap().begin();
-        self.cur = Some(txn);
-        self.ops_in_txn = 0;
-        let _d = obs::span(ENGINE, Phase::Dispatch, self.core);
-        self.mem(self.shared.m.net).exec(cost::NET_RECV);
-        self.mem(self.shared.m.java_rt).exec(cost::RT_BEGIN);
-        self.mem(self.shared.m.dispatch).exec(cost::DISPATCH);
-        if !self.shared.single_sited.load(Ordering::Relaxed) {
-            self.mem(self.shared.m.mp_coord).exec(cost::MP_COORD);
-        }
-        if let Some(cc) = &self.shared.cc {
-            cc.begin(txn.0, self.core, &self.mem(self.shared.m.ee));
-        }
-    }
-
-    fn commit(&mut self) -> OltpResult<()> {
-        let txn = self.txn()?;
-        let shared = Arc::clone(&self.shared);
-        let _c = obs::span(ENGINE, Phase::Commit, self.core);
-        self.mem(self.shared.m.java_rt).exec(cost::COMMIT);
-        if !self.shared.single_sited.load(Ordering::Relaxed) {
-            self.mem(self.shared.m.mp_coord).exec(cost::MP_COMMIT);
-        }
-        if let Some(cc) = &shared.cc {
-            // Validation failure leaves the txn open (writes may have
-            // applied in place); the caller aborts, dropping CC state.
-            faults::inject!(
-                "cc/validate",
-                self.core,
-                OltpError::ValidationFailed {
-                    table: TableId(0),
-                    key: 0
-                }
-            );
-            let _v = obs::span(ENGINE, Phase::Cc, self.core);
-            if let Err(v) = cc.validate(txn.0, self.core, &self.mem(shared.m.ee)) {
-                self.shared.metrics.conflicts.inc(self.core);
-                return Err(v.into_error());
-            }
-        }
-        let _l = obs::span(ENGINE, Phase::Log, self.core);
-        let mem = self.mem(self.shared.m.clog);
-        mem.exec(cost::CLOG);
-        // Command-log write failure: the txn stays open (writes may have
-        // applied); the caller aborts, releasing the partition claim.
-        faults::inject!(
-            "voltdb/clog",
-            self.core,
-            OltpError::LogWriteFailed("voltdb/clog")
-        );
-        let part = &mut *shared.parts[self.part()].lock().unwrap();
-        part.wal.append(&mem, txn, LogKind::Commit, 32);
-        if part.owner == Some(txn) {
-            part.owner = None;
-        }
-        if let Some(cc) = &shared.cc {
-            cc.commit(txn.0, self.core, &self.mem(shared.m.ee));
-        }
-        self.cur = None;
-        self.shared.metrics.commits.inc(self.core);
-        Ok(())
-    }
-
-    fn abort(&mut self) {
-        if let Some(txn) = self.cur.take() {
-            let _c = obs::span(ENGINE, Phase::Commit, self.core);
-            self.mem(self.shared.m.java_rt).exec(cost::ABORT);
-            let part = &mut *self.shared.parts[self.part()].lock().unwrap();
-            if part.owner == Some(txn) {
-                part.owner = None;
-            }
-            if part.wal.retaining() {
-                // Durable mode: mark the rollback so recovery classifies
-                // this txn aborted, not crashed mid-flight.
-                let mem = self.mem(self.shared.m.clog);
-                part.wal.append(&mem, txn, LogKind::Abort, 0);
-            }
-            if let Some(cc) = &self.shared.cc {
-                cc.abort(txn.0, self.core, &self.mem(self.shared.m.ee));
-            }
-            self.shared.metrics.aborts.inc(self.core);
-        }
-    }
-
-    fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        debug_assert!(
-            shared.defs.read().unwrap()[ti].schema.check(row),
-            "row/schema mismatch"
-        );
-        self.op_overhead();
-        let p = self.part();
-        // Rows and index nodes land in the partition's home-tag arena.
-        let _h = shared.home_guard(p);
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, key, true)?;
-        let encoded = tuple::encode(row);
-        // Durable mode: the command log carries data records too (the
-        // default command log appends only Commit markers).
-        let redo = part.wal.retaining().then(|| encoded.clone());
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            self.value_work(encoded.len());
-        }
-        {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            self.key_work(part, ti);
-        }
-        let mem_store = self.mem(self.shared.m.store);
-        let mem_index = self.mem(self.shared.m.index);
-        let table = &mut part.tables[ti];
-        let id = {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            table.store.insert(&mem_store, encoded)
-        };
-        let inserted = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.insert(&mem_index, key, id.to_u64())
-        };
-        if !inserted {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            table.store.delete(&mem_store, id);
-            return Err(OltpError::DuplicateKey { table: t, key });
-        }
-        if let Some(redo) = redo {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem = self.mem(self.shared.m.clog);
-            let len = redo.len() as u32;
-            part.wal
-                .append_data(&mem, txn, LogKind::Insert, t.0, key, Some(&redo), None, len);
-        }
-        Ok(())
-    }
-
-    fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        self.op_overhead();
-        let p = self.part();
-        {
-            let part = &mut *shared.parts[p].lock().unwrap();
-            self.claim(part, t, key, false)?;
-            {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                self.key_work(part, ti);
-            }
-            let mem_index = self.mem(self.shared.m.index);
-            let mem_store = self.mem(self.shared.m.store);
-            let table = &mut part.tables[ti];
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                table.index.get(&mem_index, key)
-            };
-            if let Some(payload) = probe {
-                let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                let mut decoded: Option<Row> = None;
-                let mut bytes = 0;
-                table
-                    .store
-                    .read(&mem_store, RowId::from_u64(payload), &mut |d| {
-                        bytes = d.len();
-                        decoded = tuple::decode(d).ok();
-                    });
-                self.value_work(bytes);
-                return match decoded {
-                    Some(row) => {
-                        f(&row);
-                        Ok(true)
-                    }
-                    None => Ok(false),
-                };
-            }
-        }
-        self.mp_read(ti, key, p, f)
-    }
-
-    fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        self.op_overhead();
-        let p = self.part();
-        {
-            let part = &mut *shared.parts[p].lock().unwrap();
-            self.claim(part, t, key, true)?;
-            {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                self.key_work(part, ti);
-            }
-            let mem_index = self.mem(self.shared.m.index);
-            let mem_store = self.mem(self.shared.m.store);
-            let table = &mut part.tables[ti];
-            let probe = {
-                let _i = obs::span(ENGINE, Phase::Index, self.core);
-                table.index.get(&mem_index, key)
-            };
-            if let Some(payload) = probe {
-                let id = RowId::from_u64(payload);
-                let mut row: Option<Row> = None;
-                {
-                    let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                    table
-                        .store
-                        .read(&mem_store, id, &mut |d| row = tuple::decode(d).ok());
-                }
-                let Some(mut row) = row else { return Ok(false) };
-                // Before-image for undo-capable recovery (durable mode).
-                let undo = part.wal.retaining().then(|| tuple::encode(&row));
-                f(&mut row);
-                debug_assert!(
-                    shared.defs.read().unwrap()[ti].schema.check(&row),
-                    "row/schema mismatch"
-                );
-                let encoded = tuple::encode(&row);
-                {
-                    let _s = obs::span(ENGINE, Phase::Storage, self.core);
-                    self.value_work(encoded.len() * 2);
-                    let table = &mut part.tables[ti];
-                    table.store.update(&mem_store, id, encoded.clone());
-                }
-                if part.wal.retaining() {
-                    let _l = obs::span(ENGINE, Phase::Log, self.core);
-                    let mem = self.mem(self.shared.m.clog);
-                    let len = encoded.len() as u32;
-                    part.wal.append_data(
-                        &mem,
-                        txn,
-                        LogKind::Update,
-                        t.0,
-                        key,
-                        Some(&encoded),
-                        undo.as_ref(),
-                        len * 2,
-                    );
-                }
-                return Ok(true);
-            }
-        }
-        self.mp_update(ti, key, p, f)
-    }
-
-    fn scan(
-        &mut self,
-        t: TableId,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, &[Value]) -> bool,
-    ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        self.op_overhead();
-        let p = self.part();
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, lo, false)?;
-        let mem_index = self.mem(self.shared.m.index);
-        let mem_store = self.mem(self.shared.m.store);
-        let table = &mut part.tables[ti];
-        let mut pairs: Vec<(u64, u64)> = Vec::new();
-        {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.scan(&mem_index, lo, hi, &mut |k, v| {
-                pairs.push((k, v));
-                true
-            });
-        }
-        let _s = obs::span(ENGINE, Phase::Storage, self.core);
-        let mut visited = 0;
-        for (k, payload) in pairs {
-            mem_store.exec(cost::SCAN_NEXT);
-            let mut decoded: Option<Row> = None;
-            let mut bytes = 0;
-            table
-                .store
-                .read(&mem_store, RowId::from_u64(payload), &mut |d| {
-                    bytes = d.len();
-                    decoded = tuple::decode(d).ok();
-                });
-            // Value processing happens in the EE module — route via the
-            // store port's module switch.
-            mem_store
-                .with_module(self.shared.m.ee)
-                .exec(bytes as u64 * cost::VALUE_PER_BYTE);
-            if let Some(row) = decoded {
-                visited += 1;
-                if !f(k, &row) {
-                    break;
-                }
-            }
-        }
-        Ok(visited)
-    }
-
-    fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let ti = self.table(t)?;
-        let txn = self.txn()?;
-        self.op_overhead();
-        let p = self.part();
-        let part = &mut *shared.parts[p].lock().unwrap();
-        self.claim(part, t, key, true)?;
-        let mem_index = self.mem(self.shared.m.index);
-        let mem_store = self.mem(self.shared.m.store);
-        let table = &mut part.tables[ti];
-        let removed = {
-            let _i = obs::span(ENGINE, Phase::Index, self.core);
-            table.index.remove(&mem_index, key)
-        };
-        let Some(payload) = removed else {
-            return Ok(false);
-        };
-        let mut undo: Option<bytes::Bytes> = None;
-        {
-            let _s = obs::span(ENGINE, Phase::Storage, self.core);
-            if part.wal.retaining() {
-                // Before-image read so recovery can restore the row if
-                // this transaction never commits (durable mode only).
-                table
-                    .store
-                    .read(&mem_store, RowId::from_u64(payload), &mut |d| {
-                        undo = Some(d.clone());
-                    });
-            }
-            table.store.delete(&mem_store, RowId::from_u64(payload));
-        }
-        if part.wal.retaining() {
-            let _l = obs::span(ENGINE, Phase::Log, self.core);
-            let mem = self.mem(self.shared.m.clog);
-            part.wal.append_data(
-                &mem,
-                txn,
-                LogKind::Delete,
-                t.0,
-                key,
-                None,
-                undo.as_ref(),
-                16,
-            );
-        }
-        Ok(true)
+    fn scan_row(ports: &Ports, store: &MemStore, id: RowId) -> Option<Row> {
+        let mem = ports.mem(STORE);
+        mem.exec(cost::SCAN_NEXT);
+        let mut decoded: Option<Row> = None;
+        let mut bytes = 0;
+        store.read(mem, id, &mut |d| {
+            bytes = d.len();
+            decoded = tuple::decode(d).ok();
+        });
+        ports.mem(EE).exec(bytes as u64 * cost::VALUE_PER_BYTE);
+        decoded
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oltp::{Column, DataType, Schema};
-    use uarch_sim::MachineConfig;
+    use oltp::{Column, DataType, Db, OltpError, Schema, TableDef, Value};
+    use uarch_sim::{MachineConfig, Sim};
 
     fn table_def() -> TableDef {
         TableDef::new(
@@ -934,21 +221,6 @@ mod tests {
             ]),
             1000,
         )
-    }
-
-    #[test]
-    fn crud_round_trip() {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = VoltDb::new(&sim, 1);
-        let t = db.create_table(table_def());
-        let mut s = db.session(0);
-        s.begin();
-        s.insert(t, 1, &[Value::Long(1), Value::Long(10)]).unwrap();
-        assert!(s.update(t, 1, &mut |r| r[1] = Value::Long(20)).unwrap());
-        assert_eq!(s.read(t, 1).unwrap().unwrap()[1], Value::Long(20));
-        assert!(s.delete(t, 1).unwrap());
-        assert!(!s.delete(t, 1).unwrap());
-        s.commit().unwrap();
     }
 
     #[test]
@@ -972,24 +244,6 @@ mod tests {
         assert_eq!(s0.read(t, 7).unwrap().unwrap()[1], Value::Long(100));
         s0.commit().unwrap();
         assert_eq!(db.row_count(t), 2);
-    }
-
-    #[test]
-    fn scan_within_partition() {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = VoltDb::new(&sim, 1);
-        let t = db.create_table(table_def());
-        let mut s = db.session(0);
-        s.begin();
-        for k in 0..20u64 {
-            s.insert(t, k, &[Value::Long(k as i64), Value::Long(k as i64)])
-                .unwrap();
-        }
-        s.commit().unwrap();
-        s.begin();
-        let n = s.scan(t, 5, 9, &mut |_, _| true).unwrap();
-        s.commit().unwrap();
-        assert_eq!(n, 5);
     }
 
     #[test]
@@ -1036,7 +290,7 @@ mod tests {
         s1.abort();
         s0.commit().unwrap();
         let win = obs::metrics::registry().snapshot().delta(&base);
-        let l = [("engine", ENGINE)];
+        let l = [("engine", VoltDbProfile::LABEL)];
         assert!(win.counter_value("txn_commits_total", &l) >= 1);
         assert!(win.counter_value("txn_conflicts_total", &l) >= 1);
         assert!(win.counter_value("txn_aborts_total", &l) >= 1);

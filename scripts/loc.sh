@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Line count per crate — the ROADMAP's "tracked number".
+#
+# For every crate under crates/ prints the `wc -l` total of its src/*.rs
+# and its non-test code lines: non-blank lines that do not start with `//`,
+# above each file's last `#[cfg(test)]` (a file without one counts whole).
+# Comments, docs, blank lines and unit-test modules therefore do not move
+# the second number; code moved into tests/ or data files does not count
+# as a reduction either — compare both columns.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+printf '%-12s %8s %8s\n' crate total code
+for dir in crates/*/; do
+    find "$dir/src" -name '*.rs' -print0 | sort -z | xargs -0 awk -v crate="$(basename "$dir")" '
+        FNR == 1 { flush() }
+        { n++; line[n] = $0; if ($0 ~ /^[[:space:]]*#\[cfg\(test\)\]/) cut = n }
+        function flush(   i, end) {
+            total += n
+            end = cut ? cut - 1 : n
+            for (i = 1; i <= end; i++)
+                if (line[i] !~ /^[[:space:]]*$/ && line[i] !~ /^[[:space:]]*\/\//) code++
+            n = 0; cut = 0
+        }
+        END { flush(); printf "%-12s %8d %8d\n", crate, total, code }'
+done
