@@ -21,6 +21,30 @@ use workloads::{DbSize, MicroBench, Workload};
 use crate::figures::systems;
 use crate::scale_factor;
 
+/// An ablation subcommand and the report it prints.
+pub type Ablation = (&'static str, fn() -> String);
+
+/// The `ablations` family of subcommands: all five, or one by name.
+pub const ABLATIONS: [Ablation; 6] = [
+    ("ablations", || {
+        ABLATIONS[1..].iter().map(|(_, f)| f()).collect()
+    }),
+    ("ablation-llc", llc_sweep),
+    ("ablation-prefetch", prefetch),
+    ("ablation-simplecore", simple_core),
+    ("ablation-voltdb-mp", voltdb_multi_partition),
+    ("ablation-overlap", overlap_sensitivity),
+];
+
+/// The report of the ablation subcommand `name`.
+pub fn run(name: &str) -> String {
+    let (_, report) = ABLATIONS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .expect("dispatched on an ABLATIONS name");
+    report()
+}
+
 fn window() -> WindowSpec {
     WindowSpec {
         warmup: 2500,

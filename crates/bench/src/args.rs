@@ -1,12 +1,12 @@
-//! Shared CLI argument parsing for the bench binaries.
+//! Shared CLI argument parsing.
 //!
-//! Every subcommand used to hand-roll its own flag loop, and most of
-//! them silently skipped flags they did not recognize — a typo like
-//! `--smoek` ran the full (hour-long) window instead of failing fast.
-//! This module is the one parser they all share now: a subcommand
-//! declares its flags as [`Spec`]s, and anything unrecognized is a hard
-//! error the binary turns into usage + exit 2.
+//! A typo like `--smoek` must fail fast instead of silently running the
+//! full (hour-long) window, so every subcommand declares its flags as
+//! [`Spec`]s in the command table ([`crate::cli::COMMANDS`]) and anything
+//! unrecognized is a hard error the CLI turns into usage + exit 2. The
+//! same `Spec`s generate the usage text, so the two cannot disagree.
 
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 /// How many tokens a flag consumes after its own name.
@@ -28,6 +28,8 @@ pub struct Spec {
     pub name: &'static str,
     /// Whether/how it takes a value.
     pub arity: Arity,
+    /// Placeholder naming the value in the usage text (`N`, `<dir>`).
+    pub meta: &'static str,
 }
 
 impl Spec {
@@ -36,24 +38,53 @@ impl Spec {
         Spec {
             name,
             arity: Arity::Flag,
+            meta: "",
         }
     }
 
-    /// A flag with a required value.
-    pub const fn value(name: &'static str) -> Spec {
+    /// A flag with a required value, shown as `meta` in the usage text.
+    pub const fn value(name: &'static str, meta: &'static str) -> Spec {
         Spec {
             name,
             arity: Arity::Value,
+            meta,
         }
     }
 
     /// A flag with an optional value.
-    pub const fn opt_value(name: &'static str) -> Spec {
+    pub const fn opt_value(name: &'static str, meta: &'static str) -> Spec {
         Spec {
             name,
             arity: Arity::OptValue,
+            meta,
         }
     }
+
+    /// The flag as the usage text shows it: `[--smoke]`, `[--seed N]`,
+    /// `[--flame [component]]`.
+    pub fn usage(&self) -> String {
+        match self.arity {
+            Arity::Flag => format!("[{}]", self.name),
+            Arity::Value => format!("[{} {}]", self.name, self.meta),
+            Arity::OptValue => format!("[{} [{}]]", self.name, self.meta),
+        }
+    }
+}
+
+/// Parse `raw` as an integer inside `range`; `what` names the quantity in
+/// the error message.
+pub fn in_range(what: &str, raw: &str, range: RangeInclusive<u64>) -> Result<u64, String> {
+    let bad = || {
+        format!(
+            "bad {what}: {raw} (expected {}..={})",
+            range.start(),
+            range.end()
+        )
+    };
+    raw.parse()
+        .ok()
+        .filter(|n| range.contains(n))
+        .ok_or_else(bad)
 }
 
 /// Parsed arguments: positionals in order plus flag occurrences.
@@ -88,6 +119,18 @@ impl Parsed {
         }
     }
 
+    /// The value of `name` as an integer inside `range` (see [`in_range`]).
+    pub fn ranged(
+        &self,
+        name: &str,
+        what: &str,
+        range: RangeInclusive<u64>,
+    ) -> Result<Option<u64>, String> {
+        self.value(name)
+            .map(|v| in_range(what, v, range))
+            .transpose()
+    }
+
     /// The nth positional.
     pub fn pos(&self, n: usize) -> Option<&str> {
         self.positionals.get(n).map(String::as_str)
@@ -95,10 +138,11 @@ impl Parsed {
 }
 
 /// Parse `args` (everything after the subcommand) against `specs`.
-/// Unknown `--flags` and missing required values are errors; the caller
-/// prints the message and exits via its usage text. `cmd` is the full
-/// command name for the error message (e.g. `"bench trace"`).
-pub fn parse(cmd: &str, args: &[String], specs: &[Spec]) -> Result<Parsed, String> {
+/// Unknown `--flags`, missing required values and positionals beyond
+/// `max_pos` are errors; the caller prints the message and exits via its
+/// usage text. `cmd` is the full command name for the error message (e.g.
+/// `"bench trace"`).
+pub fn parse(cmd: &str, args: &[String], specs: &[Spec], max_pos: usize) -> Result<Parsed, String> {
     let mut out = Parsed::default();
     let mut i = 0;
     while i < args.len() {
@@ -124,6 +168,9 @@ pub fn parse(cmd: &str, args: &[String], specs: &[Spec]) -> Result<Parsed, Strin
             out.flags.push((spec.name, value));
         } else if a.starts_with("--") {
             return Err(format!("unknown flag for `{cmd}`: {a}"));
+        } else if out.positionals.len() == max_pos {
+            // A misspelled flag without dashes would otherwise vanish.
+            return Err(format!("unexpected argument for `{cmd}`: {a}"));
         } else {
             out.positionals.push(a.clone());
         }
@@ -145,7 +192,8 @@ mod tests {
         let p = parse(
             "bench chaos",
             &argv(&["voltdb", "micro", "--seed", "7", "--smoke"]),
-            &[Spec::value("--seed"), Spec::flag("--smoke")],
+            &[Spec::value("--seed", "N"), Spec::flag("--smoke")],
+            2,
         )
         .unwrap();
         assert_eq!(p.positionals, vec!["voltdb", "micro"]);
@@ -159,6 +207,7 @@ mod tests {
             "bench metrics",
             &argv(&["--smoek"]),
             &[Spec::flag("--smoke")],
+            0,
         )
         .unwrap_err();
         assert!(err.contains("--smoek"), "{err}");
@@ -167,16 +216,25 @@ mod tests {
 
     #[test]
     fn missing_required_value_is_an_error() {
-        let err = parse("perf", &argv(&["--out"]), &[Spec::value("--out")]).unwrap_err();
+        let err = parse(
+            "perf",
+            &argv(&["--out"]),
+            &[Spec::value("--out", "<path>")],
+            0,
+        )
+        .unwrap_err();
         assert!(err.contains("--out requires a value"), "{err}");
     }
 
     #[test]
     fn optional_value_takes_a_word_but_not_a_flag() {
-        let specs = [Spec::opt_value("--flame"), Spec::flag("--smoke")];
-        let p = parse("trace", &argv(&["--flame", "l1i"]), &specs).unwrap();
+        let specs = [
+            Spec::opt_value("--flame", "component"),
+            Spec::flag("--smoke"),
+        ];
+        let p = parse("trace", &argv(&["--flame", "l1i"]), &specs, 0).unwrap();
         assert_eq!(p.value("--flame"), Some("l1i"));
-        let p = parse("trace", &argv(&["--flame", "--smoke"]), &specs).unwrap();
+        let p = parse("trace", &argv(&["--flame", "--smoke"]), &specs, 0).unwrap();
         assert!(p.has("--flame"));
         assert_eq!(p.value("--flame"), None);
         assert!(p.has("--smoke"));
@@ -184,8 +242,24 @@ mod tests {
 
     #[test]
     fn bad_numeric_value_reports_the_quantity() {
-        let p = parse("chaos", &argv(&["--seed", "abc"]), &[Spec::value("--seed")]).unwrap();
+        let specs = [Spec::value("--seed", "N"), Spec::value("--workers", "W")];
+        let p = parse(
+            "chaos",
+            &argv(&["--seed", "abc", "--workers", "65"]),
+            &specs,
+            0,
+        )
+        .unwrap();
         let err = p.parsed::<u64>("--seed", "seed").unwrap_err();
         assert_eq!(err, "bad seed: abc");
+        let err = p.ranged("--workers", "worker count", 1..=64).unwrap_err();
+        assert_eq!(err, "bad worker count: 65 (expected 1..=64)");
+        assert_eq!(p.ranged("--epoch", "epoch", 1..=4096), Ok(None));
+    }
+
+    #[test]
+    fn surplus_positionals_are_an_error() {
+        let err = parse("bench perf", &argv(&["smoke"]), &[], 0).unwrap_err();
+        assert_eq!(err, "unexpected argument for `bench perf`: smoke");
     }
 }

@@ -371,7 +371,6 @@ fn finish_row(
 }
 
 /// Run the whole grid; rows come back in (system, policy, cell) order.
-/// Cells run in parallel across OS threads (each owns its simulator).
 pub fn run(cfg: &CcGridCfg) -> Vec<CcGridRow> {
     let mut jobs = Vec::new();
     for &system in &cfg.systems {
@@ -381,27 +380,9 @@ pub fn run(cfg: &CcGridCfg) -> Vec<CcGridRow> {
             }
         }
     }
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
-    let mut results: Vec<Option<CcGridRow>> = (0..jobs.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = Mutex::new(&mut results);
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let (system, policy, cell) = jobs[i];
-                let row = run_cell(system, policy, cell, cfg);
-                results_mx.lock().unwrap()[i] = Some(row);
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("cell ran")).collect()
+    crate::grid::fan_out(&jobs, |&(system, policy, cell)| {
+        run_cell(system, policy, cell, cfg)
+    })
 }
 
 /// CSV header matching [`to_csv`] rows.

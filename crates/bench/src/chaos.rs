@@ -56,10 +56,9 @@ use oltp::{Column, DataType, OltpError, OltpResult, Schema, Session, TableDef, T
 use uarch_sim::{EventCounts, MachineConfig, Sim};
 use workloads::Workload;
 
+use crate::names::{slug, system_cli};
+use crate::oracle::{oracle_key, Fnv, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
-
-/// Worker-private oracle rows per worker.
-const KEYS_PER_WORKER: u64 = 4;
 
 /// Fixed length (in transaction slots) of a core-offline window.
 const OFFLINE_TXNS: u64 = 8;
@@ -198,43 +197,27 @@ impl ChaosReport {
     }
 }
 
-/// FNV-1a over a stream of u64 words (same digest the golden-counter
-/// tests use, so drift anywhere in the counter state flips it).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+fn hash_counts(h: &mut Fnv, c: &EventCounts) {
+    h.word(c.instructions);
+    h.word(c.code_fetches);
+    h.word(c.loads);
+    h.word(c.stores);
+    for m in c.misses {
+        h.word(m);
     }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn counts(&mut self, c: &EventCounts) {
-        self.word(c.instructions);
-        self.word(c.code_fetches);
-        self.word(c.loads);
-        self.word(c.stores);
-        for m in c.misses {
-            self.word(m);
-        }
-        self.word(c.mispredicts);
-        self.word(c.store_misses);
-        self.word(c.invalidations);
-    }
+    h.word(c.mispredicts);
+    h.word(c.store_misses);
+    h.word(c.invalidations);
 }
 
+/// Per-core FNV digest over aggregate + per-module counters.
 fn core_digest(sim: &Sim, core: usize) -> u64 {
     let mut h = Fnv::new();
-    h.counts(&sim.counters(core));
+    hash_counts(&mut h, &sim.counters(core));
     let mods = sim.module_counters(core);
     h.word(mods.len() as u64);
     for mc in &mods {
-        h.counts(mc);
+        hash_counts(&mut h, mc);
     }
     h.0
 }
@@ -509,36 +492,6 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     }
 }
 
-/// Stable oracle key for `(worker, k)`; strided so index structures see
-/// the same sparsity the workload tables do.
-fn oracle_key(worker: usize, workers: usize, k: u64) -> u64 {
-    (k * workers as u64 + worker as u64) * 64
-}
-
-/// CLI name for a system (the inverse of `trace::parse_system`), so a
-/// manifest replays through the same front-end that produced it.
-pub fn system_cli(kind: SystemKind) -> &'static str {
-    use engines::DbmsMIndex;
-    match kind {
-        SystemKind::ShoreMt => "shore-mt",
-        SystemKind::DbmsD => "dbmsd",
-        SystemKind::VoltDb => "voltdb",
-        SystemKind::HyPer => "hyper",
-        SystemKind::DbmsM {
-            index: DbmsMIndex::Hash,
-            compiled: true,
-        } => "dbmsm",
-        SystemKind::DbmsM {
-            index: DbmsMIndex::Hash,
-            compiled: false,
-        } => "dbmsm-interp",
-        SystemKind::DbmsM {
-            index: DbmsMIndex::BTree,
-            ..
-        } => "dbmsm-btree",
-    }
-}
-
 /// One logical transaction under the retry policy: even slots run the
 /// verified increment, odd slots run the workload. Backoff pauses retire
 /// instructions on the worker's core so recovery cost is observable.
@@ -725,6 +678,63 @@ fn manifest_json(
     ])
 }
 
+/// Human-readable summary of one run.
+pub fn render(report: &ChaosReport, cfg: &ChaosCfg) -> String {
+    use std::fmt::Write as _;
+    let r = &report.outcomes.retry;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "chaos: {} / {} / {} worker(s), seed {}, rate {}",
+        cfg.system.label(),
+        cfg.workload_name,
+        cfg.workers,
+        cfg.seed,
+        cfg.fault_rate
+    );
+    let _ = writeln!(
+        out,
+        "  txns {}  commits {}  retries {} (conflict {}, abort {})  gave_up {}",
+        report.measurement.txns,
+        r.commits,
+        r.retries(),
+        r.conflict_retries,
+        r.abort_retries,
+        r.gave_up
+    );
+    let _ = writeln!(
+        out,
+        "  latch_timeouts {}  log_failures {}  backoff_units {}",
+        r.latch_timeouts, r.log_failures, r.backoff_units
+    );
+    let _ = writeln!(
+        out,
+        "  poisons {}  reopens {}  offline {} ({} txn slots)  ambiguous commits {}",
+        report.outcomes.poisons,
+        report.outcomes.reopens,
+        report.outcomes.offline_events,
+        report.outcomes.offline_txns,
+        report.outcomes.ambiguous_commits
+    );
+    let _ = writeln!(
+        out,
+        "  faults fired {}  attempts p50/p95 {}/{}",
+        report.faults_fired,
+        report.retry_hist.quantile(0.5),
+        report.retry_hist.quantile(0.95)
+    );
+    for (core, d) in report.digests.iter().enumerate() {
+        let _ = writeln!(out, "  core {core} digest {d:#018x}");
+    }
+    let _ = writeln!(out, "  table digest {:#018x}", report.table_digest);
+    let _ = writeln!(
+        out,
+        "  lost updates {}  phantom updates {}",
+        report.lost_updates, report.phantom_updates
+    );
+    out
+}
+
 /// Paths of the files one chaos run leaves behind.
 pub struct ChaosArtifacts {
     /// The replayable JSON manifest.
@@ -736,7 +746,6 @@ pub struct ChaosArtifacts {
 /// Write the manifest plus the merged span stream under `dir`.
 pub fn write_artifacts(report: &ChaosReport, cfg: &ChaosCfg, dir: &Path) -> ChaosArtifacts {
     fs::create_dir_all(dir).expect("create results dir");
-    let slug = |s: &str| s.to_ascii_lowercase().replace([' ', '-'], "_");
     let base = format!(
         "chaos_{}_{}",
         slug(cfg.system.label()),

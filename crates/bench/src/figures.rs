@@ -1,5 +1,8 @@
-//! One generator per paper figure, with cached sweeps (several figures
-//! share the same experiment grid) and qualitative shape checks.
+//! The paper's figures as data: one `(command, builder)` table
+//! ([`FIGURES`]) behind `bench figN`, `bench all` and the usage text, every
+//! figure a sweep (systems x workloads) read through one point-keyed memo
+//! so figures that share experiment points pay for them once, plus the
+//! qualitative shape checks.
 
 use engines::{DbmsMIndex, SystemKind};
 use microarch::{Measurement, ScalarFigure, StallFigure};
@@ -7,6 +10,11 @@ use uarch_sim::StallEvent;
 use workloads::DbSize;
 
 use crate::{run_points, Point, WorkloadCfg};
+
+const DBMS_M: SystemKind = SystemKind::DbmsM {
+    index: DbmsMIndex::Hash,
+    compiled: true,
+};
 
 /// The five systems in figure order.
 pub fn systems() -> Vec<SystemKind> {
@@ -21,16 +29,19 @@ pub fn mt_systems() -> Vec<SystemKind> {
         SystemKind::ShoreMt,
         SystemKind::DbmsD,
         SystemKind::VoltDb,
-        SystemKind::DbmsM {
-            index: DbmsMIndex::Hash,
-            compiled: true,
-        },
+        DBMS_M,
     ]
 }
 
 /// Worker count for §7 (the paper picks the best-throughput client count;
 /// four workers keeps every engine past its single-site knee).
 pub const MT_WORKERS: usize = 4;
+
+/// Rows-per-transaction axis of the work-per-transaction figures.
+const ROWS: [u32; 3] = [1, 10, 100];
+
+const SPKI: &str = "stall cycles / k-instr";
+const SPT: &str = "stall cycles / txn";
 
 fn micro(size: DbSize, rows: u32, read_only: bool) -> WorkloadCfg {
     WorkloadCfg::Micro {
@@ -43,35 +54,12 @@ fn micro(size: DbSize, rows: u32, read_only: bool) -> WorkloadCfg {
 
 /// The §6 DBMS M configurations, in Figure 13/14 bar order.
 pub fn dbmsm_configs() -> Vec<(&'static str, SystemKind)> {
+    let cfg = |index, compiled| SystemKind::DbmsM { index, compiled };
     vec![
-        (
-            "Hash w/ compilation",
-            SystemKind::DbmsM {
-                index: DbmsMIndex::Hash,
-                compiled: true,
-            },
-        ),
-        (
-            "Hash w/o compilation",
-            SystemKind::DbmsM {
-                index: DbmsMIndex::Hash,
-                compiled: false,
-            },
-        ),
-        (
-            "B-tree w/ compilation",
-            SystemKind::DbmsM {
-                index: DbmsMIndex::BTree,
-                compiled: true,
-            },
-        ),
-        (
-            "B-tree w/o compilation",
-            SystemKind::DbmsM {
-                index: DbmsMIndex::BTree,
-                compiled: false,
-            },
-        ),
+        ("Hash w/ compilation", cfg(DbmsMIndex::Hash, true)),
+        ("Hash w/o compilation", cfg(DbmsMIndex::Hash, false)),
+        ("B-tree w/ compilation", cfg(DbmsMIndex::BTree, true)),
+        ("B-tree w/o compilation", cfg(DbmsMIndex::BTree, false)),
     ]
 }
 
@@ -141,653 +129,429 @@ impl Check {
     }
 }
 
-type SizeSweep = Vec<(SystemKind, DbSize, Measurement)>;
-type RowSweep = Vec<(SystemKind, u32, Measurement)>;
+/// One experiment grid: `groups` (the bars) x `xs` (the x positions), each
+/// cell one [`Point`].
+struct Sweep {
+    groups: Vec<(String, SystemKind)>,
+    xs: Vec<(String, WorkloadCfg)>,
+    workers: usize,
+}
 
-/// Generates every figure, caching the underlying sweeps so `all` pays for
-/// each experiment grid exactly once.
+impl Sweep {
+    /// Single-worker sweep with the bars labelled by system.
+    fn new(systems: &[SystemKind], xs: Vec<(String, WorkloadCfg)>) -> Sweep {
+        Sweep {
+            groups: systems
+                .iter()
+                .map(|&s| (s.label().to_string(), s))
+                .collect(),
+            xs,
+            workers: 1,
+        }
+    }
+
+    /// One bar per system on a single workload.
+    fn flat(systems: &[SystemKind], workload: WorkloadCfg) -> Sweep {
+        Sweep::new(systems, vec![(String::new(), workload)])
+    }
+
+    /// 1-row micro-benchmark across the database-size axis.
+    fn sizes(read_only: bool) -> Sweep {
+        let xs = DbSize::ALL
+            .iter()
+            .map(|&z| (z.label().to_string(), micro(z, 1, read_only)));
+        Sweep::new(&systems(), xs.collect())
+    }
+
+    /// 100 GB micro-benchmark across the rows-per-transaction axis.
+    fn rows(systems: &[SystemKind], read_only: bool) -> Sweep {
+        let xs = ROWS
+            .iter()
+            .map(|&r| (r.to_string(), micro(DbSize::Gb100, r, read_only)));
+        Sweep::new(systems, xs.collect())
+    }
+
+    /// TPC-B or TPC-C on `systems`. The paper: "we use the hash index for
+    /// micro-benchmarks and TPC-B, and the B-tree index for TPC-C".
+    fn tpc(systems: Vec<SystemKind>, tpcc: bool) -> Sweep {
+        if !tpcc {
+            return Sweep::flat(&systems, WorkloadCfg::TpcB);
+        }
+        let systems: Vec<SystemKind> = systems
+            .into_iter()
+            .map(|s| match s {
+                SystemKind::DbmsM { .. } => SystemKind::dbms_m_for_tpcc(),
+                other => other,
+            })
+            .collect();
+        Sweep::flat(&systems, WorkloadCfg::TpcC)
+    }
+
+    /// The four DBMS M configurations on one workload (§6.1).
+    fn dbmsm(workload: WorkloadCfg) -> Sweep {
+        Sweep {
+            groups: dbmsm_configs()
+                .into_iter()
+                .map(|(l, s)| (l.to_string(), s))
+                .collect(),
+            xs: vec![(String::new(), workload)],
+            workers: 1,
+        }
+    }
+
+    /// String vs Long columns (§6.2).
+    fn strings(read_only: bool) -> Sweep {
+        let x = |label: &str, strings| {
+            let workload = WorkloadCfg::Micro {
+                size: DbSize::Gb100,
+                rows_per_txn: 1,
+                read_only,
+                strings,
+            };
+            (label.to_string(), workload)
+        };
+        Sweep::new(
+            &[SystemKind::VoltDb, SystemKind::HyPer, DBMS_M],
+            vec![x("String", true), x("Long", false)],
+        )
+    }
+
+    /// The §7 multi-threaded runs (read-only micro-benchmark or TPC-C).
+    fn mt(tpcc: bool) -> Sweep {
+        let sweep = if tpcc {
+            Sweep::tpc(mt_systems(), true)
+        } else {
+            Sweep::flat(&mt_systems(), micro(DbSize::Gb100, 1, true))
+        };
+        Sweep {
+            workers: MT_WORKERS,
+            ..sweep
+        }
+    }
+
+    fn point(&self, system: SystemKind, workload: &WorkloadCfg) -> Point {
+        Point::new(system, workload.clone()).workers(self.workers)
+    }
+
+    /// Every cell, group-major.
+    fn points(&self) -> Vec<Point> {
+        let cell =
+            |&(_, s): &(String, SystemKind)| self.xs.iter().map(move |(_, w)| self.point(s, w));
+        self.groups.iter().flat_map(cell).collect()
+    }
+
+    fn labels<T>(axis: &[(String, T)]) -> Vec<String> {
+        axis.iter().map(|(l, _)| l.clone()).collect()
+    }
+}
+
+/// Quick calibration dump: one line per (system, size) with the key
+/// metrics, for tuning engine constants against the paper's shapes.
+pub fn calibrate() -> String {
+    use std::fmt::Write as _;
+    let sweep = Sweep::sizes(true);
+    let ms = Figures::new().cells(&sweep, Measurement::clone);
+    let mut out = format!(
+        "{:<10} {:>6} {:>6} {:>9} {:>8} | {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}\n",
+        "system", "size", "IPC", "instr/txn", "tps", "L1I", "L2I", "LLCI", "L1D", "L2D", "LLCD"
+    );
+    for ((system, _), row) in sweep.groups.iter().zip(&ms) {
+        for ((size, _), m) in sweep.xs.iter().zip(row) {
+            let _ = writeln!(
+                out,
+                "{:<10} {:>6} {:>6.2} {:>9.0} {:>8.0} | {:>6.0} {:>6.0} {:>6.0} {:>6.0} {:>6.0} {:>6.0}",
+                system,
+                size,
+                m.ipc,
+                m.instr_per_txn,
+                m.tps,
+                m.spki[0],
+                m.spki[1],
+                m.spki[2],
+                m.spki[3],
+                m.spki[4],
+                m.spki[5],
+            );
+        }
+    }
+    out
+}
+
+/// One paper figure: its subcommand and how to build it.
+pub type FigureBuilder = fn(&mut Figures) -> Fig;
+
+/// Every figure in paper order — the one table behind `bench figN`,
+/// `bench all` and the usage text.
+pub const FIGURES: [(&str, FigureBuilder); 27] = [
+    ("fig1", |f| f.fig_ipc_vs_size(true)),
+    ("fig2", |f| f.fig_spki_vs_size(true)),
+    ("fig3", |f| f.fig_spt_100gb(true)),
+    ("fig4", |f| f.fig_ipc_vs_rows(true)),
+    ("fig5", |f| f.fig_spki_vs_rows(true)),
+    ("fig6", |f| f.fig_spt_vs_rows(true)),
+    ("fig7", |f| f.fig_engine_share()),
+    ("fig8", |f| f.fig_tpc_ipc(false)),
+    ("fig9", |f| f.fig_tpc_spki(false)),
+    ("fig10", |f| f.fig_tpc_ipc(true)),
+    ("fig11", |f| f.fig_tpc_spki(true)),
+    ("fig12", |f| f.fig_tpcc_spt()),
+    ("fig13", |f| f.fig_index_compilation_micro(true)),
+    ("fig14", |f| f.fig_index_compilation_tpcc()),
+    ("fig15", |f| f.fig_data_types(true)),
+    ("fig16", |f| f.fig_mt_ipc(false)),
+    ("fig17", |f| f.fig_mt_ipc(true)),
+    ("fig18", |f| f.fig_mt_spki(false)),
+    ("fig19", |f| f.fig_mt_spki(true)),
+    ("fig20", |f| f.fig_ipc_vs_size(false)),
+    ("fig21", |f| f.fig_spki_vs_size(false)),
+    ("fig22", |f| f.fig_spt_100gb(false)),
+    ("fig23", |f| f.fig_ipc_vs_rows(false)),
+    ("fig24", |f| f.fig_spki_vs_rows(false)),
+    ("fig25", |f| f.fig_spt_vs_rows(false)),
+    ("fig26", |f| f.fig_index_compilation_micro(false)),
+    ("fig27", |f| f.fig_data_types(false)),
+];
+
+/// Generates every figure through one point-keyed memo, so `all` pays for
+/// each experiment point exactly once however many figures read it.
 #[derive(Default)]
 pub struct Figures {
-    sizes_ro: Option<SizeSweep>,
-    sizes_rw: Option<SizeSweep>,
-    rows_ro: Option<RowSweep>,
-    rows_rw: Option<RowSweep>,
-    tpcb: Option<Vec<(SystemKind, Measurement)>>,
-    tpcc: Option<Vec<(SystemKind, Measurement)>>,
-    dbmsm_micro_ro: Option<Vec<(&'static str, Measurement)>>,
-    dbmsm_micro_rw: Option<Vec<(&'static str, Measurement)>>,
-    dbmsm_tpcc: Option<Vec<(&'static str, Measurement)>>,
-    strings_ro: Option<Vec<(SystemKind, bool, Measurement)>>,
-    strings_rw: Option<Vec<(SystemKind, bool, Measurement)>>,
-    mt_micro: Option<Vec<(SystemKind, Measurement)>>,
-    mt_tpcc: Option<Vec<(SystemKind, Measurement)>>,
+    memo: Vec<(Point, Measurement)>,
 }
 
 impl Figures {
-    /// Empty cache.
+    /// Empty memo.
     pub fn new() -> Self {
         Figures::default()
     }
 
-    // ---- cached sweeps -------------------------------------------------
+    /// Every figure in paper order.
+    pub fn all(&mut self) -> Vec<Fig> {
+        FIGURES.iter().map(|(_, build)| build(self)).collect()
+    }
 
-    fn sizes(&mut self, read_only: bool) -> &SizeSweep {
-        let slot = if read_only {
-            &mut self.sizes_ro
-        } else {
-            &mut self.sizes_rw
-        };
-        if slot.is_none() {
-            let mut points = Vec::new();
-            for &sys in &systems() {
-                for &size in &DbSize::ALL {
-                    points.push(Point::new(sys, micro(size, 1, read_only)));
-                }
+    fn get(&self, point: &Point) -> Option<&Measurement> {
+        self.memo.iter().find(|(p, _)| p == point).map(|(_, m)| m)
+    }
+
+    /// Run, as one parallel batch, whichever of `points` were not measured
+    /// before.
+    fn measure(&mut self, points: &[Point]) {
+        let mut missing: Vec<Point> = Vec::new();
+        for p in points {
+            if self.get(p).is_none() && !missing.contains(p) {
+                missing.push(p.clone());
             }
-            let ms = run_points(&points);
-            *slot = Some(
-                points
-                    .iter()
-                    .zip(ms)
-                    .map(|(p, m)| {
-                        let &WorkloadCfg::Micro { size, .. } = p.workload() else {
-                            unreachable!()
-                        };
-                        (p.system(), size, m)
-                    })
-                    .collect(),
-            );
         }
-        slot.as_ref().expect("just computed")
+        let ms = run_points(&missing);
+        self.memo.extend(missing.into_iter().zip(ms));
     }
 
-    fn rows(&mut self, read_only: bool) -> &RowSweep {
-        let slot = if read_only {
-            &mut self.rows_ro
-        } else {
-            &mut self.rows_rw
-        };
-        if slot.is_none() {
-            let mut points = Vec::new();
-            for &sys in &systems() {
-                for &rows in &[1u32, 10, 100] {
-                    points.push(Point::new(sys, micro(DbSize::Gb100, rows, read_only)));
-                }
-            }
-            let ms = run_points(&points);
-            *slot = Some(
-                points
-                    .iter()
-                    .zip(ms)
-                    .map(|(p, m)| {
-                        let &WorkloadCfg::Micro { rows_per_txn, .. } = p.workload() else {
-                            unreachable!()
-                        };
-                        (p.system(), rows_per_txn, m)
-                    })
-                    .collect(),
-            );
-        }
-        slot.as_ref().expect("just computed")
+    /// `value` of every cell of `sweep`, as `[group][x]`.
+    fn cells<T>(&mut self, sweep: &Sweep, value: impl Fn(&Measurement) -> T) -> Vec<Vec<T>> {
+        self.measure(&sweep.points());
+        let cell = |s, w| value(self.get(&sweep.point(s, w)).expect("just measured"));
+        sweep
+            .groups
+            .iter()
+            .map(|&(_, s)| sweep.xs.iter().map(|(_, w)| cell(s, w)).collect())
+            .collect()
     }
 
-    fn tpc(&mut self, tpcc: bool) -> &Vec<(SystemKind, Measurement)> {
-        let slot = if tpcc { &mut self.tpcc } else { &mut self.tpcb };
-        if slot.is_none() {
-            let sys: Vec<SystemKind> = systems()
-                .into_iter()
-                .map(|s| match s {
-                    // The paper: "we use the hash index for micro-benchmarks
-                    // and TPC-B, and the B-tree index for TPC-C".
-                    SystemKind::DbmsM { .. } if tpcc => SystemKind::dbms_m_for_tpcc(),
-                    other => other,
-                })
-                .collect();
-            let points: Vec<Point> = sys
-                .iter()
-                .map(|&s| {
-                    Point::new(
-                        s,
-                        if tpcc {
-                            WorkloadCfg::TpcC
-                        } else {
-                            WorkloadCfg::TpcB
-                        },
-                    )
-                })
-                .collect();
-            let ms = run_points(&points);
-            *slot = Some(sys.into_iter().zip(ms).collect());
-        }
-        slot.as_ref().expect("just computed")
-    }
-
-    fn dbmsm_micro(&mut self, read_only: bool) -> &Vec<(&'static str, Measurement)> {
-        let slot = if read_only {
-            &mut self.dbmsm_micro_ro
-        } else {
-            &mut self.dbmsm_micro_rw
-        };
-        if slot.is_none() {
-            // §6.1 uses 10 rows per transaction over the 100 GB dataset.
-            let cfgs = dbmsm_configs();
-            let points: Vec<Point> = cfgs
-                .iter()
-                .map(|&(_, s)| Point::new(s, micro(DbSize::Gb100, 10, read_only)))
-                .collect();
-            let ms = run_points(&points);
-            *slot = Some(cfgs.iter().map(|&(l, _)| l).zip(ms).collect());
-        }
-        slot.as_ref().expect("just computed")
-    }
-
-    fn dbmsm_tpcc_sweep(&mut self) -> &Vec<(&'static str, Measurement)> {
-        if self.dbmsm_tpcc.is_none() {
-            let cfgs = dbmsm_configs();
-            let points: Vec<Point> = cfgs
-                .iter()
-                .map(|&(_, s)| Point::new(s, WorkloadCfg::TpcC))
-                .collect();
-            let ms = run_points(&points);
-            self.dbmsm_tpcc = Some(cfgs.iter().map(|&(l, _)| l).zip(ms).collect());
-        }
-        self.dbmsm_tpcc.as_ref().expect("just computed")
-    }
-
-    fn strings(&mut self, read_only: bool) -> &Vec<(SystemKind, bool, Measurement)> {
-        let slot = if read_only {
-            &mut self.strings_ro
-        } else {
-            &mut self.strings_rw
-        };
-        if slot.is_none() {
-            let sys = [
-                SystemKind::VoltDb,
-                SystemKind::HyPer,
-                SystemKind::DbmsM {
-                    index: DbmsMIndex::Hash,
-                    compiled: true,
-                },
-            ];
-            let mut points = Vec::new();
-            let mut meta = Vec::new();
-            for &s in &sys {
-                for &strings in &[true, false] {
-                    points.push(Point::new(
-                        s,
-                        WorkloadCfg::Micro {
-                            size: DbSize::Gb100,
-                            rows_per_txn: 1,
-                            read_only,
-                            strings,
-                        },
-                    ));
-                    meta.push((s, strings));
-                }
-            }
-            let ms = run_points(&points);
-            *slot = Some(
-                meta.into_iter()
-                    .zip(ms)
-                    .map(|((s, st), m)| (s, st, m))
-                    .collect(),
-            );
-        }
-        slot.as_ref().expect("just computed")
-    }
-
-    fn mt(&mut self, tpcc: bool) -> &Vec<(SystemKind, Measurement)> {
-        let slot = if tpcc {
-            &mut self.mt_tpcc
-        } else {
-            &mut self.mt_micro
-        };
-        if slot.is_none() {
-            let sys: Vec<SystemKind> = mt_systems()
-                .into_iter()
-                .map(|s| match s {
-                    SystemKind::DbmsM { .. } if tpcc => SystemKind::dbms_m_for_tpcc(),
-                    other => other,
-                })
-                .collect();
-            let points: Vec<Point> = sys
-                .iter()
-                .map(|&s| {
-                    Point::new(
-                        s,
-                        if tpcc {
-                            WorkloadCfg::TpcC
-                        } else {
-                            micro(DbSize::Gb100, 1, true)
-                        },
-                    )
-                    .workers(MT_WORKERS)
-                })
-                .collect();
-            let ms = run_points(&points);
-            *slot = Some(sys.into_iter().zip(ms).collect());
-        }
-        slot.as_ref().expect("just computed")
-    }
-
-    // ---- figure constructors -------------------------------------------
-
-    fn scalar_by_size(
-        data: &SizeSweep,
+    fn scalar(
+        &mut self,
         id: &str,
         title: &str,
         metric: &str,
+        sweep: &Sweep,
         value: impl Fn(&Measurement) -> f64,
-    ) -> ScalarFigure {
-        ScalarFigure {
+    ) -> Fig {
+        Fig::Scalar(ScalarFigure {
             id: id.into(),
             title: title.into(),
             metric: metric.into(),
-            groups: systems().iter().map(|s| s.label().to_string()).collect(),
-            xlabels: DbSize::ALL.iter().map(|s| s.label().to_string()).collect(),
-            values: systems()
-                .iter()
-                .map(|&sys| {
-                    DbSize::ALL
-                        .iter()
-                        .map(|&size| {
-                            data.iter()
-                                .find(|(s, z, _)| *s == sys && *z == size)
-                                .map(|(_, _, m)| value(m))
-                                .expect("point present")
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
+            groups: Sweep::labels(&sweep.groups),
+            xlabels: Sweep::labels(&sweep.xs),
+            values: self.cells(sweep, value),
+        })
     }
 
-    fn stall_by_size(
-        data: &SizeSweep,
+    fn stall(
+        &mut self,
         id: &str,
         title: &str,
-        cells: impl Fn(&Measurement) -> [f64; 6],
         unit: &str,
-    ) -> StallFigure {
-        StallFigure {
+        sweep: &Sweep,
+        cells: impl Fn(&Measurement) -> [f64; 6],
+    ) -> Fig {
+        Fig::Stall(StallFigure {
             id: id.into(),
             title: title.into(),
             unit: unit.into(),
-            groups: systems().iter().map(|s| s.label().to_string()).collect(),
-            xlabels: DbSize::ALL.iter().map(|s| s.label().to_string()).collect(),
-            cells: systems()
-                .iter()
-                .map(|&sys| {
-                    DbSize::ALL
-                        .iter()
-                        .map(|&size| {
-                            data.iter()
-                                .find(|(s, z, _)| *s == sys && *z == size)
-                                .map(|(_, _, m)| cells(m))
-                                .expect("point present")
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    fn stall_by_rows(
-        data: &RowSweep,
-        id: &str,
-        title: &str,
-        cells: impl Fn(&Measurement) -> [f64; 6],
-        unit: &str,
-    ) -> StallFigure {
-        StallFigure {
-            id: id.into(),
-            title: title.into(),
-            unit: unit.into(),
-            groups: systems().iter().map(|s| s.label().to_string()).collect(),
-            xlabels: vec!["1".into(), "10".into(), "100".into()],
-            cells: systems()
-                .iter()
-                .map(|&sys| {
-                    [1u32, 10, 100]
-                        .iter()
-                        .map(|&r| {
-                            data.iter()
-                                .find(|(s, n, _)| *s == sys && *n == r)
-                                .map(|(_, _, m)| cells(m))
-                                .expect("point present")
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    fn stall_flat(
-        data: &[(SystemKind, Measurement)],
-        id: &str,
-        title: &str,
-        cells: impl Fn(&Measurement) -> [f64; 6],
-        unit: &str,
-    ) -> StallFigure {
-        StallFigure {
-            id: id.into(),
-            title: title.into(),
-            unit: unit.into(),
-            groups: data.iter().map(|(s, _)| s.label().to_string()).collect(),
-            xlabels: vec![String::new()],
-            cells: data.iter().map(|(_, m)| vec![cells(m)]).collect(),
-        }
-    }
-
-    fn scalar_flat(
-        data: &[(SystemKind, Measurement)],
-        id: &str,
-        title: &str,
-        metric: &str,
-        value: impl Fn(&Measurement) -> f64,
-    ) -> ScalarFigure {
-        ScalarFigure {
-            id: id.into(),
-            title: title.into(),
-            metric: metric.into(),
-            groups: data.iter().map(|(s, _)| s.label().to_string()).collect(),
-            xlabels: vec![String::new()],
-            values: data.iter().map(|(_, m)| vec![value(m)]).collect(),
-        }
+            groups: Sweep::labels(&sweep.groups),
+            xlabels: Sweep::labels(&sweep.xs),
+            cells: self.cells(sweep, cells),
+        })
     }
 
     /// Figure 1 / 20: IPC vs database size.
-    pub fn fig_ipc_vs_size(&mut self, read_only: bool) -> ScalarFigure {
+    pub fn fig_ipc_vs_size(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig1-ro", "read-only")
         } else {
             ("fig20-rw", "read-write")
         };
-        Self::scalar_by_size(
-            self.sizes(read_only),
-            id,
-            &format!("Effect of database size on the IPC value ({v})"),
-            "IPC",
-            |m| m.ipc,
-        )
+        let title = format!("Effect of database size on the IPC value ({v})");
+        self.scalar(id, &title, "IPC", &Sweep::sizes(read_only), |m| m.ipc)
     }
 
     /// Figure 2 / 21: SPKI vs database size.
-    pub fn fig_spki_vs_size(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_spki_vs_size(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig2-ro", "read-only")
         } else {
             ("fig21-rw", "read-write")
         };
-        Self::stall_by_size(
-            self.sizes(read_only),
-            id,
-            &format!("Stall cycles per 1000 instructions vs database size ({v})"),
-            |m| m.spki,
-            "stall cycles / k-instr",
-        )
+        let title = format!("Stall cycles per 1000 instructions vs database size ({v})");
+        self.stall(id, &title, SPKI, &Sweep::sizes(read_only), |m| m.spki)
     }
 
     /// Figure 3 / 22: SPT at 100 GB.
-    pub fn fig_spt_100gb(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_spt_100gb(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig3-ro", "read-only")
         } else {
             ("fig22-rw", "read-write")
         };
-        let data: Vec<(SystemKind, Measurement)> = self
-            .sizes(read_only)
-            .iter()
-            .filter(|(_, z, _)| *z == DbSize::Gb100)
-            .map(|(s, _, m)| (*s, m.clone()))
-            .collect();
-        Self::stall_flat(
-            &data,
-            id,
-            &format!("Stall cycles per transaction, 100GB database ({v})"),
-            |m| m.spt,
-            "stall cycles / txn",
-        )
+        let title = format!("Stall cycles per transaction, 100GB database ({v})");
+        let sweep = Sweep::flat(&systems(), micro(DbSize::Gb100, 1, read_only));
+        self.stall(id, &title, SPT, &sweep, |m| m.spt)
     }
 
     /// Figure 4 / 23: IPC vs rows per transaction.
-    pub fn fig_ipc_vs_rows(&mut self, read_only: bool) -> ScalarFigure {
+    pub fn fig_ipc_vs_rows(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig4-ro", "read")
         } else {
             ("fig23-rw", "updated")
         };
-        let data = self.rows(read_only);
-        ScalarFigure {
-            id: id.into(),
-            title: format!("Effect of work per transaction on IPC (rows {v}, 100GB)"),
-            metric: "IPC".into(),
-            groups: systems().iter().map(|s| s.label().to_string()).collect(),
-            xlabels: vec!["1".into(), "10".into(), "100".into()],
-            values: systems()
-                .iter()
-                .map(|&sys| {
-                    [1u32, 10, 100]
-                        .iter()
-                        .map(|&r| {
-                            data.iter()
-                                .find(|(s, n, _)| *s == sys && *n == r)
-                                .map(|(_, _, m)| m.ipc)
-                                .expect("point present")
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
+        let title = format!("Effect of work per transaction on IPC (rows {v}, 100GB)");
+        let sweep = Sweep::rows(&systems(), read_only);
+        self.scalar(id, &title, "IPC", &sweep, |m| m.ipc)
     }
 
     /// Figure 5 / 24: SPKI vs rows per transaction.
-    pub fn fig_spki_vs_rows(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_spki_vs_rows(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig5-ro", "read")
         } else {
             ("fig24-rw", "updated")
         };
-        Self::stall_by_rows(
-            self.rows(read_only),
-            id,
-            &format!("Stall cycles per 1000 instructions vs rows {v} (100GB)"),
-            |m| m.spki,
-            "stall cycles / k-instr",
-        )
+        let title = format!("Stall cycles per 1000 instructions vs rows {v} (100GB)");
+        let sweep = Sweep::rows(&systems(), read_only);
+        self.stall(id, &title, SPKI, &sweep, |m| m.spki)
     }
 
     /// Figure 6 / 25: SPT vs rows per transaction.
-    pub fn fig_spt_vs_rows(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_spt_vs_rows(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig6-ro", "read")
         } else {
             ("fig25-rw", "updated")
         };
-        Self::stall_by_rows(
-            self.rows(read_only),
-            id,
-            &format!("Stall cycles per transaction vs rows {v} (100GB)"),
-            |m| m.spt,
-            "stall cycles / txn",
-        )
+        let title = format!("Stall cycles per transaction vs rows {v} (100GB)");
+        let sweep = Sweep::rows(&systems(), read_only);
+        self.stall(id, &title, SPT, &sweep, |m| m.spt)
     }
 
     /// Figure 7: % of time inside the OLTP engine vs rows per transaction.
-    pub fn fig_engine_share(&mut self) -> ScalarFigure {
-        let data = self.rows(true);
-        let subset = [
-            SystemKind::DbmsD,
-            SystemKind::VoltDb,
-            SystemKind::DbmsM {
-                index: DbmsMIndex::Hash,
-                compiled: true,
-            },
-        ];
-        ScalarFigure {
-            id: "fig7".into(),
-            title: "Percentage of execution time inside the OLTP engine (100GB)".into(),
-            metric: "% inside engine".into(),
-            groups: subset.iter().map(|s| s.label().to_string()).collect(),
-            xlabels: vec!["1".into(), "10".into(), "100".into()],
-            values: subset
-                .iter()
-                .map(|&sys| {
-                    [1u32, 10, 100]
-                        .iter()
-                        .map(|&r| {
-                            data.iter()
-                                .find(|(s, n, _)| *s == sys && *n == r)
-                                .map(|(_, _, m)| m.engine_share() * 100.0)
-                                .expect("point present")
-                        })
-                        .collect()
-                })
-                .collect(),
-        }
-    }
-
-    /// Figure 8: TPC-B IPC.
-    pub fn fig_tpcb_ipc(&mut self) -> ScalarFigure {
-        Self::scalar_flat(
-            self.tpc(false),
-            "fig8",
-            "IPC while running TPC-B (100GB)",
-            "IPC",
-            |m| m.ipc,
+    pub fn fig_engine_share(&mut self) -> Fig {
+        self.scalar(
+            "fig7",
+            "Percentage of execution time inside the OLTP engine (100GB)",
+            "% inside engine",
+            &Sweep::rows(&[SystemKind::DbmsD, SystemKind::VoltDb, DBMS_M], true),
+            |m| m.engine_share() * 100.0,
         )
     }
 
-    /// Figure 9: TPC-B SPKI.
-    pub fn fig_tpcb_spki(&mut self) -> StallFigure {
-        Self::stall_flat(
-            self.tpc(false),
-            "fig9",
-            "Stall cycles per 1000 instructions while running TPC-B",
-            |m| m.spki,
-            "stall cycles / k-instr",
-        )
+    /// Figure 8 / 10: TPC-B / TPC-C IPC.
+    pub fn fig_tpc_ipc(&mut self, tpcc: bool) -> Fig {
+        let (id, title) = if tpcc {
+            ("fig10", "IPC while running TPC-C (100GB)")
+        } else {
+            ("fig8", "IPC while running TPC-B (100GB)")
+        };
+        self.scalar(id, title, "IPC", &Sweep::tpc(systems(), tpcc), |m| m.ipc)
     }
 
-    /// Figure 10: TPC-C IPC.
-    pub fn fig_tpcc_ipc(&mut self) -> ScalarFigure {
-        Self::scalar_flat(
-            self.tpc(true),
-            "fig10",
-            "IPC while running TPC-C (100GB)",
-            "IPC",
-            |m| m.ipc,
-        )
-    }
-
-    /// Figure 11: TPC-C SPKI.
-    pub fn fig_tpcc_spki(&mut self) -> StallFigure {
-        Self::stall_flat(
-            self.tpc(true),
-            "fig11",
-            "Stall cycles per 1000 instructions while running TPC-C",
-            |m| m.spki,
-            "stall cycles / k-instr",
-        )
+    /// Figure 9 / 11: TPC-B / TPC-C SPKI.
+    pub fn fig_tpc_spki(&mut self, tpcc: bool) -> Fig {
+        let (id, title) = if tpcc {
+            (
+                "fig11",
+                "Stall cycles per 1000 instructions while running TPC-C",
+            )
+        } else {
+            (
+                "fig9",
+                "Stall cycles per 1000 instructions while running TPC-B",
+            )
+        };
+        self.stall(id, title, SPKI, &Sweep::tpc(systems(), tpcc), |m| m.spki)
     }
 
     /// Figure 12: TPC-C SPT.
-    pub fn fig_tpcc_spt(&mut self) -> StallFigure {
-        Self::stall_flat(
-            self.tpc(true),
+    pub fn fig_tpcc_spt(&mut self) -> Fig {
+        self.stall(
             "fig12",
             "Stall cycles per transaction while running TPC-C",
+            SPT,
+            &Sweep::tpc(systems(), true),
             |m| m.spt,
-            "stall cycles / txn",
         )
     }
 
     /// Figure 13 / 26: DBMS M index x compilation, micro-benchmark.
-    pub fn fig_index_compilation_micro(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_index_compilation_micro(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig13-ro", "read-only")
         } else {
             ("fig26-rw", "read-write")
         };
-        let data = self.dbmsm_micro(read_only).clone();
-        StallFigure {
-            id: id.into(),
-            title: format!(
-                "DBMS M: index structures with/without compilation, micro-benchmark ({v}, 10 rows, 100GB)"
-            ),
-            unit: "stall cycles / k-instr".into(),
-            groups: data.iter().map(|(l, _)| l.to_string()).collect(),
-            xlabels: vec![String::new()],
-            cells: data.iter().map(|(_, m)| vec![m.spki]).collect(),
-        }
+        let title = format!(
+            "DBMS M: index structures with/without compilation, micro-benchmark ({v}, 10 rows, 100GB)"
+        );
+        // §6.1 uses 10 rows per transaction over the 100 GB dataset.
+        let sweep = Sweep::dbmsm(micro(DbSize::Gb100, 10, read_only));
+        self.stall(id, &title, SPKI, &sweep, |m| m.spki)
     }
 
     /// Figure 14: DBMS M index x compilation, TPC-C.
-    pub fn fig_index_compilation_tpcc(&mut self) -> StallFigure {
-        let data = self.dbmsm_tpcc_sweep().clone();
-        StallFigure {
-            id: "fig14".into(),
-            title: "DBMS M: index structures with/without compilation, TPC-C".into(),
-            unit: "stall cycles / k-instr".into(),
-            groups: data.iter().map(|(l, _)| l.to_string()).collect(),
-            xlabels: vec![String::new()],
-            cells: data.iter().map(|(_, m)| vec![m.spki]).collect(),
-        }
+    pub fn fig_index_compilation_tpcc(&mut self) -> Fig {
+        self.stall(
+            "fig14",
+            "DBMS M: index structures with/without compilation, TPC-C",
+            SPKI,
+            &Sweep::dbmsm(WorkloadCfg::TpcC),
+            |m| m.spki,
+        )
     }
 
     /// Figure 15 / 27: String vs Long data types.
-    pub fn fig_data_types(&mut self, read_only: bool) -> StallFigure {
+    pub fn fig_data_types(&mut self, read_only: bool) -> Fig {
         let (id, v) = if read_only {
             ("fig15-ro", "read-only")
         } else {
             ("fig27-rw", "read-write")
         };
-        let data = self.strings(read_only).clone();
-        let groups: Vec<String> = [
-            SystemKind::VoltDb,
-            SystemKind::HyPer,
-            SystemKind::DbmsM {
-                index: DbmsMIndex::Hash,
-                compiled: true,
-            },
-        ]
-        .iter()
-        .map(|s| s.label().to_string())
-        .collect();
-        StallFigure {
-            id: id.into(),
-            title: format!(
-                "Stall cycles per 1000 instructions for String vs Long columns ({v}, 100GB)"
-            ),
-            unit: "stall cycles / k-instr".into(),
-            groups,
-            xlabels: vec!["String".into(), "Long".into()],
-            cells: [
-                SystemKind::VoltDb,
-                SystemKind::HyPer,
-                SystemKind::DbmsM {
-                    index: DbmsMIndex::Hash,
-                    compiled: true,
-                },
-            ]
-            .iter()
-            .map(|&sys| {
-                [true, false]
-                    .iter()
-                    .map(|&st| {
-                        data.iter()
-                            .find(|(s, x, _)| *s == sys && *x == st)
-                            .map(|(_, _, m)| m.spki)
-                            .expect("point present")
-                    })
-                    .collect()
-            })
-            .collect(),
-        }
+        let title =
+            format!("Stall cycles per 1000 instructions for String vs Long columns ({v}, 100GB)");
+        self.stall(id, &title, SPKI, &Sweep::strings(read_only), |m| m.spki)
     }
 
     /// Figure 16 / 17: multi-threaded IPC (micro / TPC-C).
-    pub fn fig_mt_ipc(&mut self, tpcc: bool) -> ScalarFigure {
+    pub fn fig_mt_ipc(&mut self, tpcc: bool) -> Fig {
         let (id, title) = if tpcc {
             ("fig17", "Multi-threaded IPC while running TPC-C")
         } else {
@@ -796,12 +560,11 @@ impl Figures {
                 "Multi-threaded IPC while running the micro-benchmark (read-only, 100GB)",
             )
         };
-        let data = self.mt(tpcc).clone();
-        Self::scalar_flat(&data, id, title, "IPC", |m| m.ipc)
+        self.scalar(id, title, "IPC", &Sweep::mt(tpcc), |m| m.ipc)
     }
 
     /// Figure 18 / 19: multi-threaded SPKI (micro / TPC-C).
-    pub fn fig_mt_spki(&mut self, tpcc: bool) -> StallFigure {
+    pub fn fig_mt_spki(&mut self, tpcc: bool) -> Fig {
         let (id, title) = if tpcc {
             (
                 "fig19",
@@ -813,30 +576,53 @@ impl Figures {
                 "Multi-threaded stall cycles per k-instruction, micro-benchmark",
             )
         };
-        let data = self.mt(tpcc).clone();
-        Self::stall_flat(&data, id, title, |m| m.spki, "stall cycles / k-instr")
+        self.stall(id, title, SPKI, &Sweep::mt(tpcc), |m| m.spki)
     }
 
     // ---- shape validation ------------------------------------------------
 
     /// Run the paper's qualitative claims against the measured data.
     pub fn checks(&mut self) -> Vec<Check> {
+        // Everything the claims read, measured as one batch (all memo hits
+        // after `all` built the figures).
+        let (tpcb, tpcc) = (Sweep::tpc(systems(), false), Sweep::tpc(systems(), true));
+        let dbmsm_micro = Sweep::dbmsm(micro(DbSize::Gb100, 10, true));
+        let dbmsm_tpcc = Sweep::dbmsm(WorkloadCfg::TpcC);
+        let (mt_micro, mt_tpcc) = (Sweep::mt(false), Sweep::mt(true));
+        let mut needed = Sweep::sizes(true).points();
+        needed.extend(Sweep::rows(&systems(), true).points());
+        needed.extend(Sweep::strings(true).points());
+        for sweep in [&tpcb, &tpcc, &dbmsm_micro, &dbmsm_tpcc, &mt_micro, &mt_tpcc] {
+            needed.extend(sweep.points());
+        }
+        self.measure(&needed);
+        let Fig::Scalar(engine_share) = self.fig_engine_share() else {
+            unreachable!("figure 7 is a scalar figure")
+        };
+
+        let this = &*self;
+        let at = |point: Point| this.get(&point).expect("measured above");
+        let size = |s: SystemKind, z: DbSize| at(Point::new(s, micro(z, 1, true)));
+        // The bars of a one-workload sweep, keyed by system / by bar label.
+        let bars = |sweep: &Sweep| -> Vec<(SystemKind, &Measurement)> {
+            let bar = |&(_, s): &(String, SystemKind)| (s, at(sweep.point(s, &sweep.xs[0].1)));
+            sweep.groups.iter().map(bar).collect()
+        };
+        let labelled = |sweep: &Sweep, label: &str| -> &Measurement {
+            let bar = sweep.groups.iter().find(|(l, _)| l == label);
+            let (_, s) = bar.expect("a bar of the sweep");
+            at(sweep.point(*s, &sweep.xs[0].1))
+        };
+
         let mut out = Vec::new();
         let hyper = SystemKind::HyPer;
-        let get_size = |data: &SizeSweep, s: SystemKind, z: DbSize| -> Measurement {
-            data.iter()
-                .find(|(x, y, _)| *x == s && *y == z)
-                .map(|(_, _, m)| m.clone())
-                .unwrap()
-        };
         let llcd = |m: &Measurement| m.spki[StallEvent::LlcD as usize];
 
         // Figure 1.
         {
-            let d = self.sizes(true).clone();
             let big_ipcs: Vec<(SystemKind, f64)> = systems()
                 .iter()
-                .map(|&s| (s, get_size(&d, s, DbSize::Gb100).ipc))
+                .map(|&s| (s, size(s, DbSize::Gb100).ipc))
                 .collect();
             let max_big = big_ipcs.iter().map(|(_, v)| *v).fold(0.0, f64::max);
             out.push(Check::new(
@@ -845,8 +631,8 @@ impl Figures {
                 max_big < 1.35,
                 format!("max IPC @100GB = {max_big:.2}"),
             ));
-            let h_small = get_size(&d, hyper, DbSize::Mb1).ipc;
-            let h_big = get_size(&d, hyper, DbSize::Gb100).ipc;
+            let h_small = size(hyper, DbSize::Mb1).ipc;
+            let h_big = size(hyper, DbSize::Gb100).ipc;
             out.push(Check::new(
                 "fig1",
                 "HyPer ~2x everyone when data fits LLC, lowest when it does not",
@@ -854,9 +640,9 @@ impl Figures {
                     && h_big <= big_ipcs.iter().map(|(_, v)| *v).fold(f64::MAX, f64::min) + 1e-9,
                 format!("HyPer 1MB={h_small:.2}, 100GB={h_big:.2}"),
             ));
-            let drops = systems().iter().all(|&s| {
-                get_size(&d, s, DbSize::Mb1).ipc >= get_size(&d, s, DbSize::Gb100).ipc - 0.03
-            });
+            let drops = systems()
+                .iter()
+                .all(|&s| size(s, DbSize::Mb1).ipc >= size(s, DbSize::Gb100).ipc - 0.03);
             out.push(Check::new(
                 "fig1",
                 "IPC decreases (or stays flat) as data outgrows the LLC",
@@ -867,10 +653,9 @@ impl Figures {
 
         // Figure 2.
         {
-            let d = self.sizes(true).clone();
             let l1i_dominant = systems().iter().filter(|&&s| s != hyper).all(|&s| {
                 DbSize::ALL.iter().all(|&z| {
-                    let m = get_size(&d, s, z);
+                    let m = size(s, z);
                     let l1i = m.spki[0];
                     m.spki.iter().skip(1).all(|&v| l1i >= v)
                 })
@@ -881,11 +666,11 @@ impl Figures {
                 l1i_dominant,
                 String::new(),
             ));
-            let h = llcd(&get_size(&d, hyper, DbSize::Gb100));
+            let h = llcd(size(hyper, DbSize::Gb100));
             let others_max = systems()
                 .iter()
                 .filter(|&&s| s != hyper)
-                .map(|&s| llcd(&get_size(&d, s, DbSize::Gb100)))
+                .map(|&s| llcd(size(s, DbSize::Gb100)))
                 .fold(0.0, f64::max);
             out.push(Check::new(
                 "fig2",
@@ -897,12 +682,11 @@ impl Figures {
 
         // Figure 3.
         {
-            let d = self.sizes(true).clone();
             let spt_i = |s: SystemKind| -> f64 {
-                let m = get_size(&d, s, DbSize::Gb100);
+                let m = size(s, DbSize::Gb100);
                 m.spt[0] + m.spt[1] + m.spt[2]
             };
-            let spt_llcd = |s: SystemKind| get_size(&d, s, DbSize::Gb100).spt[5];
+            let spt_llcd = |s: SystemKind| size(s, DbSize::Gb100).spt[5];
             let dbmsd_max_i = systems()
                 .iter()
                 .all(|&s| spt_i(SystemKind::DbmsD) >= spt_i(s) - 1.0);
@@ -939,13 +723,7 @@ impl Figures {
 
         // Figures 4-6.
         {
-            let d = self.rows(true).clone();
-            let get = |s: SystemKind, r: u32| -> Measurement {
-                d.iter()
-                    .find(|(x, n, _)| *x == s && *n == r)
-                    .map(|(_, _, m)| m.clone())
-                    .unwrap()
-            };
+            let get = |s: SystemKind, r: u32| at(Point::new(s, micro(DbSize::Gb100, r, true)));
             // The paper's disk-based rise is slight (~0.05-0.1 IPC); allow
             // a small modelling tolerance around flat.
             let disk_up = [SystemKind::ShoreMt, SystemKind::DbmsD]
@@ -969,10 +747,10 @@ impl Figures {
             let i_spki = |m: &Measurement| m.spki[0] + m.spki[1] + m.spki[2];
             let i_down = systems()
                 .iter()
-                .all(|&s| i_spki(&get(s, 100)) <= i_spki(&get(s, 1)) + 1.0);
+                .all(|&s| i_spki(get(s, 100)) <= i_spki(get(s, 1)) + 1.0);
             let d_up = systems()
                 .iter()
-                .all(|&s| llcd(&get(s, 100)) >= llcd(&get(s, 1)) - 1.0);
+                .all(|&s| llcd(get(s, 100)) >= llcd(get(s, 1)) - 1.0);
             out.push(Check::new(
                 "fig5",
                 "Instruction SPKI falls and data SPKI rises with rows per transaction",
@@ -1003,8 +781,7 @@ impl Figures {
 
         // Figure 7.
         {
-            let f = self.fig_engine_share();
-            let rising = f
+            let rising = engine_share
                 .values
                 .iter()
                 .all(|row| row[0] <= row[1] + 2.0 && row[1] <= row[2] + 2.0);
@@ -1012,18 +789,16 @@ impl Figures {
                 "fig7",
                 "Time inside the OLTP engine rises with rows per transaction for all systems",
                 rising,
-                format!("{:?}", f.values),
+                format!("{:?}", engine_share.values),
             ));
         }
 
         // Figures 8-9 (TPC-B).
         {
-            let b = self.tpc(false).clone();
-            let micro_big: Vec<(SystemKind, f64)> = self
-                .sizes(true)
+            let b = bars(&tpcb);
+            let micro_big: Vec<(SystemKind, f64)> = systems()
                 .iter()
-                .filter(|(_, z, _)| *z == DbSize::Gb100)
-                .map(|(s, _, m)| (*s, m.ipc))
+                .map(|&s| (s, size(s, DbSize::Gb100).ipc))
                 .collect();
             let hyper_top = b.iter().all(|(_, m)| {
                 b.iter()
@@ -1059,11 +834,9 @@ impl Figures {
             // data misses even though we run TPC-B with 100GB data" — the
             // comparison baseline is the micro-benchmark at the same size,
             // whose single giant table has no locality.
-            let micro_llcd: Vec<(SystemKind, f64)> = self
-                .sizes(true)
+            let micro_llcd: Vec<(SystemKind, f64)> = systems()
                 .iter()
-                .filter(|(_, z, _)| *z == DbSize::Gb100)
-                .map(|(s, _, m)| (*s, llcd(m)))
+                .map(|&s| (s, llcd(size(s, DbSize::Gb100))))
                 .collect();
             let low_llcd = b.iter().all(|(s, m)| {
                 let baseline = micro_llcd
@@ -1095,8 +868,8 @@ impl Figures {
 
         // Figures 10-12 (TPC-C).
         {
-            let c = self.tpc(true).clone();
-            let b = self.tpc(false).clone();
+            let c = bars(&tpcc);
+            let b = bars(&tpcb);
             let i_spki = |m: &Measurement| m.spki[0] + m.spki[1] + m.spki[2];
             let lower_i = c
                 .iter()
@@ -1148,54 +921,42 @@ impl Figures {
 
         // Figures 13-14 (index & compilation).
         {
-            let d = self.dbmsm_micro(true).clone();
-            let get = |label: &str| -> Measurement {
-                d.iter()
-                    .find(|(l, _)| *l == label)
-                    .map(|(_, m)| m.clone())
-                    .unwrap()
-            };
+            let get = |label: &str| labelled(&dbmsm_micro, label);
             let i_spki = |m: &Measurement| m.spki[0] + m.spki[1] + m.spki[2];
-            let comp_cuts = i_spki(&get("Hash w/ compilation"))
-                < 0.75 * i_spki(&get("Hash w/o compilation"))
-                && i_spki(&get("B-tree w/ compilation"))
-                    < 0.75 * i_spki(&get("B-tree w/o compilation"));
+            let comp_cuts = i_spki(get("Hash w/ compilation"))
+                < 0.75 * i_spki(get("Hash w/o compilation"))
+                && i_spki(get("B-tree w/ compilation"))
+                    < 0.75 * i_spki(get("B-tree w/o compilation"));
             out.push(Check::new(
                 "fig13",
                 "Compilation cuts instruction stalls substantially for both index types",
                 comp_cuts,
                 format!(
                     "hash {:.0}->{:.0}, btree {:.0}->{:.0}",
-                    i_spki(&get("Hash w/o compilation")),
-                    i_spki(&get("Hash w/ compilation")),
-                    i_spki(&get("B-tree w/o compilation")),
-                    i_spki(&get("B-tree w/ compilation"))
+                    i_spki(get("Hash w/o compilation")),
+                    i_spki(get("Hash w/ compilation")),
+                    i_spki(get("B-tree w/o compilation")),
+                    i_spki(get("B-tree w/ compilation"))
                 ),
             ));
-            let btree_d = llcd(&get("B-tree w/ compilation"));
-            let hash_d = llcd(&get("Hash w/ compilation"));
+            let btree_d = llcd(get("B-tree w/ compilation"));
+            let hash_d = llcd(get("Hash w/ compilation"));
             out.push(Check::new(
                 "fig13",
                 "B-tree LLC data stalls clearly exceed the hash index's (paper: 2-4x at 2B rows; the gap shrinks with our shallower trees)",
                 btree_d > 1.35 * hash_d,
                 format!("btree={btree_d:.0}, hash={hash_d:.0}"),
             ));
-            let t = self.dbmsm_tpcc_sweep().clone();
-            let gett = |label: &str| -> Measurement {
-                t.iter()
-                    .find(|(l, _)| *l == label)
-                    .map(|(_, m)| m.clone())
-                    .unwrap()
-            };
-            let comp_cuts_tpcc = i_spki(&gett("B-tree w/ compilation"))
-                < 0.85 * i_spki(&gett("B-tree w/o compilation"));
+            let gett = |label: &str| labelled(&dbmsm_tpcc, label);
+            let comp_cuts_tpcc = i_spki(gett("B-tree w/ compilation"))
+                < 0.85 * i_spki(gett("B-tree w/o compilation"));
             out.push(Check::new(
                 "fig14",
                 "Compilation also reduces instruction stalls on TPC-C",
                 comp_cuts_tpcc,
                 String::new(),
             ));
-            let small_d = t
+            let small_d = bars(&dbmsm_tpcc)
                 .iter()
                 .all(|(_, m)| llcd(m) < 0.5 * m.spki_total().max(1.0));
             out.push(Check::new(
@@ -1208,34 +969,34 @@ impl Figures {
 
         // Figure 15.
         {
-            let d = self.strings(true).clone();
-            let get = |s: SystemKind, st: bool| -> Measurement {
-                d.iter()
-                    .find(|(x, y, _)| *x == s && *y == st)
-                    .map(|(_, _, m)| m.clone())
-                    .unwrap()
+            let get = |s: SystemKind, strings: bool| {
+                at(Point::new(
+                    s,
+                    WorkloadCfg::Micro {
+                        size: DbSize::Gb100,
+                        rows_per_txn: 1,
+                        read_only: true,
+                        strings,
+                    },
+                ))
             };
-            let vol = llcd(&get(SystemKind::VoltDb, true)) < llcd(&get(SystemKind::VoltDb, false));
-            let hyp = llcd(&get(hyper, true)) < llcd(&get(hyper, false));
+            let vol = llcd(get(SystemKind::VoltDb, true)) < llcd(get(SystemKind::VoltDb, false));
+            let hyp = llcd(get(hyper, true)) < llcd(get(hyper, false));
             out.push(Check::new(
                 "fig15",
                 "LLC data stalls per k-instr are lower for String than Long (VoltDB, HyPer)",
                 vol && hyp,
                 format!(
                     "VoltDB {:.0} vs {:.0}; HyPer {:.0} vs {:.0}",
-                    llcd(&get(SystemKind::VoltDb, true)),
-                    llcd(&get(SystemKind::VoltDb, false)),
-                    llcd(&get(hyper, true)),
-                    llcd(&get(hyper, false))
+                    llcd(get(SystemKind::VoltDb, true)),
+                    llcd(get(SystemKind::VoltDb, false)),
+                    llcd(get(hyper, true)),
+                    llcd(get(hyper, false))
                 ),
             ));
-            let m_kind = SystemKind::DbmsM {
-                index: DbmsMIndex::Hash,
-                compiled: true,
-            };
             let m_similar = {
-                let a = llcd(&get(m_kind, true));
-                let b = llcd(&get(m_kind, false));
+                let a = llcd(get(DBMS_M, true));
+                let b = llcd(get(DBMS_M, false));
                 (a - b).abs() < 0.5 * a.max(b).max(1.0)
             };
             out.push(Check::new(
@@ -1248,12 +1009,10 @@ impl Figures {
 
         // Figures 16-19.
         {
-            let mt = self.mt(false).clone();
-            let single: Vec<(SystemKind, Measurement)> = self
-                .sizes(true)
+            let mt = bars(&mt_micro);
+            let single: Vec<(SystemKind, &Measurement)> = systems()
                 .iter()
-                .filter(|(_, z, _)| *z == DbSize::Gb100)
-                .map(|(s, _, m)| (*s, m.clone()))
+                .map(|&s| (s, size(s, DbSize::Gb100)))
                 .collect();
             let similar = mt.iter().all(|(s, m)| {
                 let st = single
@@ -1274,7 +1033,7 @@ impl Figures {
                         .collect::<Vec<_>>()
                 ),
             ));
-            let mtc = self.mt(true).clone();
+            let mtc = bars(&mt_tpcc);
             out.push(Check::new(
                 "fig17",
                 "Multi-threaded TPC-C IPC stays near or below ~1 for all systems",

@@ -1,4 +1,4 @@
-//! `bench islands` / `figures islands` — the Hardware Islands deployment
+//! `bench islands` — the Hardware Islands deployment
 //! grid (Porobic et al., VLDB'12) on the multi-socket simulator.
 //!
 //! Every cell deploys one engine on a two-socket machine at full core
@@ -19,16 +19,14 @@
 //! pages amortize.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 use std::sync::Mutex;
 
 use engines::{Placement, SystemBuilder, SystemKind};
-use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
+use microarch::{measure_workers, Measurement, Pacing};
 use uarch_sim::{MachineConfig, Sim, StallEvent};
 use workloads::{DbSize, MicroBench, Workload};
 
-use crate::scale_factor;
+use crate::grid;
 
 /// One cell of the islands grid.
 pub struct IslandsRow {
@@ -99,19 +97,6 @@ fn grid_rows(smoke: bool) -> u64 {
     } else {
         DbSize::Gb10.rows()
     }
-}
-
-fn window(smoke: bool) -> WindowSpec {
-    let base = WindowSpec {
-        warmup: 300,
-        measured: 800,
-        reps: 2,
-    };
-    base.scaled(if smoke {
-        scale_factor().min(0.5)
-    } else {
-        scale_factor()
-    })
 }
 
 /// Cross-socket mix axis (percent of probes leaving the worker's island).
@@ -208,7 +193,8 @@ fn run_cell(cell: &Cell, smoke: bool) -> IslandsRow {
     let w = Mutex::new(w);
     let db = &*db;
     let w = &w;
-    let measurement = measure_workers(&sim, &cores, window(smoke), Pacing::Lockstep, |i| {
+    let window = grid::worker_window(smoke);
+    let measurement = measure_workers(&sim, &cores, window, Pacing::Lockstep, |i| {
         let core = cores[i];
         let mut s = db.session(core);
         move |_| {
@@ -230,34 +216,10 @@ fn run_cell(cell: &Cell, smoke: bool) -> IslandsRow {
     }
 }
 
-/// Run the deployment grid (every system x placement x cross mix), fanning
-/// cells out over OS threads; each cell owns its machine, so they are
-/// independent. Results return in grid order.
+/// Run the deployment grid (every system x placement x cross mix); each
+/// cell owns its machine. Results return in grid order.
 pub fn islands_grid(smoke: bool) -> Vec<IslandsRow> {
-    let cells = cells(smoke);
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut results: Vec<Option<IslandsRow>> = Vec::new();
-    results.resize_with(cells.len(), || None);
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = Mutex::new(&mut results);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(cells.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= cells.len() {
-                    break;
-                }
-                let row = run_cell(&cells[i], smoke);
-                results_mx.lock().unwrap()[i] = Some(row);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all cells completed"))
-        .collect()
+    grid::fan_out(&cells(smoke), |cell| run_cell(cell, smoke))
 }
 
 /// Aligned text table, grouped by system.
@@ -397,30 +359,6 @@ pub fn smoke_check(rows: &[IslandsRow]) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Run the grid, write the CSV (`islands.csv` for the full grid,
-/// `islands_smoke.csv` beside it for smoke runs — the committed exemplar
-/// is always the full grid), and return the text table.
-pub fn run(repo_root: &Path, smoke: bool) -> String {
-    let rows = islands_grid(smoke);
-    let results = repo_root.join("results");
-    fs::create_dir_all(&results).expect("create results dir");
-    let name = if smoke {
-        "islands_smoke.csv"
-    } else {
-        "islands.csv"
-    };
-    fs::write(results.join(name), render_csv(&rows)).expect("write islands csv");
-    let mut out = render(&rows);
-    let _ = writeln!(out, "\ncsv: {}", results.join(name).display());
-    match smoke_check(&rows) {
-        Ok(()) => out.push_str("islands ordering OK\n"),
-        Err(e) => {
-            let _ = writeln!(out, "FAIL: {e}");
-        }
-    }
-    out
 }
 
 #[cfg(test)]

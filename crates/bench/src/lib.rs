@@ -1,10 +1,27 @@
-//! # bench — experiment runner behind the `figures` binary
+//! # bench — the experiment harness behind the `bench` CLI
 //!
 //! [`run_point`] builds a fresh simulated machine, an engine, and a
 //! workload; bulk-loads offline; then measures with the §3 methodology
 //! (warm-up window, measured window, repetition averaging, per-worker
 //! filtering). [`run_points`] fans experiment points out over OS threads —
 //! every point owns its own simulator, so they are independent.
+//!
+//! The crate is one CLI over three shared pieces:
+//!
+//! * [`cli`] — the command table (names, flag [`args::Spec`]s, help,
+//!   handler) both binaries (`bench` and its alias `figures`) dispatch
+//!   through, and the usage text generated from it;
+//! * [`grid`] — the grid driver: ordered parallel fan-out over cells and
+//!   the `results/<name>[_smoke].csv` → `wrote` → gate → exit-code tail.
+//!   Its clients are [`scaling`], [`ccgrid`], [`islands`],
+//!   [`recover::sweep`] and, through [`run_points`], the figure suite
+//!   ([`figures`], [`suite`]);
+//! * [`replay`] — the manifest reader behind `chaos --plan` and
+//!   `recover --plan`.
+//!
+//! The single-run commands ([`trace`], [`metrics_report`], [`perf`],
+//! [`serve`], [`chaos`], [`recover`], [`diff`]) are not grids; they share
+//! only the write-and-gate tail.
 
 use std::env;
 use std::sync::Mutex;
@@ -20,20 +37,25 @@ pub mod ablations;
 pub mod args;
 pub mod ccgrid;
 pub mod chaos;
+pub mod cli;
 pub mod diff;
 pub mod figures;
+pub mod grid;
 pub mod islands;
 pub mod metrics_report;
 pub mod modules_report;
+pub mod names;
+mod oracle;
 pub mod perf;
 pub mod recover;
+pub mod replay;
 pub mod scaling;
 pub mod serve;
 pub mod suite;
 pub mod trace;
 
 /// Which workload a point runs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WorkloadCfg {
     /// The §4 micro-benchmark.
     Micro {
@@ -156,7 +178,7 @@ pub fn scale_factor() -> f64 {
 /// methods; the fields are private so that invalid worker/partition
 /// combinations are rejected at construction time rather than deep inside
 /// an engine.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Point {
     system: SystemKind,
     workload: WorkloadCfg,
@@ -287,28 +309,7 @@ pub fn run_point(point: &Point) -> Measurement {
 /// Run many points in parallel across OS threads (each point owns its own
 /// simulator; results return in input order).
 pub fn run_points(points: &[Point]) -> Vec<Measurement> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut results: Vec<Option<Measurement>> = vec![None; points.len()];
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let results_mx = std::sync::Mutex::new(&mut results);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(points.len()) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let m = run_point(&points[i]);
-                results_mx.lock().unwrap()[i] = Some(m);
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.expect("all points completed"))
-        .collect()
+    grid::fan_out(points, run_point)
 }
 
 #[cfg(test)]

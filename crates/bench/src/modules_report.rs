@@ -132,7 +132,10 @@ mod tests {
 
     #[test]
     fn shares_sum_to_one() {
-        std::env::set_var("IMOLTP_SCALE", "0.1");
+        // The same value the grid tests set: tests share the process
+        // environment, and a different scale here would shrink their
+        // windows mid-grid.
+        std::env::set_var("IMOLTP_SCALE", "0.2");
         let b = module_breakdown(SystemKind::VoltDb, "micro");
         let instr: f64 = b.rows.iter().map(|r| r.2).sum();
         let cycles: f64 = b.rows.iter().map(|r| r.3).sum();

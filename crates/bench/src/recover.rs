@@ -60,11 +60,9 @@ use storage::recovery::{recover, replay, RecoveryStats, ReplayStats};
 use storage::wal::{LogRecord, Lsn};
 use uarch_sim::{MachineConfig, Sim};
 
-use crate::chaos::system_cli;
+use crate::names::{slug, system_cli};
+use crate::oracle::{oracle_key, Fnv, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
-
-/// Worker-private oracle rows per worker.
-const KEYS_PER_WORKER: u64 = 4;
 
 /// Worker-private scratch rows per worker (aborted-increment oracle).
 const SCRATCH_KEYS: u64 = 2;
@@ -214,28 +212,6 @@ impl RecoverReport {
         }
         let idx = ((self.commit_latencies.len() - 1) as f64 * q).round() as usize;
         self.commit_latencies[idx]
-    }
-}
-
-/// FNV-1a over u64 words (same construction as the golden-counter
-/// digests, so any drift in recovered row state flips it).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn bytes(&mut self, b: &[u8]) {
-        for &byte in b {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
     }
 }
 
@@ -391,11 +367,6 @@ struct RecoverWorker {
 struct CrashInfo {
     slot: u64,
     status: Vec<engines::LogStatus>,
-}
-
-/// Stable worker-private oracle key (strided like the workload keys).
-fn oracle_key(worker: usize, workers: usize, k: u64) -> u64 {
-    (k * workers as u64 + worker as u64) * 64
 }
 
 /// Which log stream a worker's transactions land on.
@@ -883,10 +854,71 @@ fn manifest_json(
     ])
 }
 
+/// Human-readable summary of one run.
+pub fn render_run(report: &RecoverReport, cfg: &RecoverCfg) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "recover: {} / {} / {} worker(s), epoch {}, kill slot {} of {}",
+        cfg.system.label(),
+        cfg.workload_name,
+        cfg.workers,
+        cfg.epoch,
+        report.schedule.kill_at,
+        report.schedule.slots
+    );
+    let _ = writeln!(
+        out,
+        "  crashed {}  confirmed {}  committed {}  winners {}  unfinished {}  aborted {}",
+        report.crashed,
+        report.confirmed,
+        report.committed,
+        report.recovery.winners,
+        report.recovery.unfinished,
+        report.recovery.aborted
+    );
+    for (i, c) in report.checkpoints.iter().enumerate() {
+        let _ = writeln!(
+            out,
+            "  checkpoint[{i}]: complete {}  image_rows {}",
+            c.complete, c.image_rows
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  redo {} (skipped {})  undo {} (skipped {})  image rows {}",
+        report.recovery.redo_applied,
+        report.recovery.redo_skipped,
+        report.recovery.undo_applied,
+        report.recovery.undo_skipped,
+        report.recovery.image_rows
+    );
+    let _ = writeln!(
+        out,
+        "  commit latency p50/p99 {:.0}/{:.0} cycles over {} samples",
+        report.latency_quantile(0.5),
+        report.latency_quantile(0.99),
+        report.commit_latencies.len()
+    );
+    for (t, d) in &report.digests {
+        let _ = writeln!(out, "  table {t} digest {d:#018x}");
+    }
+    let _ = writeln!(
+        out,
+        "  lost {}  phantom {}  aborted effects {}  digests match {}  re-recovery identical {}",
+        report.lost_updates,
+        report.phantom_updates,
+        report.aborted_effects,
+        report.digests_match,
+        report.second_match
+    );
+    out
+}
+
 /// Write the manifest under `dir`; returns its path.
 pub fn write_manifest(report: &RecoverReport, cfg: &RecoverCfg, dir: &Path) -> std::path::PathBuf {
     fs::create_dir_all(dir).expect("create results dir");
-    let slug = |s: &str| s.to_ascii_lowercase().replace([' ', '-'], "_");
     let path = dir.join(format!(
         "recover_{}_{}.json",
         slug(cfg.system.label()),
@@ -913,6 +945,8 @@ pub struct RecoverRow {
 /// The nightly sweep: engines x kill points x group-commit epochs. The
 /// `early` kill lands one slot after checkpoint capture starts (the
 /// prefix-consistency stress), `mid` at 60%, `late` at 90% of the window.
+/// Cells run one after another, not through [`crate::grid::fan_out`]: the
+/// fault injector that delivers the kill is process-global.
 pub fn sweep(smoke: bool) -> Vec<RecoverRow> {
     let systems: &[SystemKind] = if smoke {
         &[SystemKind::ShoreMt, SystemKind::HyPer]

@@ -1,4 +1,4 @@
-//! `figures scaling` — throughput/IPC scaling vs worker count.
+//! `bench scaling` — throughput/IPC scaling vs worker count.
 //!
 //! The paper's §7 runs its multi-threaded experiments at one fixed client
 //! count; this grid sweeps the worker count instead and contrasts the
@@ -9,14 +9,12 @@
 //! pure engine/coherence overhead, not logical contention.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::path::Path;
 
 use engines::SystemKind;
-use microarch::{Measurement, WindowSpec};
+use microarch::Measurement;
 use workloads::DbSize;
 
-use crate::{run_points, scale_factor, Point, WorkloadCfg};
+use crate::{grid, run_points, Point, WorkloadCfg};
 
 /// One cell of the scaling grid.
 pub struct ScalingRow {
@@ -45,23 +43,7 @@ impl ScalingRow {
 /// Worker counts swept per system. The smoke grid still reaches 4 workers
 /// — the contended case the lock-free simulator fast path is built for —
 /// just with a shrunken measurement window.
-pub fn worker_grid(smoke: bool) -> Vec<usize> {
-    let _ = smoke;
-    vec![1, 2, 4]
-}
-
-fn window(smoke: bool) -> WindowSpec {
-    let base = WindowSpec {
-        warmup: 300,
-        measured: 800,
-        reps: 2,
-    };
-    base.scaled(if smoke {
-        scale_factor().min(0.5)
-    } else {
-        scale_factor()
-    })
-}
+pub const WORKER_GRID: [usize; 3] = [1, 2, 4];
 
 /// Run the full grid: every system crossed with every worker count.
 pub fn scaling_grid(smoke: bool) -> Vec<ScalingRow> {
@@ -71,11 +53,10 @@ pub fn scaling_grid(smoke: bool) -> Vec<ScalingRow> {
         read_only: false,
         strings: false,
     };
-    let workers = worker_grid(smoke);
-    let win = window(smoke);
+    let win = grid::worker_window(smoke);
     let mut points = Vec::new();
     for &sys in SystemKind::ALL.iter() {
-        for &w in &workers {
+        for &w in &WORKER_GRID {
             points.push(Point::new(sys, workload.clone()).workers(w).window(win));
         }
     }
@@ -165,15 +146,25 @@ pub fn render_csv(rows: &[ScalingRow]) -> String {
     out
 }
 
-/// Run the grid, write `results/scaling.csv`, and return the text table.
-pub fn run(repo_root: &Path, smoke: bool) -> String {
-    let rows = scaling_grid(smoke);
-    let results = repo_root.join("results");
-    fs::create_dir_all(&results).expect("create results dir");
-    fs::write(results.join("scaling.csv"), render_csv(&rows)).expect("write scaling.csv");
-    let mut out = render(&rows);
-    let _ = writeln!(out, "\ncsv: {}", results.join("scaling.csv").display());
-    out
+/// The gate: partitioned engines must scale strictly better than every
+/// shared-everything engine at the top worker count — they own their
+/// partitions outright, while the shared-everything engines pay the
+/// latch-contention and coherence tax. Deterministic simulation, so no
+/// noise margin is needed.
+pub fn check(rows: &[ScalingRow]) -> Result<(), String> {
+    let top = WORKER_GRID[WORKER_GRID.len() - 1];
+    let at_top = |partitioned| {
+        rows.iter()
+            .filter(move |r| r.partitioned == partitioned && r.workers == top)
+    };
+    let best_shared = at_top(false).map(|r| r.speedup).fold(0.0, f64::max);
+    match at_top(true).find(|r| r.speedup <= best_shared) {
+        Some(r) => Err(format!(
+            "{}: speedup {:.3} <= best shared {:.3} at {top} workers",
+            r.system, r.speedup, best_shared
+        )),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -185,33 +176,14 @@ mod tests {
         std::env::set_var("IMOLTP_SCALE", "0.2");
         let rows = scaling_grid(true);
         // One row per (system, workers) cell.
-        assert_eq!(rows.len(), SystemKind::ALL.len() * worker_grid(true).len());
+        assert_eq!(rows.len(), SystemKind::ALL.len() * WORKER_GRID.len());
         for r in &rows {
             assert!(r.measurement.tps > 0.0, "{} tps", r.system);
             if r.workers == 1 {
                 assert!((r.speedup - 1.0).abs() < 1e-9);
             }
         }
-        // Partitioned engines must scale strictly better than every
-        // shared-everything engine at the top worker count: they own their
-        // partitions outright, while the shared-everything engines pay the
-        // latch-contention and coherence tax. Deterministic simulation, so
-        // no noise margin is needed.
-        let top = *worker_grid(true).last().unwrap();
-        let best_shared = rows
-            .iter()
-            .filter(|r| !r.partitioned && r.workers == top)
-            .map(|r| r.speedup)
-            .fold(0.0, f64::max);
-        for r in rows.iter().filter(|r| r.partitioned && r.workers == top) {
-            assert!(
-                r.speedup > best_shared,
-                "{}: speedup {:.3} <= best shared {:.3}",
-                r.system,
-                r.speedup,
-                best_shared
-            );
-        }
+        check(&rows).unwrap();
         let csv = render_csv(&rows);
         assert!(csv.lines().count() == rows.len() + 1);
         assert!(render(&rows).contains("speedup"));

@@ -1,4 +1,4 @@
-//! The `figures all` pipeline: run every experiment, write per-figure CSVs
+//! The `bench all` pipeline: run every experiment, write per-figure CSVs
 //! under `results/`, and regenerate `EXPERIMENTS.md`.
 
 use std::fmt::Write as _;
@@ -41,45 +41,12 @@ fn expectation(id: &str) -> &'static str {
     }
 }
 
-/// Generate every figure in paper order.
-pub fn all_figures(f: &mut Figures) -> Vec<Fig> {
-    vec![
-        Fig::Scalar(f.fig_ipc_vs_size(true)),
-        Fig::Stall(f.fig_spki_vs_size(true)),
-        Fig::Stall(f.fig_spt_100gb(true)),
-        Fig::Scalar(f.fig_ipc_vs_rows(true)),
-        Fig::Stall(f.fig_spki_vs_rows(true)),
-        Fig::Stall(f.fig_spt_vs_rows(true)),
-        Fig::Scalar(f.fig_engine_share()),
-        Fig::Scalar(f.fig_tpcb_ipc()),
-        Fig::Stall(f.fig_tpcb_spki()),
-        Fig::Scalar(f.fig_tpcc_ipc()),
-        Fig::Stall(f.fig_tpcc_spki()),
-        Fig::Stall(f.fig_tpcc_spt()),
-        Fig::Stall(f.fig_index_compilation_micro(true)),
-        Fig::Stall(f.fig_index_compilation_tpcc()),
-        Fig::Stall(f.fig_data_types(true)),
-        Fig::Scalar(f.fig_mt_ipc(false)),
-        Fig::Scalar(f.fig_mt_ipc(true)),
-        Fig::Stall(f.fig_mt_spki(false)),
-        Fig::Stall(f.fig_mt_spki(true)),
-        Fig::Scalar(f.fig_ipc_vs_size(false)),
-        Fig::Stall(f.fig_spki_vs_size(false)),
-        Fig::Stall(f.fig_spt_100gb(false)),
-        Fig::Scalar(f.fig_ipc_vs_rows(false)),
-        Fig::Stall(f.fig_spki_vs_rows(false)),
-        Fig::Stall(f.fig_spt_vs_rows(false)),
-        Fig::Stall(f.fig_index_compilation_micro(false)),
-        Fig::Stall(f.fig_data_types(false)),
-    ]
-}
-
 /// Run everything, write `results/*.csv`, regenerate `EXPERIMENTS.md`, and
 /// print the text tables + check summary. Returns the number of failed
 /// checks.
 pub fn run_all(repo_root: &Path) -> usize {
     let mut figures = Figures::new();
-    let figs = all_figures(&mut figures);
+    let figs = figures.all();
     let checks = figures.checks();
 
     let results = repo_root.join("results");

@@ -17,59 +17,9 @@ use obs::flame::StallComponent;
 use obs::sink::{JsonlSink, PerfettoSink, VecSink};
 use obs::{Phase, Tracer};
 use uarch_sim::{EventCounts, MachineConfig, Sim};
-use workloads::DbSize;
 
+use crate::names::slug;
 use crate::WorkloadCfg;
-
-/// Parse a CLI system name (`shore-mt`, `dbmsd`, `voltdb`, `hyper`,
-/// `dbmsm`, `dbmsm-interp`, `dbmsm-btree`).
-pub fn parse_system(s: &str) -> Option<SystemKind> {
-    use engines::DbmsMIndex;
-    match s.to_ascii_lowercase().replace(['_', ' '], "-").as_str() {
-        "shore" | "shoremt" | "shore-mt" => Some(SystemKind::ShoreMt),
-        "dbmsd" | "dbms-d" => Some(SystemKind::DbmsD),
-        "voltdb" => Some(SystemKind::VoltDb),
-        "hyper" => Some(SystemKind::HyPer),
-        "dbmsm" | "dbms-m" => Some(SystemKind::DbmsM {
-            index: DbmsMIndex::Hash,
-            compiled: true,
-        }),
-        "dbmsm-interp" => Some(SystemKind::DbmsM {
-            index: DbmsMIndex::Hash,
-            compiled: false,
-        }),
-        "dbmsm-btree" => Some(SystemKind::dbms_m_for_tpcc()),
-        _ => None,
-    }
-}
-
-/// Parse a CLI workload name (`micro`, `micro-rw`, `tpcb`, `tpcc`,
-/// `tpce`).
-pub fn parse_workload(s: &str) -> Option<WorkloadCfg> {
-    match s.to_ascii_lowercase().replace(['_', ' '], "-").as_str() {
-        "micro" => Some(WorkloadCfg::Micro {
-            size: DbSize::Gb10,
-            rows_per_txn: 1,
-            read_only: true,
-            strings: false,
-        }),
-        "micro-rw" => Some(WorkloadCfg::Micro {
-            size: DbSize::Gb10,
-            rows_per_txn: 1,
-            read_only: false,
-            strings: false,
-        }),
-        "tpcb" => Some(WorkloadCfg::TpcB),
-        "tpcc" => Some(WorkloadCfg::TpcC),
-        "tpce" => Some(WorkloadCfg::TpcE),
-        _ => None,
-    }
-}
-
-/// File-name slug for a system label ("Shore-MT" -> "shore_mt").
-fn slug(label: &str) -> String {
-    label.to_ascii_lowercase().replace([' ', '-'], "_")
-}
 
 /// Result of a traced run: the measurement plus the export paths.
 pub struct TraceArtifacts {
@@ -96,7 +46,7 @@ pub fn run_trace(
     wl_name: &str,
     out_dir: &Path,
 ) -> TraceArtifacts {
-    run_trace_workers(system, workload, wl_name, out_dir, 1)
+    run_trace_flame(system, workload, wl_name, out_dir, 1, None)
 }
 
 /// Run one traced point with `workers` parallel sessions. With one worker
@@ -105,22 +55,12 @@ pub fn run_trace(
 /// sink, and after the workers join the per-thread span streams are merged
 /// by simulated timestamp and replayed through a harness tracer that owns
 /// the Perfetto/JSONL exports — one coherent trace file across all cores.
-pub fn run_trace_workers(
-    system: SystemKind,
-    workload: &WorkloadCfg,
-    wl_name: &str,
-    out_dir: &Path,
-    workers: usize,
-) -> TraceArtifacts {
-    run_trace_flame(system, workload, wl_name, out_dir, workers, None)
-}
-
-/// [`run_trace_workers`] that additionally folds the span stream into a
-/// stall-weighted collapsed-stack flamegraph when `flame` selects a
-/// component. The fold's weights plus per-core `(untraced)` residuals sum
-/// exactly to the component's stall cycles counted over the traced period
-/// (counters snapshotted around the run), which
-/// [`TraceArtifacts::flame_total`] reports.
+///
+/// When `flame` selects a component the span stream is additionally folded
+/// into a stall-weighted collapsed-stack flamegraph. The fold's weights
+/// plus per-core `(untraced)` residuals sum exactly to the component's
+/// stall cycles counted over the traced period (counters snapshotted
+/// around the run), which [`TraceArtifacts::flame_total`] reports.
 pub fn run_trace_flame(
     system: SystemKind,
     workload: &WorkloadCfg,
@@ -323,15 +263,11 @@ pub fn render(m: &Measurement, title: &str) -> String {
     out
 }
 
-/// `figures phases` — per-phase total SPKI for every system on one
+/// `bench phases` — per-phase total SPKI for every system on one
 /// workload, as a compact grid. Runs sequentially because the tracer is
 /// thread-local.
-pub fn phases_table(workload: &str) -> String {
+pub fn phases_table(workload: &str, cfg: &WorkloadCfg) -> String {
     use std::fmt::Write as _;
-    let cfg = parse_workload(workload).unwrap_or_else(|| {
-        eprintln!("unknown workload {workload:?}, defaulting to micro");
-        parse_workload("micro").unwrap()
-    });
     let phases = Phase::ALL;
     let mut out = String::new();
     let _ = writeln!(out, "== per-phase SPKI ({workload}; stall cycles per k-instr of the window attributed to each phase's own work) ==");
@@ -346,7 +282,7 @@ pub fn phases_table(workload: &str) -> String {
             (SystemKind::DbmsM { .. }, "tpcc" | "tpce") => SystemKind::dbms_m_for_tpcc(),
             (s, _) => s,
         };
-        let art = run_trace(sys, &cfg, workload, &tmp);
+        let art = run_trace(sys, cfg, workload, &tmp);
         let m = &art.measurement;
         let k_instr = m.counts.instructions as f64 / 1000.0;
         let _ = write!(out, "{:<10}", sys.label());
@@ -376,15 +312,7 @@ pub fn phases_table(workload: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_names() {
-        assert_eq!(parse_system("voltdb"), Some(SystemKind::VoltDb));
-        assert_eq!(parse_system("Shore-MT"), Some(SystemKind::ShoreMt));
-        assert!(parse_system("oracle").is_none());
-        assert!(parse_workload("tpcc").is_some());
-        assert!(parse_workload("nope").is_none());
-    }
+    use workloads::DbSize;
 
     #[test]
     fn traced_micro_run_produces_phases_and_files() {
@@ -461,7 +389,7 @@ mod tests {
             read_only: false,
             strings: false,
         };
-        let art = run_trace_workers(SystemKind::VoltDb, &cfg, "micro_mt", &dir, 2);
+        let art = run_trace_flame(SystemKind::VoltDb, &cfg, "micro_mt", &dir, 2, None);
         let m = &art.measurement;
         assert!(!m.phases.is_empty(), "merged run must carry phases");
         let txn = m

@@ -19,11 +19,11 @@ use std::sync::{Condvar, Mutex};
 
 use uarch_sim::Sim;
 
-use crate::metrics::Measurement;
+use crate::measurement::Measurement;
 use crate::profiler::{Profiler, Sample};
 
 /// Window specification for one experiment point.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowSpec {
     /// Transactions executed (and discarded) to warm caches and structures.
     pub warmup: u64,

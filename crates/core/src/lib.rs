@@ -12,7 +12,7 @@
 //! * [`profiler::Profiler`] — "attach" to a running engine's core and take
 //!   counter-window deltas (the analogue of sampling the middle 30 s of a
 //!   60 s run);
-//! * [`metrics::Measurement`] — derived metrics for one window;
+//! * [`measurement::Measurement`] — derived metrics for one window;
 //! * [`experiment`] — warm-up / measure windows, repetition averaging
 //!   (the paper repeats every experiment three times), and multi-worker
 //!   aggregation (the paper averages per-worker-thread counters);
@@ -20,11 +20,11 @@
 //!   aligned text / markdown / CSV).
 
 pub mod experiment;
-pub mod metrics;
+pub mod measurement;
 pub mod profiler;
 pub mod report;
 
 pub use experiment::{measure, measure_multi, measure_workers, Pacing, WindowSpec};
-pub use metrics::{Measurement, ModuleShare};
+pub use measurement::{Measurement, ModuleShare};
 pub use profiler::{Profiler, Sample};
 pub use report::{markdown_table, ScalarFigure, StallFigure};

@@ -2,7 +2,7 @@
 //!
 //! The workspace is offline (no serde_json), so trace export renders JSON
 //! through this module. The parser exists so tests — and the acceptance
-//! criterion that Perfetto output is valid JSON — can validate exported
+//! check that Perfetto output is valid JSON — can validate exported
 //! documents without external crates. It accepts standard JSON; it does
 //! not aim to reject every malformed corner case.
 
