@@ -3,8 +3,9 @@
 //! Every experiment in this repo is bounded by how fast [`uarch_sim`]
 //! retires simulated accesses, so this benchmark times the simulator's own
 //! hot paths (not any engine): pure L1-hit loads on one core, a mixed
-//! transaction-like shape (instruction fetch + reads + a store), and the
-//! same mixed shape on every core concurrently. Results go to
+//! transaction-like shape (instruction fetch + reads + a store), the same
+//! mixed shape on every core concurrently, and an instruction-fetch sweep
+//! over a Shore-MT-sized code footprint. Results go to
 //! `results/perf.json`; `--check <baseline.json>` fails the process when
 //! throughput regresses more than 30% against a recorded baseline, which
 //! is how CI guards the fast path.
@@ -18,6 +19,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use obs::json::{self, Json};
+use uarch_sim::code::INSTRS_PER_LINE;
 use uarch_sim::rng::XorShift64;
 use uarch_sim::{BatchOp, MachineConfig, ModuleSpec, Sim};
 
@@ -252,6 +254,57 @@ fn mixed_numa(iters_per_core: u64) -> Section {
     }
 }
 
+/// Shore-MT's code footprint (`engines::shore_mt`'s module table: bytes,
+/// reuse, branchiness) with the instructions each module retires per turn.
+const SWEEP_MODULES: [(u32, f64, f64, u64); 7] = [
+    (40 << 10, 2.7, 0.24, 5600),
+    (28 << 10, 2.5, 0.22, 5200),
+    (24 << 10, 2.6, 0.22, 1800),
+    (24 << 10, 2.9, 0.16, 2300),
+    (24 << 10, 2.9, 0.16, 1000),
+    (16 << 10, 2.8, 0.16, 1500),
+    (20 << 10, 2.4, 0.18, 3600),
+];
+
+/// Instruction fetch the way a disk-based engine drives it: seven modules,
+/// 176 KB of code, rotating through the 32 KB L1I on one ported core. Four
+/// fetched lines in five miss L1I and hit L2 — the regime the engines
+/// spend most of their host time in, which no other section reaches (the
+/// mixed shape's one 24 KB module stays L1I-resident). `accesses` counts
+/// unique instruction lines fetched, two cache probes each on an L1I miss.
+fn fetch_sweep(turns: u64) -> Section {
+    let sim = Sim::new(MachineConfig::ivy_bridge(1));
+    let _port = sim.checkout(0);
+    let mut lines_per_turn = 0;
+    let mut instr_per_turn = 0;
+    let mems: Vec<_> = SWEEP_MODULES
+        .iter()
+        .enumerate()
+        .map(|(i, &(bytes, reuse, branchiness, burst))| {
+            // Unique lines per burst, as `Machine::fetch_code` derives them.
+            lines_per_turn +=
+                ((burst as f64 / (INSTRS_PER_LINE as f64 * reuse)).ceil() as u64).max(1);
+            instr_per_turn += burst;
+            let spec = ModuleSpec::new(format!("perf/sweep-{i}"), bytes)
+                .reuse(reuse)
+                .branchiness(branchiness);
+            (sim.mem(0).with_module(sim.register_module(spec)), burst)
+        })
+        .collect();
+    time_section(
+        "fetch_sweep",
+        turns * lines_per_turn,
+        turns * instr_per_turn,
+        || {
+            for _ in 0..turns {
+                for (mem, burst) in &mems {
+                    mem.exec(*burst);
+                }
+            }
+        },
+    )
+}
+
 /// Run the benchmark. Smoke mode shrinks every section ~20x so CI finishes
 /// in well under a second.
 pub fn run(smoke: bool) -> PerfReport {
@@ -261,6 +314,7 @@ pub fn run(smoke: bool) -> PerfReport {
         mixed_single(1_500_000 / scale),
         mixed_multi(600_000 / scale),
         mixed_numa(600_000 / scale),
+        fetch_sweep(60_000 / scale),
     ];
     PerfReport { sections }
 }
@@ -339,6 +393,7 @@ mod tests {
         assert!(r.section("mixed_1core").is_some());
         assert!(r.section("mixed_multicore").is_some());
         assert!(r.section("mixed_numa").is_some());
+        assert!(r.section("fetch_sweep").is_some());
         for s in &r.sections {
             assert!(s.accesses_per_sec() > 0.0);
         }

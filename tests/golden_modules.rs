@@ -6,16 +6,20 @@
 //! paths no other tier-1 golden covers: the update/insert/delete/scan
 //! paths, a pluggable CC protocol, durable mode including the retained
 //! log streams, the two-session latch model, and the NUMA cross-partition
-//! `mp_*` path. A refactor must be observation-equivalent: every event
-//! counter, per core and per module, stays bit-identical. The full
-//! counter state is folded into an FNV-1a hash so a drift anywhere — a
-//! module's store count, a single L2I miss — flips the digest.
+//! `mp_*` path. The inclusive-LLC and next-line-prefetch rows were captured
+//! before the recency-ordered cache sets replaced the stamp-scan LRU and
+//! pin what no other golden reaches: the identity of every evicted line
+//! and `Cache::invalidate`. A refactor must be observation-equivalent:
+//! every event counter, per core and per module, stays bit-identical. The
+//! full counter state is folded into an FNV-1a hash so a drift anywhere —
+//! a module's store count, a single L2I miss — flips the digest.
 
 use imoltp::analysis::{measure, WindowSpec};
 use imoltp::bench::tpcc::{TpcC, TpcCScale};
 use imoltp::bench::{DbSize, MicroBench, TpcB, Workload};
 use imoltp::db::{Column, DataType, Schema, TableDef, Value};
-use imoltp::sim::{EventCounts, MachineConfig, Sim};
+use imoltp::sim::config::CacheGeometry;
+use imoltp::sim::{EventCounts, MachineConfig, Sim, StallEvent};
 use imoltp::systems::{CcPolicy, DbmsMIndex, DurabilityCfg, Placement, SystemBuilder, SystemKind};
 use SystemKind::{DbmsD, HyPer, ShoreMt, VoltDb};
 
@@ -96,6 +100,12 @@ enum Scenario {
     /// Two sockets x two cores, island placement, half the probes aimed
     /// at the partner partition: `mp_read` and `mp_update`.
     NumaCross,
+    /// [`Scenario::TwoSessions`] under an inclusive LLC shrunk to 1 MB, so
+    /// fills evict and every victim is back-invalidated — inline on the
+    /// evicting core, through the coherence queue on the other.
+    InclusiveLlc,
+    /// [`Scenario::MicroRo`] with the next-line instruction prefetcher on.
+    NextLinePrefetch,
     /// TPC-B, one branch.
     TpcB,
     /// Smoke-scale TPC-C: inserts, deletes, range scans, secondary tables.
@@ -110,6 +120,12 @@ fn scenario_digest(scenario: Scenario, kind: SystemKind) -> u64 {
         Scenario::TwoSessions => micro_digest_two_cores(kind, MachineConfig::ivy_bridge(2), true),
         Scenario::Durable => durable_digest(kind),
         Scenario::NumaCross => numa_cross_digest(kind),
+        Scenario::InclusiveLlc => inclusive_llc_digest(kind),
+        Scenario::NextLinePrefetch => {
+            let mut machine = MachineConfig::ivy_bridge(1);
+            machine.i_prefetch_next_line = true;
+            micro_digest_on(kind, machine)
+        }
         Scenario::TpcB => tpcb_digest(kind),
         Scenario::TpcC => tpcc_digest(kind),
     }
@@ -178,6 +194,16 @@ fn measured_digest(
 /// alternating the two sessions so the interleaving is deterministic,
 /// folding both cores' counter state into one digest.
 fn micro_digest_two_cores(kind: SystemKind, machine: MachineConfig, read_write: bool) -> u64 {
+    let sim = micro_two_cores(kind, machine, read_write);
+    let mut h = Fnv::new();
+    h.word(digest(&sim, 0));
+    h.word(digest(&sim, 1));
+    h.0
+}
+
+/// The two-session run behind [`micro_digest_two_cores`]; returns the
+/// machine it ran on.
+fn micro_two_cores(kind: SystemKind, machine: MachineConfig, read_write: bool) -> Sim {
     let sim = Sim::new(machine);
     let mut db = SystemBuilder::new(kind).cores(2).build(&sim);
     let mut w = MicroBench::new(DbSize::Mb1).with_rows(30_000).seed(4242);
@@ -194,10 +220,30 @@ fn micro_digest_two_cores(kind: SystemKind, machine: MachineConfig, read_write: 
     }
     drop(s0);
     drop(s1);
-    let mut h = Fnv::new();
-    h.word(digest(&sim, 0));
-    h.word(digest(&sim, 1));
-    h.0
+    drop(db);
+    sim
+}
+
+/// The two-session read-write run on an inclusive LLC. The 30 000-row table
+/// fits the Table-1 16 MB LLC, where nothing would ever be evicted, so the
+/// LLC is shrunk to 1 MB; the asserts keep the row from going vacuous.
+fn inclusive_llc_digest(kind: SystemKind) -> u64 {
+    let mut machine = MachineConfig::ivy_bridge(2);
+    machine.inclusive_llc = true;
+    machine.llc = CacheGeometry::new(1 << 20, 64, 16);
+    let sim = micro_two_cores(kind, machine, true);
+    assert!(
+        sim.machine().coherence_totals().0 > 0,
+        "{kind:?}: no invalidation was ever queued"
+    );
+    let llc_d: u64 = (0..sim.cores())
+        .map(|c| sim.counters(c).misses[StallEvent::LlcD as usize])
+        .sum();
+    assert!(
+        llc_d > 0,
+        "{kind:?}: no load missed the LLC, nothing evicted"
+    );
+    digest_all_cores(&sim)
 }
 
 /// Durable mode end to end: `build_durable` + `enable_durability`, then a
@@ -377,6 +423,16 @@ const MICRO_GOLDEN: &[Golden] = &[
     (Scenario::TwoSessions, DBMS_M, 0x13c5fda39ad2640b),
     (Scenario::NumaCross, VoltDb, 0x5e01962422f38475),
     (Scenario::NumaCross, HyPer, 0x0b776dad872bb4c0),
+    (Scenario::InclusiveLlc, ShoreMt, 0xef5678b573034c6b),
+    (Scenario::InclusiveLlc, DbmsD, 0x6d8ced0b1b284274),
+    (Scenario::InclusiveLlc, VoltDb, 0xe23d931608760c79),
+    (Scenario::InclusiveLlc, HyPer, 0x00b9385ab8596959),
+    (Scenario::InclusiveLlc, DBMS_M, 0xb874cc7780fb2db8),
+    (Scenario::NextLinePrefetch, ShoreMt, 0x7c80511ba30adbb8),
+    (Scenario::NextLinePrefetch, DbmsD, 0xf024f0294a7c8ccf),
+    (Scenario::NextLinePrefetch, VoltDb, 0x4ea12ad684d0a76e),
+    (Scenario::NextLinePrefetch, HyPer, 0x963c9ab08201c373),
+    (Scenario::NextLinePrefetch, DBMS_M, 0x0c672d462f759ba7),
 ];
 
 /// TPC-shaped rows: TPC-B and smoke-scale TPC-C on every engine.
