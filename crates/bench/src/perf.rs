@@ -275,16 +275,18 @@ const SWEEP_MODULES: [(u32, f64, f64, u64); 7] = [
 fn fetch_sweep(turns: u64) -> Section {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
     let _port = sim.checkout(0);
-    let mut lines_per_turn = 0;
-    let mut instr_per_turn = 0;
+    // Unique lines per burst, as `Machine::fetch_code` derives them.
+    let lines_per_turn: u64 = SWEEP_MODULES
+        .iter()
+        .map(|&(_, reuse, _, burst)| {
+            ((burst as f64 / (INSTRS_PER_LINE as f64 * reuse)).ceil() as u64).max(1)
+        })
+        .sum();
+    let instr_per_turn: u64 = SWEEP_MODULES.iter().map(|m| m.3).sum();
     let mems: Vec<_> = SWEEP_MODULES
         .iter()
         .enumerate()
         .map(|(i, &(bytes, reuse, branchiness, burst))| {
-            // Unique lines per burst, as `Machine::fetch_code` derives them.
-            lines_per_turn +=
-                ((burst as f64 / (INSTRS_PER_LINE as f64 * reuse)).ceil() as u64).max(1);
-            instr_per_turn += burst;
             let spec = ModuleSpec::new(format!("perf/sweep-{i}"), bytes)
                 .reuse(reuse)
                 .branchiness(branchiness);

@@ -155,17 +155,19 @@ fn default_remote_penalty() -> u32 {
 
 impl MachineConfig {
     /// The paper's server (Table 1): 32 KB L1I + 32 KB L1D (8-way),
-    /// 256 KB L2 (8-way), 20 MB shared LLC (20-way), 64 B lines,
-    /// penalties 8 / 19 / 167 cycles, 2.0 GHz, 4-wide retire.
+    /// 256 KB L2 (8-way), a shared LLC modelled as 16 MB 16-way (the real
+    /// one is 20 MB 20-way), 64 B lines, penalties 8 / 19 / 167 cycles,
+    /// 2.0 GHz, 4-wide retire.
     pub fn ivy_bridge(cores: usize) -> Self {
         assert!((1..=64).contains(&cores), "1..=64 cores supported");
         MachineConfig {
             l1i: CacheGeometry::new(32 << 10, 64, 8),
             l1d: CacheGeometry::new(32 << 10, 64, 8),
             l2: CacheGeometry::new(256 << 10, 64, 8),
-            // 20 MB is not a power of two; model it as 16 MB + keep 20 ways.
-            // The fits-in-LLC boundary the paper exercises (10 MB vs 10 GB)
-            // is preserved.
+            // 20 MB 20-way gives no power-of-two set count; model it as
+            // 16 MB 16-way, which keeps the real LLC's 16 384 sets. The
+            // fits-in-LLC boundary the paper exercises (10 MB vs 10 GB) is
+            // preserved.
             llc: CacheGeometry::new(16 << 20, 64, 16),
             l1_penalty: 8,
             l2_penalty: 19,

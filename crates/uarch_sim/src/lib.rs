@@ -62,8 +62,9 @@ pub const LINE: u64 = 64;
 
 /// Shared handle to a simulated machine.
 ///
-/// The machine is internally synchronized (per-core mutexes plus a shared
-/// LLC lock — see [`machine`]), so `Sim` is `Send + Sync`: worker threads
+/// The machine is internally synchronized (owned core ports with a
+/// spinlock fallback, queued coherence invalidations and a lock-striped
+/// LLC — see [`machine`]), so `Sim` is `Send + Sync`: worker threads
 /// clone the handle and drive their own cores concurrently, sharing the
 /// LLC and coherence traffic exactly like threads of one server process.
 #[derive(Clone)]

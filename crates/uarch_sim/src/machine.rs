@@ -908,17 +908,18 @@ impl Machine {
         mc.mispredicts += mp;
 
         let prefetch = self.cfg.i_prefetch_next_line;
+        let far_jump = XorShift64::chance_threshold(d.branchiness);
+        // Misses per level, added to the counters once after the walk.
+        let (mut l1i, mut l2i, mut llc_i) = (0u64, 0u64, 0u64);
         let mut cursor = c.cursors[mi] % d.seg_lines;
         for _ in 0..unique {
             let line = d.base_line + cursor;
             // L1I -> L2 -> LLC
             if !c.l1i.access(line).hit {
-                Self::bump(c, module, StallEvent::L1i);
+                l1i += 1;
                 if !c.l2.access(line).hit {
-                    Self::bump(c, module, StallEvent::L2i);
-                    if !self.llc_access(c.socket, line).hit {
-                        Self::bump(c, module, StallEvent::LlcI);
-                    }
+                    l2i += 1;
+                    llc_i += u64::from(!self.llc_access(c.socket, line).hit);
                 }
                 if prefetch && cursor + 1 < d.seg_lines {
                     // Pull the next line alongside the demand miss; no
@@ -928,7 +929,7 @@ impl Machine {
                     self.llc_access(c.socket, line + 1);
                 }
             }
-            if d.branchiness > 0.0 && c.rng.chance(d.branchiness) {
+            if c.rng.chance_below(far_jump) {
                 cursor = c.rng.next_below(d.seg_lines);
             } else {
                 // `cursor < seg_lines` always holds here, so the wrap is a
@@ -940,6 +941,14 @@ impl Machine {
             }
         }
         c.cursors[mi] = cursor;
+        for (e, n) in [
+            (StallEvent::L1i, l1i),
+            (StallEvent::L2i, l2i),
+            (StallEvent::LlcI, llc_i),
+        ] {
+            c.counts.misses[e as usize] += n;
+            c.module_counts[mi].misses[e as usize] += n;
+        }
     }
 
     /// Perform a data access of `len` bytes at byte address `addr`

@@ -42,13 +42,32 @@ impl XorShift64 {
 
     /// Bernoulli draw with probability `p` (clamped to [0, 1]).
     pub fn chance(&mut self, p: f64) -> bool {
+        self.chance_below(Self::chance_threshold(p))
+    }
+
+    /// The integer form of `p` that [`XorShift64::chance_below`] compares a
+    /// draw against, for callers that test the same `p` many times. A
+    /// 53-bit draw `k` fires when `k · 2⁻⁵³ < p`, i.e. `k < ⌈p · 2⁵³⌉`
+    /// (both products are exact in `f64`); 0 and `u64::MAX` stand for
+    /// "never" and "always", which consume no draw.
+    pub fn chance_threshold(p: f64) -> u64 {
         if p <= 0.0 {
-            return false;
+            0
+        } else if p >= 1.0 {
+            u64::MAX
+        } else {
+            (p * (1u64 << 53) as f64).ceil() as u64
         }
-        if p >= 1.0 {
-            return true;
+    }
+
+    /// Bernoulli draw against a [`XorShift64::chance_threshold`].
+    #[inline]
+    pub fn chance_below(&mut self, threshold: u64) -> bool {
+        match threshold {
+            0 => false,
+            u64::MAX => true,
+            t => self.next_u64() >> 11 < t,
         }
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
     }
 }
 
@@ -84,6 +103,40 @@ mod tests {
         let mut r = XorShift64::new(7);
         assert!(!r.chance(0.0));
         assert!(r.chance(1.0));
+    }
+
+    /// The threshold form against the float expression it replaced: same
+    /// outcome on every draw, same generator state after it — including no
+    /// draw at all at the extremes.
+    #[test]
+    fn chance_threshold_matches_float_compare() {
+        let float_chance = |r: &mut XorShift64, p: f64| {
+            if p <= 0.0 {
+                return false;
+            }
+            if p >= 1.0 {
+                return true;
+            }
+            (r.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
+        };
+        let eps = 1.0 / (1u64 << 53) as f64;
+        let tiny = 1.0 / (1u64 << 60) as f64;
+        for p in [0.0, tiny, 0.02, 0.16, 0.24, 0.5, 1.0 - eps, 1.0] {
+            let mut a = XorShift64::new(0xBEE5);
+            let mut b = a.clone();
+            let threshold = XorShift64::chance_threshold(p);
+            for i in 0..1_000_000 {
+                assert_eq!(
+                    float_chance(&mut a, p),
+                    b.chance_below(threshold),
+                    "p={p} draw {i}"
+                );
+                assert_eq!(a.state, b.state, "p={p} draw {i}");
+            }
+            // Neither form draws at the extremes.
+            let drew = a.state != XorShift64::new(0xBEE5).state;
+            assert_eq!(drew, p > 0.0 && p < 1.0, "p={p}");
+        }
     }
 
     #[test]

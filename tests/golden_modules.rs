@@ -220,7 +220,6 @@ fn micro_two_cores(kind: SystemKind, machine: MachineConfig, read_write: bool) -
     }
     drop(s0);
     drop(s1);
-    drop(db);
     sim
 }
 
