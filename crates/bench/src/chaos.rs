@@ -17,15 +17,14 @@
 //! retired instructions, so the recovery policy is visible in the counter
 //! profile exactly like a PAUSE loop would be on real hardware.
 //!
-//! **Fault sites.** Harness-level sites work in every build:
-//! `driver/conflict`, `driver/abort` (forced errors before dispatch),
-//! `driver/poison` (session poisoning; sticky until re-open), and
-//! `core/offline` (the worker's simulated core drops traffic for a fixed
-//! window — degraded placement à la Hardware Islands). Engine-internal
-//! sites (`shore_mt/latch`, `shore_mt/wal`, `dbms_d/latch`, `dbms_d/wal`,
-//! `voltdb/claim`, `voltdb/clog`, `hyper/claim`, `hyper/wal`,
-//! `dbms_m/latch`, `dbms_m/validate`) exist only under `--features
-//! faults`; in default builds those hooks compile to nothing.
+//! **Fault sites.** Harness-level: `driver/conflict`, `driver/abort`
+//! (forced errors before dispatch), `driver/poison` (session poisoning;
+//! sticky until re-open), and `core/offline` (the worker's simulated core
+//! drops traffic for a fixed window — degraded placement à la Hardware
+//! Islands). Engine-internal: `shore_mt/latch`, `shore_mt/wal`,
+//! `dbms_d/latch`, `dbms_d/wal`, `voltdb/claim`, `voltdb/clog`,
+//! `hyper/claim`, `hyper/wal`, `dbms_m/latch`, `dbms_m/validate`, and
+//! `cc/validate` under a pluggable protocol.
 //!
 //! **Oracle under ambiguity.** In-place engines have no physical undo, so
 //! an error injected at the *commit* site leaves the increment possibly
@@ -252,7 +251,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
 
     // Claim the process-global injector BEFORE loading: a concurrent
     // chaos test must not have its plan armed while this run's load
-    // traffic passes the (feature-gated) engine hooks.
+    // traffic passes the engine hooks.
     let quiesced = faults::quiesce();
 
     let sockets = cfg.sockets.max(1);
@@ -671,10 +670,6 @@ fn manifest_json(
         ("table_digest", Json::str(&format!("{table_digest:#018x}"))),
         ("tps", Json::Num(m.tps)),
         ("txns", Json::u64(m.txns)),
-        (
-            "engine_sites_compiled",
-            Json::Bool(cfg!(feature = "faults")),
-        ),
     ])
 }
 

@@ -407,10 +407,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         .build_durable(&sim);
     // Durable mode from the first record: the load itself is logged, so
     // recovery replays into a completely empty target.
-    db.enable_durability(&DurabilityCfg {
-        epoch: cfg.epoch,
-        ..DurabilityCfg::default()
-    });
+    db.enable_durability(&DurabilityCfg { epoch: cfg.epoch });
 
     let ctable = db.create_table(TableDef::new(
         "recover_counters",
@@ -459,10 +456,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     // latency. Load-time latency samples are discarded with it (they
     // are not client-visible commits).
     db.flush_all();
-    db.enable_durability(&DurabilityCfg {
-        epoch: cfg.epoch,
-        ..DurabilityCfg::default()
-    });
+    db.enable_durability(&DurabilityCfg { epoch: cfg.epoch });
     let _ = db.take_commit_latencies();
 
     let engine: &'static str = db.name();

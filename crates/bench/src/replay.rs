@@ -26,11 +26,7 @@ pub struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    /// Read the manifest named by `--plan`, if any, refusing one this
-    /// binary cannot replay faithfully: a plan recorded with the
-    /// engine-internal fault sites compiled in fires nothing at those
-    /// sites in a default-features build, so its digests could only ever
-    /// mismatch.
+    /// Read the manifest named by `--plan`, if any.
     pub fn open(p: &'a Parsed) -> Result<Self, String> {
         let Some(path) = p.value("--plan") else {
             return Ok(Replay { p, manifest: None });
@@ -38,12 +34,6 @@ impl<'a> Replay<'a> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read plan {path}: {e}"))?;
         let manifest = json::parse(&text).map_err(|e| format!("bad plan JSON in {path}: {e}"))?;
-        let needs_sites = manifest.get("engine_sites_compiled") == Some(&Json::Bool(true));
-        if needs_sites && !cfg!(feature = "faults") {
-            return Err(format!(
-                "plan {path} was recorded with engine fault sites; rebuild with --features faults to replay it"
-            ));
-        }
         Ok(Replay {
             p,
             manifest: Some(manifest),

@@ -175,11 +175,6 @@ impl Measurement {
         self.spki.iter().sum()
     }
 
-    /// Total stall cycles per transaction.
-    pub fn spt_total(&self) -> f64 {
-        self.spt.iter().sum()
-    }
-
     /// Instruction-side share of the stall cycles (0..=1).
     pub fn instruction_stall_fraction(&self) -> f64 {
         let total = self.spki_total();

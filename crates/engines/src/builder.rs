@@ -1,9 +1,8 @@
 //! [`SystemBuilder`] — the one way to assemble an engine.
 //!
 //! PR 7 grew the free-function factory a concurrency-control parameter
-//! (`build_system_cc`), and the service layer needs a fault plan too;
-//! rather than keep widening a positional signature, construction is now
-//! a builder with defaults:
+//! (`build_system_cc`); rather than keep widening a positional signature,
+//! construction is now a builder with defaults:
 //!
 //! ```
 //! use engines::{CcPolicy, SystemBuilder, SystemKind};
@@ -21,7 +20,6 @@
 //! configuration; the deprecated `build_system_cc` shim was removed once
 //! every call site migrated to the builder.
 
-use faults::FaultPlan;
 use oltp::{CcPolicy, Db};
 use uarch_sim::Sim;
 
@@ -32,8 +30,7 @@ use crate::placement::Placement;
 /// Configures and builds one engine instance on a simulator.
 ///
 /// Defaults: 1 core, one partition per core for partitioned engines
-/// (1 otherwise), [`CcPolicy::EngineDefault`], [`Placement::Spread`], no
-/// fault plan.
+/// (1 otherwise), [`CcPolicy::EngineDefault`], [`Placement::Spread`].
 #[derive(Clone, Debug)]
 pub struct SystemBuilder {
     kind: SystemKind,
@@ -41,7 +38,6 @@ pub struct SystemBuilder {
     partitions: Option<usize>,
     cc: CcPolicy,
     placement: Placement,
-    fault_plan: Option<FaultPlan>,
 }
 
 impl SystemBuilder {
@@ -53,7 +49,6 @@ impl SystemBuilder {
             partitions: None,
             cc: CcPolicy::EngineDefault,
             placement: Placement::Spread,
-            fault_plan: None,
         }
     }
 
@@ -89,12 +84,6 @@ impl SystemBuilder {
         self
     }
 
-    /// Attach a fault plan; [`SystemBuilder::install_faults`] arms it.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Effective partition count after defaults.
     pub fn effective_partitions(&self) -> usize {
         self.partitions.unwrap_or(if self.kind.partitioned() {
@@ -127,14 +116,6 @@ impl SystemBuilder {
             self.placement,
         )
     }
-
-    /// Arm the configured fault plan (if any) via the process-global
-    /// injector. The returned guard holds the injector's run lock and
-    /// disarms on drop; hold it for the lifetime of the run. Returns
-    /// `None` when no plan was configured.
-    pub fn install_faults(&self) -> Option<faults::Installed> {
-        self.fault_plan.clone().map(faults::install)
-    }
 }
 
 #[cfg(test)]
@@ -165,15 +146,5 @@ mod tests {
             .partitions(2)
             .build(&sim);
         assert_eq!(volt2.partitions(), 2);
-    }
-
-    #[test]
-    fn fault_plan_is_armed_only_when_configured() {
-        let b = SystemBuilder::new(SystemKind::HyPer);
-        assert!(b.install_faults().is_none());
-        let armed = SystemBuilder::new(SystemKind::HyPer)
-            .fault_plan(FaultPlan::uniform(7, 0.0))
-            .install_faults();
-        assert!(armed.is_some());
     }
 }

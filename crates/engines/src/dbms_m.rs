@@ -355,23 +355,19 @@ impl Drop for DbmsMSession {
 /// The commit-prologue fault sites, separated out so `commit()` can drop
 /// pluggable-protocol state before surfacing the error (`txn` is already
 /// taken from the session there, making the caller's abort() a no-op).
-fn commit_injects(_core: usize) -> OltpResult<()> {
-    faults::inject!(
-        "dbms_m/latch",
-        _core,
-        OltpError::LatchTimeout("dbms_m/latch")
-    );
+fn commit_injects(core: usize) -> OltpResult<()> {
+    if faults::fire("dbms_m/latch", core) {
+        return Err(OltpError::LatchTimeout("dbms_m/latch"));
+    }
     // Forced OCC validation failure; the txn's buffered writes are simply
     // discarded — exactly the clean-abort path. The victim table/key are
     // synthetic (there is no real conflicting row).
-    faults::inject!(
-        "dbms_m/validate",
-        _core,
-        OltpError::ValidationFailed {
+    if faults::fire("dbms_m/validate", core) {
+        return Err(OltpError::ValidationFailed {
             table: TableId(0),
             key: 0,
-        }
-    );
+        });
+    }
     Ok(())
 }
 

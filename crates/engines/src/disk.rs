@@ -270,7 +270,9 @@ impl<P: DiskProfile> DiskSession<P> {
         let mem = self.ports.mem(P::ROLES.lock);
         mem.exec(P::COST.lock_wrap);
         self.shared.latches.latch_contention(core, mem);
-        faults::inject!(P::LATCH_SITE, core, OltpError::LatchTimeout(P::LATCH_SITE));
+        if faults::fire(P::LATCH_SITE, core) {
+            return Err(OltpError::LatchTimeout(P::LATCH_SITE));
+        }
         let write = matches!(mode, LockMode::X | LockMode::Ix);
         if let Some(r) = self.shared.core.cc_access(txn.0, t, key, write, core, mem) {
             return r;
@@ -382,7 +384,9 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             shared.latches.latch_contention(core, mem);
             // WAL write failure: the txn stays open with its locks held;
             // the caller aborts, which releases them.
-            faults::inject!(P::WAL_SITE, core, OltpError::LogWriteFailed(P::WAL_SITE));
+            if faults::fire(P::WAL_SITE, core) {
+                return Err(OltpError::LogWriteFailed(P::WAL_SITE));
+            }
             inner.wal.append(mem, txn, LogKind::Commit, 16);
         }
         self.release(inner, txn, true);

@@ -10,10 +10,12 @@
 //!   data records alongside their Commit markers);
 //! * **epoch group commit** — the group-flush size becomes the epoch, the
 //!   knob the `bench recover` CSV sweeps against p99 commit latency;
-//! * an optional **NVMe-like log device** ([`uarch_sim::LogDevice`]) so
-//!   each group flush pays an fsync-equivalent cost in simulated cycles
-//!   and commit latencies become measurable;
-//! * an optional **high-water mark** bounding the unflushed tail.
+//! * an **NVMe-like log device** ([`uarch_sim::LogDevice`], datacenter
+//!   profile) so each group flush pays an fsync-equivalent cost in
+//!   simulated cycles and commit latencies become measurable;
+//! * a **high-water mark** bounding the unflushed tail at the log
+//!   buffer's capacity — unlike the asynchronous default, where the tail
+//!   may wrap the ring unbounded.
 //!
 //! [`DurableDb`] exposes the log streams (one per partition on VoltDB /
 //! HyPer, one engine-wide otherwise) for the crash-recovery harness:
@@ -28,24 +30,11 @@ use uarch_sim::{DeviceStats, Mem, NvmeProfile};
 pub struct DurabilityCfg {
     /// Group-commit epoch: commits per group flush.
     pub epoch: u32,
-    /// Log-device latency profile (used when `device` is set).
-    pub profile: NvmeProfile,
-    /// Attach the simulated NVMe log device so flushes are charged.
-    pub device: bool,
-    /// Unflushed-tail bound in bytes. `None` bounds at the log buffer's
-    /// capacity — durable mode always has *some* mark, unlike the
-    /// asynchronous default where the tail may wrap the ring unbounded.
-    pub high_water: Option<u64>,
 }
 
 impl Default for DurabilityCfg {
     fn default() -> Self {
-        DurabilityCfg {
-            epoch: 8,
-            profile: NvmeProfile::datacenter(),
-            device: true,
-            high_water: None,
-        }
+        DurabilityCfg { epoch: 8 }
     }
 }
 
@@ -90,7 +79,7 @@ pub trait DurableDb: Db {
 
     /// Drain the per-commit latency samples (simulated cycles between a
     /// Commit append and its group's device completion) from every
-    /// stream. Empty unless a device is attached.
+    /// stream. Empty until durability is enabled.
     fn take_commit_latencies(&mut self) -> Vec<f64>;
 }
 
@@ -98,10 +87,8 @@ pub trait DurableDb: Db {
 pub(crate) fn configure_wal(wal: &mut Wal, mem: &Mem, cfg: &DurabilityCfg) {
     wal.retain_records(true);
     wal.set_group_size(cfg.epoch);
-    wal.set_high_water(cfg.high_water.unwrap_or_else(|| wal.buf_size()));
-    if cfg.device {
-        wal.attach_device(mem, cfg.profile);
-    }
+    wal.set_high_water(wal.buf_size());
+    wal.attach_device(mem, NvmeProfile::datacenter());
 }
 
 /// Snapshot one WAL's durability coordinates.

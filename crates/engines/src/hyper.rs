@@ -21,7 +21,7 @@ use indexes::Art;
 use obs::Phase;
 use oltp::{tuple, Row};
 use storage::{MemStore, RowId};
-use uarch_sim::Mem;
+use uarch_sim::{BatchOp, Mem};
 
 use crate::partitioned::{
     PTable, PartitionCost, PartitionProfile, PartitionRoles, PartitionedEngine,
@@ -127,19 +127,25 @@ impl PartitionProfile for HyPerProfile {
         table.store.insert(ports.mem(PROC), data)
     }
 
-    /// One batched commit per row: the scan step, the row dereference, the
+    /// One batched run per row: the scan step, the row dereference, the
     /// row load, and the per-byte value work ride a single core
     /// acquisition. Event accounting is identical to issuing the ops
     /// separately.
     fn scan_row(ports: &Ports, store: &MemStore, id: RowId) -> Option<Row> {
         let slot = store.slot(id);
-        let mut b = ports.mem(PROC).batch();
-        b.exec(cost::SCAN_NEXT).exec(storage::ROW_READ_INSTRS);
-        if let Some((addr, data)) = slot {
-            b.read(addr, data.len().max(1) as u32)
-                .exec(data.len() as u64 * cost::VALUE_PER_BYTE);
-        }
-        b.commit();
+        let (addr, len) = slot.map_or((0, 0), |(addr, data)| (addr, data.len()));
+        let ops = [
+            BatchOp::Exec(cost::SCAN_NEXT),
+            BatchOp::Exec(storage::ROW_READ_INSTRS),
+            BatchOp::Read {
+                addr,
+                len: len.max(1) as u32,
+            },
+            BatchOp::Exec(len as u64 * cost::VALUE_PER_BYTE),
+        ];
+        // An absent row costs the step and the dereference only.
+        let n = if slot.is_some() { ops.len() } else { 2 };
+        ports.mem(PROC).run_ops(&ops[..n]);
         slot.and_then(|(_, d)| tuple::decode(d).ok())
     }
 }

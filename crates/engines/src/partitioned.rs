@@ -327,7 +327,9 @@ impl<P: PartitionProfile> PartitionSession<P> {
     ) -> OltpResult<()> {
         let Some(txn) = self.cur else { return Ok(()) };
         let core = self.ports.core;
-        faults::inject!(P::CLAIM_SITE, core, OltpError::Conflict { table: t, key });
+        if faults::fire(P::CLAIM_SITE, core) {
+            return Err(OltpError::Conflict { table: t, key });
+        }
         let mem = self.ports.mem(P::ROLES.cc_access);
         if let Some(r) = self.shared.core.cc_access(txn.0, t, key, write, core, mem) {
             return r;
@@ -481,7 +483,9 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
         mem.exec(P::COST.log_commit);
         // Log write failure: the txn stays open (writes may have applied);
         // the caller aborts, releasing the partition claim.
-        faults::inject!(P::LOG_SITE, core, OltpError::LogWriteFailed(P::LOG_SITE));
+        if faults::fire(P::LOG_SITE, core) {
+            return Err(OltpError::LogWriteFailed(P::LOG_SITE));
+        }
         {
             let part = &mut *shared.parts[self.part()].lock().unwrap();
             part.wal

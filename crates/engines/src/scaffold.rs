@@ -149,15 +149,13 @@ impl EngineCore {
 
 /// Forced pluggable-protocol validation failure. The victim table/key are
 /// synthetic (there is no real conflicting row).
-pub fn cc_validate_fault(_core: usize) -> OltpResult<()> {
-    faults::inject!(
-        "cc/validate",
-        _core,
-        OltpError::ValidationFailed {
+pub fn cc_validate_fault(core: usize) -> OltpResult<()> {
+    if faults::fire("cc/validate", core) {
+        return Err(OltpError::ValidationFailed {
             table: TableId(0),
             key: 0,
-        }
-    );
+        });
+    }
     Ok(())
 }
 

@@ -11,15 +11,13 @@
 //! * a process-global **injector** ([`install`]) the chaos harness arms
 //!   for the duration of one run — while no plan is installed every probe
 //!   is a single relaxed atomic load returning `false`;
-//! * the [`inject!`] hook macro engines place at named sites. The macro
-//!   body is gated on the *consuming* crate's `faults` feature, so in a
-//!   default build the hooks compile to nothing and the lock-free
-//!   simulator fast path is untouched.
+//! * [`fire`] — the probe. The chaos harness calls it at its own sites and
+//!   every engine calls it at its hook sites
+//!   (`if faults::fire(site, core) { return Err(..) }`), in every build:
+//!   there is one program, and a plan's engine-site rules always apply.
 //!
 //! Site names are `"<component>/<event>"` strings (`"shore_mt/latch"`,
-//! `"voltdb/clog"`, `"driver/conflict"`, …). Harness-level sites are
-//! probed directly via [`fire`] and therefore work in every build; only
-//! the engine-internal hooks are feature-gated.
+//! `"voltdb/clog"`, `"driver/conflict"`, …).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -203,31 +201,6 @@ pub fn heal(core: usize) {
     });
 }
 
-/// Engine-side injection hook. Expands to a probe + early `Err` return
-/// when the **consuming** crate's `faults` feature is on, and to nothing
-/// at all otherwise — the macro body is token-pasted into the caller, so
-/// the `cfg` resolves against the caller's feature set:
-///
-/// ```ignore
-/// fn commit(&mut self) -> OltpResult<()> {
-///     faults::inject!("shore_mt/wal", self.core, OltpError::LogWriteFailed("shore_mt/wal"));
-///     // ... real commit path ...
-/// }
-/// ```
-///
-/// The error expression is only evaluated when the fault fires.
-#[macro_export]
-macro_rules! inject {
-    ($site:expr, $core:expr, $err:expr $(,)?) => {
-        #[cfg(feature = "faults")]
-        {
-            if $crate::fire($site, $core) {
-                return Err($err);
-            }
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +237,22 @@ mod tests {
             win.counter_value("fault_fires_total", &[("site", "t/site")]),
             fired.len() as u64
         );
+    }
+
+    /// The crash-recovery shape: a rate-0 plan whose only rule is another
+    /// site's one-shot trigger. Every engine hook probed under it must
+    /// stay silent, however often it is evaluated.
+    #[test]
+    fn rate_zero_site_stays_silent_beside_an_armed_one_shot() {
+        let g = install(FaultPlan::uniform(5, 0.0).site_at("crash/kill", 3));
+        assert!((0..100).all(|_| !fire("shore_mt/wal", 0)));
+        assert_eq!(g.fired_count(), 0, "a silent probe logs nothing");
+        let kills: Vec<bool> = (0..6).map(|_| fire("crash/kill", 0)).collect();
+        assert_eq!(kills, [false, false, false, true, false, false]);
+        assert!(!fire("shore_mt/wal", 0), "still silent after the one-shot");
+        let fired = g.fired();
+        assert_eq!(fired.len(), 1);
+        assert_eq!((fired[0].site, fired[0].ordinal), ("crash/kill", 3));
     }
 
     #[test]

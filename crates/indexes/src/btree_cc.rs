@@ -10,11 +10,13 @@
 use uarch_sim::Mem;
 
 use crate::btree_core::{BPlusTree, Layout};
-use crate::traits::{Index, IndexKind, IndexStats};
+use crate::traits::IndexKind;
 
-struct CcLayout;
+/// 256-byte node geometry (see [`CcBTree`]).
+pub struct CcLayout;
 
 impl Layout for CcLayout {
+    const KIND: IndexKind = IndexKind::CcBTree;
     // 256-byte nodes: 64-byte header + 12 x 16-byte entries.
     const LEAF_CAP: usize = 12;
     const INNER_CAP: usize = 12;
@@ -34,67 +36,13 @@ impl Layout for CcLayout {
 }
 
 /// A cache-conscious B+tree (256-byte nodes). See the module docs.
-pub struct CcBTree {
-    tree: BPlusTree<CcLayout>,
-}
-
-impl CcBTree {
-    /// Create an empty tree.
-    pub fn new(mem: &Mem) -> Self {
-        CcBTree {
-            tree: BPlusTree::new(mem),
-        }
-    }
-}
-
-impl Index for CcBTree {
-    fn kind(&self) -> IndexKind {
-        IndexKind::CcBTree
-    }
-
-    fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    fn insert(&mut self, mem: &Mem, key: u64, payload: u64) -> bool {
-        self.tree.insert(mem, key, payload)
-    }
-
-    fn get(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.get(mem, key)
-    }
-
-    fn remove(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.remove(mem, key)
-    }
-
-    fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
-        self.tree.replace(mem, key, payload)
-    }
-
-    fn scan(
-        &mut self,
-        mem: &Mem,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, u64) -> bool,
-    ) -> Option<u64> {
-        Some(self.tree.scan(mem, lo, hi, f))
-    }
-
-    fn supports_range(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> IndexStats {
-        self.tree.stats()
-    }
-}
+pub type CcBTree = BPlusTree<CcLayout>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::test_util::mem;
+    use crate::traits::Index;
     use uarch_sim::StallEvent;
 
     #[test]

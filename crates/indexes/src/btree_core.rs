@@ -7,10 +7,12 @@
 
 use uarch_sim::Mem;
 
-use crate::traits::IndexStats;
+use crate::traits::{Index, IndexKind, IndexStats};
 
 /// Node geometry + instrumentation policy of a B+tree variant.
-pub(crate) trait Layout {
+pub trait Layout {
+    /// Which structure the variant reports itself as.
+    const KIND: IndexKind;
     /// Max entries in a leaf.
     const LEAF_CAP: usize;
     /// Max keys in an inner node (children = keys + 1).
@@ -68,8 +70,9 @@ enum Node {
     Inner(Inner),
 }
 
-/// Generic B+tree over `u64 -> u64` with unique keys.
-pub(crate) struct BPlusTree<L: Layout> {
+/// Generic B+tree over `u64 -> u64` with unique keys; the [`Index`] of
+/// every variant (`DiskBTree`, `DiskBTreePacked`, `CcBTree` are aliases).
+pub struct BPlusTree<L: Layout> {
     nodes: Vec<Node>,
     root: u32,
     height: u32,
@@ -97,6 +100,8 @@ fn binary_search_trace(keys: &[u64], key: u64, probes: &mut Vec<usize>) -> Resul
 }
 
 impl<L: Layout> BPlusTree<L> {
+    /// Create an empty tree; the root node is allocated in simulated
+    /// memory immediately.
     pub fn new(mem: &Mem) -> Self {
         let addr = mem.alloc(L::NODE_BYTES, 64);
         let root = Leaf {
@@ -112,19 +117,6 @@ impl<L: Layout> BPlusTree<L> {
             len: 0,
             bytes: L::NODE_BYTES,
             _marker: std::marker::PhantomData,
-        }
-    }
-
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    pub fn stats(&self) -> IndexStats {
-        IndexStats {
-            entries: self.len,
-            nodes: self.nodes.len() as u64,
-            height: self.height,
-            bytes: self.bytes,
         }
     }
 
@@ -175,109 +167,6 @@ impl<L: Layout> BPlusTree<L> {
                 Node::Leaf(_) => return id,
             }
         }
-    }
-
-    pub fn get(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        let leaf_id = self.descend(mem, key, None);
-        let mut probes = Vec::with_capacity(16);
-        let Node::Leaf(leaf) = &self.nodes[leaf_id as usize] else {
-            unreachable!()
-        };
-        mem.exec(L::LEAF_INSTR);
-        let found = binary_search_trace(&leaf.keys, key, &mut probes);
-        L::touch_search(mem, leaf.addr, &probes);
-        match found {
-            Ok(i) => Some(leaf.vals[i]),
-            Err(_) => None,
-        }
-    }
-
-    pub fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
-        let leaf_id = self.descend(mem, key, None);
-        let mut probes = Vec::with_capacity(16);
-        let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
-            unreachable!()
-        };
-        mem.exec(L::LEAF_INSTR);
-        let found = binary_search_trace(&leaf.keys, key, &mut probes);
-        L::touch_search(mem, leaf.addr, &probes);
-        match found {
-            Ok(i) => {
-                let old = leaf.vals[i];
-                leaf.vals[i] = payload;
-                mem.write(
-                    leaf.addr + L::HEADER_BYTES + i as u64 * L::ENTRY_BYTES + 8,
-                    8,
-                );
-                Some(old)
-            }
-            Err(_) => None,
-        }
-    }
-
-    pub fn insert(&mut self, mem: &Mem, key: u64, payload: u64) -> bool {
-        let mut path = Vec::with_capacity(self.height as usize);
-        let leaf_id = self.descend(mem, key, Some(&mut path));
-        let mut probes = Vec::with_capacity(16);
-
-        // Insert into the leaf.
-        let (split, leaf_addr) = {
-            let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
-                unreachable!()
-            };
-            mem.exec(L::LEAF_INSTR + 20);
-            let pos = match binary_search_trace(&leaf.keys, key, &mut probes) {
-                Ok(_) => {
-                    L::touch_search(mem, leaf.addr, &probes);
-                    return false; // duplicate
-                }
-                Err(p) => p,
-            };
-            L::touch_search(mem, leaf.addr, &probes);
-            let n = leaf.keys.len();
-            L::touch_shift(mem, leaf.addr, pos, n);
-            leaf.keys.insert(pos, key);
-            leaf.vals.insert(pos, payload);
-            (leaf.keys.len() > L::LEAF_CAP, leaf.addr)
-        };
-        self.len += 1;
-        if !split {
-            return true;
-        }
-
-        // Split the leaf.
-        let new_id = self.alloc_leaf(mem);
-        let (sep, new_addr) = {
-            let (left_half, right_half);
-            {
-                let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
-                    unreachable!()
-                };
-                let mid = leaf.keys.len() / 2;
-                right_half = (leaf.keys.split_off(mid), leaf.vals.split_off(mid));
-                left_half = leaf.next;
-            }
-            let sep = right_half.0[0];
-            let Node::Leaf(new_leaf) = &mut self.nodes[new_id as usize] else {
-                unreachable!()
-            };
-            new_leaf.keys = right_half.0;
-            new_leaf.vals = right_half.1;
-            new_leaf.next = left_half;
-            let new_addr = new_leaf.addr;
-            // Moving half the entries writes half of both nodes.
-            mem.write(new_addr + L::HEADER_BYTES, (L::NODE_BYTES / 2) as u32);
-            mem.write(leaf_addr, 16);
-            let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
-                unreachable!()
-            };
-            leaf.next = new_id;
-            (sep, new_addr)
-        };
-        let _ = new_addr;
-        mem.exec(120); // split bookkeeping
-        self.insert_into_parent(mem, path, leaf_id, sep, new_id);
-        true
     }
 
     /// Propagate a split upward: `right_id` becomes the sibling of
@@ -351,10 +240,123 @@ impl<L: Layout> BPlusTree<L> {
             }
         }
     }
+}
+
+impl<L: Layout> Index for BPlusTree<L> {
+    fn kind(&self) -> IndexKind {
+        L::KIND
+    }
+
+    fn len(&self) -> u64 {
+        self.len
+    }
+
+    fn get(&mut self, mem: &Mem, key: u64) -> Option<u64> {
+        let leaf_id = self.descend(mem, key, None);
+        let mut probes = Vec::with_capacity(16);
+        let Node::Leaf(leaf) = &self.nodes[leaf_id as usize] else {
+            unreachable!()
+        };
+        mem.exec(L::LEAF_INSTR);
+        let found = binary_search_trace(&leaf.keys, key, &mut probes);
+        L::touch_search(mem, leaf.addr, &probes);
+        match found {
+            Ok(i) => Some(leaf.vals[i]),
+            Err(_) => None,
+        }
+    }
+
+    fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
+        let leaf_id = self.descend(mem, key, None);
+        let mut probes = Vec::with_capacity(16);
+        let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
+            unreachable!()
+        };
+        mem.exec(L::LEAF_INSTR);
+        let found = binary_search_trace(&leaf.keys, key, &mut probes);
+        L::touch_search(mem, leaf.addr, &probes);
+        match found {
+            Ok(i) => {
+                let old = leaf.vals[i];
+                leaf.vals[i] = payload;
+                mem.write(
+                    leaf.addr + L::HEADER_BYTES + i as u64 * L::ENTRY_BYTES + 8,
+                    8,
+                );
+                Some(old)
+            }
+            Err(_) => None,
+        }
+    }
+
+    fn insert(&mut self, mem: &Mem, key: u64, payload: u64) -> bool {
+        let mut path = Vec::with_capacity(self.height as usize);
+        let leaf_id = self.descend(mem, key, Some(&mut path));
+        let mut probes = Vec::with_capacity(16);
+
+        // Insert into the leaf.
+        let (split, leaf_addr) = {
+            let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
+                unreachable!()
+            };
+            mem.exec(L::LEAF_INSTR + 20);
+            let pos = match binary_search_trace(&leaf.keys, key, &mut probes) {
+                Ok(_) => {
+                    L::touch_search(mem, leaf.addr, &probes);
+                    return false; // duplicate
+                }
+                Err(p) => p,
+            };
+            L::touch_search(mem, leaf.addr, &probes);
+            let n = leaf.keys.len();
+            L::touch_shift(mem, leaf.addr, pos, n);
+            leaf.keys.insert(pos, key);
+            leaf.vals.insert(pos, payload);
+            (leaf.keys.len() > L::LEAF_CAP, leaf.addr)
+        };
+        self.len += 1;
+        if !split {
+            return true;
+        }
+
+        // Split the leaf.
+        let new_id = self.alloc_leaf(mem);
+        let (sep, new_addr) = {
+            let (left_half, right_half);
+            {
+                let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
+                    unreachable!()
+                };
+                let mid = leaf.keys.len() / 2;
+                right_half = (leaf.keys.split_off(mid), leaf.vals.split_off(mid));
+                left_half = leaf.next;
+            }
+            let sep = right_half.0[0];
+            let Node::Leaf(new_leaf) = &mut self.nodes[new_id as usize] else {
+                unreachable!()
+            };
+            new_leaf.keys = right_half.0;
+            new_leaf.vals = right_half.1;
+            new_leaf.next = left_half;
+            let new_addr = new_leaf.addr;
+            // Moving half the entries writes half of both nodes.
+            mem.write(new_addr + L::HEADER_BYTES, (L::NODE_BYTES / 2) as u32);
+            mem.write(leaf_addr, 16);
+            let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
+                unreachable!()
+            };
+            leaf.next = new_id;
+            (sep, new_addr)
+        };
+        let _ = new_addr;
+        mem.exec(120); // split bookkeeping
+        self.insert_into_parent(mem, path, leaf_id, sep, new_id);
+        true
+    }
 
     /// Remove a key (lazy: leaves may underflow; no rebalancing — deletes
     /// are rare in the studied benchmarks and real engines defer merging).
-    pub fn remove(&mut self, mem: &Mem, key: u64) -> Option<u64> {
+    fn remove(&mut self, mem: &Mem, key: u64) -> Option<u64> {
         let leaf_id = self.descend(mem, key, None);
         let mut probes = Vec::with_capacity(16);
         let Node::Leaf(leaf) = &mut self.nodes[leaf_id as usize] else {
@@ -376,16 +378,15 @@ impl<L: Layout> BPlusTree<L> {
         }
     }
 
-    /// Ordered scan over `[lo, hi]`.
-    pub fn scan(
+    fn scan(
         &mut self,
         mem: &Mem,
         lo: u64,
         hi: u64,
         f: &mut dyn FnMut(u64, u64) -> bool,
-    ) -> u64 {
+    ) -> Option<u64> {
         if lo > hi {
-            return 0;
+            return Some(0);
         }
         let mut leaf_id = self.descend(mem, lo, None);
         let mut probes = Vec::with_capacity(16);
@@ -407,25 +408,40 @@ impl<L: Layout> BPlusTree<L> {
             for i in start..leaf.keys.len() {
                 let k = leaf.keys[i];
                 if k > hi {
-                    return visited;
+                    return Some(visited);
                 }
                 mem.exec(6);
                 mem.read(leaf.addr + L::HEADER_BYTES + i as u64 * L::ENTRY_BYTES, 16);
                 visited += 1;
                 if !f(k, leaf.vals[i]) {
-                    return visited;
+                    return Some(visited);
                 }
             }
             if leaf.next == NO_NODE {
-                return visited;
+                return Some(visited);
             }
             leaf_id = leaf.next;
         }
     }
 
-    /// Validate structural invariants (tests only): sorted keys, correct
-    /// separator relationships, consistent entry count, linked leaves.
-    #[cfg(test)]
+    fn supports_range(&self) -> bool {
+        true
+    }
+
+    fn stats(&self) -> IndexStats {
+        IndexStats {
+            entries: self.len,
+            nodes: self.nodes.len() as u64,
+            height: self.height,
+            bytes: self.bytes,
+        }
+    }
+}
+
+#[cfg(test)]
+impl<L: Layout> BPlusTree<L> {
+    /// Validate structural invariants: sorted keys, correct separator
+    /// relationships, consistent entry count, linked leaves.
     pub fn check_invariants(&self) {
         fn walk<L: Layout>(
             t: &BPlusTree<L>,

@@ -6,17 +6,17 @@
 //! stalls ("Shore-MT exhibits high LLC data stalls due to its
 //! non-cache-conscious index structure", §4.1.3).
 
-use uarch_sim::Mem;
-
 use crate::btree_core::{BPlusTree, Layout};
-use crate::traits::{Index, IndexKind, IndexStats};
+use crate::traits::IndexKind;
 
-struct DiskLayout;
+/// Slotted 8 KB page geometry (see [`DiskBTree`]).
+pub struct DiskLayout;
 
 /// Offset of the slot directory within the page (after the record area).
 const SLOT_AREA: u64 = 64 + 400 * 16;
 
 impl Layout for DiskLayout {
+    const KIND: IndexKind = IndexKind::DiskBTree;
     // 8 KB page, 64-byte header, 400 16-byte records plus a 4-byte-per-
     // entry slot directory — the classical slotted layout.
     const LEAF_CAP: usize = 400;
@@ -43,69 +43,7 @@ impl Layout for DiskLayout {
 }
 
 /// A B+tree with disk-style 8 KB pages. See the module docs.
-pub struct DiskBTree {
-    tree: BPlusTree<DiskLayout>,
-}
-
-impl DiskBTree {
-    /// Create an empty tree; the root page is allocated in simulated
-    /// memory immediately.
-    pub fn new(mem: &Mem) -> Self {
-        DiskBTree {
-            tree: BPlusTree::new(mem),
-        }
-    }
-
-    /// Validate structural invariants (tests only).
-    #[cfg(test)]
-    pub(crate) fn check_invariants(&self) {
-        self.tree.check_invariants();
-    }
-}
-
-impl Index for DiskBTree {
-    fn kind(&self) -> IndexKind {
-        IndexKind::DiskBTree
-    }
-
-    fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    fn insert(&mut self, mem: &Mem, key: u64, payload: u64) -> bool {
-        self.tree.insert(mem, key, payload)
-    }
-
-    fn get(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.get(mem, key)
-    }
-
-    fn remove(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.remove(mem, key)
-    }
-
-    fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
-        self.tree.replace(mem, key, payload)
-    }
-
-    fn scan(
-        &mut self,
-        mem: &Mem,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, u64) -> bool,
-    ) -> Option<u64> {
-        Some(self.tree.scan(mem, lo, hi, f))
-    }
-
-    fn supports_range(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> IndexStats {
-        self.tree.stats()
-    }
-}
+pub type DiskBTree = BPlusTree<DiskLayout>;
 
 /// Packed-key variant of the 8 KB-page B+tree.
 ///
@@ -116,13 +54,13 @@ impl Index for DiskBTree {
 /// below Shore-MT's despite the same 8 KB page size (§4.1.3 notes the
 /// vendor publishes no tuning details; packed key arrays are the
 /// standard way commercial engines get there).
-pub struct DiskBTreePacked {
-    tree: BPlusTree<PackedLayout>,
-}
+pub type DiskBTreePacked = BPlusTree<PackedLayout>;
 
-struct PackedLayout;
+/// Packed-key 8 KB page geometry (see [`DiskBTreePacked`]).
+pub struct PackedLayout;
 
 impl Layout for PackedLayout {
+    const KIND: IndexKind = IndexKind::DiskBTree;
     const LEAF_CAP: usize = 400;
     const INNER_CAP: usize = 400;
     const NODE_BYTES: u64 = 8192;
@@ -131,63 +69,11 @@ impl Layout for PackedLayout {
     // Default `touch_search`: header + the binary-search key lines only.
 }
 
-impl DiskBTreePacked {
-    /// Create an empty tree.
-    pub fn new(mem: &Mem) -> Self {
-        DiskBTreePacked {
-            tree: BPlusTree::new(mem),
-        }
-    }
-}
-
-impl Index for DiskBTreePacked {
-    fn kind(&self) -> IndexKind {
-        IndexKind::DiskBTree
-    }
-
-    fn len(&self) -> u64 {
-        self.tree.len()
-    }
-
-    fn insert(&mut self, mem: &Mem, key: u64, payload: u64) -> bool {
-        self.tree.insert(mem, key, payload)
-    }
-
-    fn get(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.get(mem, key)
-    }
-
-    fn remove(&mut self, mem: &Mem, key: u64) -> Option<u64> {
-        self.tree.remove(mem, key)
-    }
-
-    fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
-        self.tree.replace(mem, key, payload)
-    }
-
-    fn scan(
-        &mut self,
-        mem: &Mem,
-        lo: u64,
-        hi: u64,
-        f: &mut dyn FnMut(u64, u64) -> bool,
-    ) -> Option<u64> {
-        Some(self.tree.scan(mem, lo, hi, f))
-    }
-
-    fn supports_range(&self) -> bool {
-        true
-    }
-
-    fn stats(&self) -> IndexStats {
-        self.tree.stats()
-    }
-}
-
 #[cfg(test)]
 mod packed_tests {
     use super::*;
     use crate::test_util::mem;
+    use crate::traits::Index;
     use uarch_sim::StallEvent;
 
     #[test]
@@ -241,6 +127,7 @@ mod packed_tests {
 mod tests {
     use super::*;
     use crate::test_util::mem;
+    use crate::traits::Index;
 
     #[test]
     fn insert_get_remove_cycle() {

@@ -6,7 +6,6 @@
 //! documents without external crates. It accepts standard JSON; it does
 //! not aim to reject every malformed corner case.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON document tree.
@@ -304,25 +303,6 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
         }
     }
-}
-
-/// Convenience: parse and index into an object-of-objects structure,
-/// collecting top-level keys. Used by the suite's summary validation.
-pub fn top_level_keys(doc: &Json) -> Vec<&str> {
-    match doc {
-        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Render a `BTreeMap<String, f64>` as a flat JSON object (helper for
-/// counter args).
-pub fn obj_from_map(map: &BTreeMap<String, f64>) -> Json {
-    Json::Obj(
-        map.iter()
-            .map(|(k, v)| (k.clone(), Json::Num(*v)))
-            .collect(),
-    )
 }
 
 #[cfg(test)]

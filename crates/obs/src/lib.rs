@@ -419,12 +419,6 @@ pub fn is_installed() -> bool {
     TRACER.with(|t| t.borrow().is_some())
 }
 
-/// Snapshot the installed tracer's aggregates (`None` when tracing is
-/// off), merged across cores.
-pub fn snapshot_installed() -> Option<AggSnapshot> {
-    TRACER.with(|t| t.borrow().as_ref().map(|tr| tr.snapshot()))
-}
-
 /// Snapshot one core's aggregates from the installed tracer (`None` when
 /// tracing is off). This is what a per-core profiler calls at window
 /// boundaries.

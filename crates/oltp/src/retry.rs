@@ -23,7 +23,7 @@
 
 use std::sync::OnceLock;
 
-use crate::engine::{OltpError, OltpResult, Session};
+use crate::engine::{OltpError, OltpResult};
 
 /// Global-registry mirrors of [`RetryStats`]: every retry-layer event is
 /// also published as an always-on metric, so `bench metrics` and the
@@ -310,25 +310,6 @@ pub fn retry_txn(
         }
     }
     unreachable!("loop returns on success, give-up, or the last attempt");
-}
-
-/// [`retry_txn`] specialized to the common shape: a transaction body run
-/// via [`crate::run_txn`] on one session.
-pub fn retry_run_txn(
-    s: &mut dyn Session,
-    policy: &RetryPolicy,
-    backoff: &mut Backoff,
-    stats: &mut RetryStats,
-    mut body: impl FnMut(&mut dyn Session) -> OltpResult<()>,
-    pause: impl FnMut(u64),
-) -> TxnOutcome {
-    retry_txn(
-        policy,
-        backoff,
-        stats,
-        |_| crate::run_txn(s, &mut body),
-        pause,
-    )
 }
 
 #[cfg(test)]

@@ -123,9 +123,9 @@ impl MemStore {
     }
 
     /// Simulated address and payload of a row, with **no** simulated
-    /// traffic. For callers that batch their accesses (scan loops queue
-    /// the read alongside the surrounding instruction work and commit the
-    /// whole row as one [`uarch_sim::MemBatch`]); the caller is
+    /// traffic. For callers that batch their accesses (scan loops stage
+    /// the read alongside the surrounding instruction work and run the
+    /// whole row through one [`uarch_sim::Mem::run_ops`]); the caller is
     /// responsible for charging the equivalent of [`MemStore::read`].
     pub fn slot(&self, id: RowId) -> Option<(u64, &Bytes)> {
         self.slots

@@ -113,16 +113,6 @@ impl VersionStore {
         false
     }
 
-    /// Begin timestamp of the newest version (validation: a transaction
-    /// that read at `ts` conflicts if this exceeds `ts`).
-    pub fn newest_begin(&self, id: RowId) -> Option<u64> {
-        self.chains
-            .get(id.0 as usize)?
-            .head
-            .as_ref()
-            .map(|v| v.begin)
-    }
-
     /// Install a new version at commit time. `snapshot_ts` is the writer's
     /// read snapshot; if anyone committed a newer version in between, the
     /// install fails (first-writer-wins).

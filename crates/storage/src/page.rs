@@ -66,11 +66,6 @@ impl Page {
         self.lsn
     }
 
-    /// Record a WAL write against this page.
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.lsn = lsn;
-    }
-
     /// Free bytes remaining for one more tuple of `len` bytes.
     pub fn fits(&self, len: u32) -> bool {
         let slot_dir = (self.slots.len() as u32 + 1) * SLOT_BYTES;

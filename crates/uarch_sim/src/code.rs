@@ -167,11 +167,6 @@ impl ModuleRegistry {
             .enumerate()
             .map(|(i, m)| (ModuleId(i as u16), m))
     }
-
-    /// One line past the last code segment (start of free line space).
-    pub fn end_line(&self) -> u64 {
-        self.next_line
-    }
 }
 
 #[cfg(test)]

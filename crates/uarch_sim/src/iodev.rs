@@ -137,13 +137,6 @@ impl LogDevice {
         done
     }
 
-    /// Completion time of the most recently submitted command (0 before
-    /// any submission).
-    pub fn last_done(&self) -> f64 {
-        let prev = (self.head + self.slot_done.len() - 1) % self.slot_done.len();
-        self.slot_done[prev]
-    }
-
     /// Lifetime counters.
     pub fn stats(&self) -> DeviceStats {
         self.stats

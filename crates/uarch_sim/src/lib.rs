@@ -139,11 +139,6 @@ impl Sim {
         self.0.module_names()
     }
 
-    /// Spec of one module (for report attribution).
-    pub fn module_spec(&self, id: ModuleId) -> ModuleSpec {
-        self.0.module(id).spec
-    }
-
     /// Full module specs in `ModuleId` order (for report attribution).
     pub fn module_specs(&self) -> Vec<ModuleSpec> {
         (0..self.0.module_names().len())
@@ -247,13 +242,6 @@ impl Sim {
     pub fn rehome_hot_tags(&self, min_hits: u64, margin: f64) -> usize {
         self.0.rehome_hot_tags(min_hits, margin)
     }
-
-    /// Check out any free core port on `socket`, scanning that socket's
-    /// cores in order. `None` when every port on the socket is out.
-    pub fn try_checkout_on_socket(&self, socket: usize) -> Option<CorePort> {
-        let per = self.cores() / self.sockets();
-        (socket * per..(socket + 1) * per).find_map(|c| self.try_checkout(c))
-    }
 }
 
 /// RAII scope for the ambient allocation home tag; see
@@ -291,17 +279,6 @@ impl Mem {
             core: self.core,
             module,
             desc: self.sim.0.code_desc(module),
-        }
-    }
-
-    /// Rebind the port to a different core (builder style).
-    #[must_use]
-    pub fn with_core(&self, core: usize) -> Mem {
-        Mem {
-            sim: self.sim.clone(),
-            core,
-            module: self.module,
-            desc: self.desc,
         }
     }
 
@@ -351,75 +328,14 @@ impl Mem {
         self.sim.alloc(size, align)
     }
 
-    /// Batched loads under a single core acquisition — one port-state check
-    /// and one coherence-queue drain amortized over the whole slice. Event
-    /// accounting is identical to issuing each [`Mem::read`] separately.
-    /// The natural fit is per-row scan loops.
-    pub fn read_batch(&self, reads: &[(u64, u32)]) {
-        self.sim.0.data_reads(self.core, self.module, reads);
-    }
-
-    /// Run a pre-built op slice under a single core acquisition — the
-    /// allocation-free form of [`Mem::batch`] for hot loops that can stage
-    /// ops in a stack array. Semantically identical to issuing the ops
-    /// one by one.
+    /// Run an op slice (exec/read/write mixed) under a single core
+    /// acquisition — one port-state check and one coherence-queue drain
+    /// amortized over the whole slice. Semantically identical to issuing
+    /// the ops one by one; hot loops stage the ops in a stack array.
     #[inline]
     pub fn run_ops(&self, ops: &[BatchOp]) {
         self.sim
             .0
             .run_batch(self.core, self.module, &self.desc, ops);
-    }
-
-    /// Start a batched op sequence (exec/read/write mixed) that commits
-    /// under a single core acquisition. Semantically identical to issuing
-    /// the ops one by one.
-    pub fn batch(&self) -> MemBatch<'_> {
-        MemBatch {
-            mem: self,
-            ops: Vec::new(),
-        }
-    }
-}
-
-/// Builder for a batched op sequence on one [`Mem`] port; see
-/// [`Mem::batch`]. Ops run in insertion order at [`MemBatch::commit`].
-pub struct MemBatch<'a> {
-    mem: &'a Mem,
-    ops: Vec<BatchOp>,
-}
-
-impl MemBatch<'_> {
-    /// Queue an instruction retirement (like [`Mem::exec`]).
-    pub fn exec(&mut self, n: u64) -> &mut Self {
-        self.ops.push(BatchOp::Exec(n));
-        self
-    }
-
-    /// Queue a data load (like [`Mem::read`]).
-    pub fn read(&mut self, addr: u64, len: u32) -> &mut Self {
-        self.ops.push(BatchOp::Read { addr, len });
-        self
-    }
-
-    /// Queue a data store (like [`Mem::write`]).
-    pub fn write(&mut self, addr: u64, len: u32) -> &mut Self {
-        self.ops.push(BatchOp::Write { addr, len });
-        self
-    }
-
-    /// Number of queued ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Whether any ops are queued.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Run the queued ops under one core acquisition.
-    pub fn commit(self) {
-        let m = self.mem;
-        m.sim.0.run_batch(m.core, m.module, &m.desc, &self.ops);
     }
 }

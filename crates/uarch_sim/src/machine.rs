@@ -309,7 +309,7 @@ impl Drop for LlcGuard<'_> {
     }
 }
 
-/// One operation of a batched access sequence (see [`crate::MemBatch`]).
+/// One operation of a batched access sequence (see [`crate::Mem::run_ops`]).
 #[derive(Clone, Copy, Debug)]
 pub enum BatchOp {
     /// Retire `n` instructions of the batch's module.
@@ -514,17 +514,6 @@ impl Machine {
     /// Cached immutable fetch parameters of `id` (lock-free).
     pub fn code_desc(&self, id: ModuleId) -> CodeDesc {
         self.descs.get(id).expect("module not registered")
-    }
-
-    /// Ids of modules flagged `engine_side`.
-    pub fn engine_side_modules(&self) -> Vec<ModuleId> {
-        self.modules
-            .read()
-            .unwrap()
-            .iter()
-            .filter(|(_, m)| m.spec.engine_side)
-            .map(|(id, _)| id)
-            .collect()
     }
 
     /// Allocate simulated data memory. On a NUMA machine the allocation
@@ -994,20 +983,6 @@ impl Machine {
         }
     }
 
-    /// Batched loads under a single core acquisition (multi-line scans).
-    pub(crate) fn data_reads(&self, core: usize, module: ModuleId, reads: &[(u64, u32)]) {
-        if reads.is_empty() || self.suppressed(core) {
-            return;
-        }
-        let mut g = self.core_enter(core, true);
-        let (slot, c) = g.parts();
-        self.drain_pending(slot, c);
-        self.ensure_modules(c, module);
-        for &(addr, len) in reads {
-            self.span_access(c, core, module, addr, len, false);
-        }
-    }
-
     /// One data access (all spanned lines); requires core access rights.
     #[inline]
     fn span_access(
@@ -1209,21 +1184,6 @@ impl Machine {
         }
         for stripe in &self.llc {
             stripe.lock().cache().flush();
-        }
-    }
-
-    /// Diagnostic: lifetime LLC miss ratio across all traffic.
-    pub fn llc_miss_ratio(&self) -> f64 {
-        let (mut acc, mut miss) = (0u64, 0u64);
-        for stripe in &self.llc {
-            let mut s = stripe.lock();
-            acc += s.cache().accesses();
-            miss += s.cache().misses();
-        }
-        if acc == 0 {
-            0.0
-        } else {
-            miss as f64 / acc as f64
         }
     }
 }

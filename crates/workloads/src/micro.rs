@@ -133,11 +133,6 @@ impl MicroBench {
         self
     }
 
-    /// Number of rows in the table.
-    pub fn rows_total(&self) -> u64 {
-        self.rows
-    }
-
     fn make_row(&self, key: u64, update_tag: i64) -> Vec<Value> {
         if self.string_cols {
             // Two 50-byte strings, as §6.2 specifies.

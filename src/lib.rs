@@ -19,7 +19,7 @@
 //! * [obs](crate::obs) — structured tracing: per-phase spans, counter-delta
 //!   sinks (ring buffer / JSONL / Perfetto), log-bucketed histograms;
 //! * [faults](crate::faults) — deterministic seed-driven fault injection
-//!   (replayable [`faults::FaultPlan`]s, named sites, the `inject!` hook);
+//!   (replayable [`faults::FaultPlan`]s, named sites, the [`faults::fire`] probe);
 //! * [harness](crate::harness) — the experiment/figure harness library,
 //!   including the chaos runner ([`harness::chaos`]).
 //!

@@ -187,19 +187,52 @@ fn every_engine_and_protocol_keeps_the_oracle() {
     }
 }
 
-/// Engine-internal sites only exist when the consumer is built with
-/// `--features faults`; this asserts the deep hooks (latch/WAL/validate)
-/// actually fire there and stay recoverable.
-#[cfg(feature = "faults")]
+/// Run `system` under `cc` at rate 0.2 and require every site in `sites`
+/// to have fired with the oracle intact.
+fn sites_fire(
+    system: SystemKind,
+    cc: imoltp::systems::CcPolicy,
+    sites: &[&str],
+) -> chaos::ChaosReport {
+    let mut cfg = small_cfg(system, 11, 0.2);
+    cfg.cc = cc;
+    let r = chaos::run(&cfg);
+    let by_site = r.manifest.get("fired_by_site").expect("fired_by_site");
+    for site in sites {
+        let fired = by_site.get(site).and_then(|v| v.as_f64()).unwrap_or(0.0);
+        assert!(fired > 0.0, "{system:?}: {site} must fire at rate 0.2");
+    }
+    assert_eq!(r.lost_updates, 0, "{system:?}: lost updates");
+    assert_eq!(r.phantom_updates, 0, "{system:?}: phantom updates");
+    r
+}
+
+/// One engine per kernel family, plus the shared pluggable-protocol
+/// hook: each family's own deep sites (latch / claim / WAL / validate)
+/// fire and stay recoverable. A hook dropped from a kernel fails here.
 #[test]
-fn engine_internal_sites_fire_under_the_faults_feature() {
-    let r = chaos::run(&small_cfg(SystemKind::ShoreMt, 11, 0.2));
-    let rr = &r.outcomes.retry;
-    assert!(
-        rr.latch_timeouts > 0,
-        "shore_mt/latch must fire at rate 0.2"
+fn engine_internal_sites_fire_in_every_kernel_family() {
+    use imoltp::systems::CcPolicy::{EngineDefault, Occ};
+    let shore = sites_fire(
+        SystemKind::ShoreMt,
+        EngineDefault,
+        &["shore_mt/latch", "shore_mt/wal"],
     );
-    assert!(rr.log_failures > 0, "shore_mt/wal must fire at rate 0.2");
-    assert_eq!(r.lost_updates, 0);
-    assert_eq!(r.phantom_updates, 0);
+    let rr = &shore.outcomes.retry;
+    assert!(rr.latch_timeouts > 0, "latch faults reach the retry layer");
+    assert!(rr.log_failures > 0, "WAL faults reach the retry layer");
+    sites_fire(
+        SystemKind::VoltDb,
+        EngineDefault,
+        &["voltdb/claim", "voltdb/clog"],
+    );
+    sites_fire(
+        SystemKind::DbmsM {
+            index: imoltp::systems::DbmsMIndex::Hash,
+            compiled: true,
+        },
+        EngineDefault,
+        &["dbms_m/latch", "dbms_m/validate"],
+    );
+    sites_fire(SystemKind::ShoreMt, Occ, &["cc/validate"]);
 }
