@@ -230,56 +230,6 @@ pub fn overlap_sensitivity() -> String {
     out
 }
 
-/// TPC-E-like vs TPC-C: the similarity claim the paper cites to justify
-/// omitting TPC-E ("recent workload characterization studies demonstrate
-/// that TPC-E exhibits similar micro-architectural behavior", §3).
-pub fn tpce_similarity() -> String {
-    use crate::{run_points, Point, WorkloadCfg};
-    use engines::SystemKind;
-
-    let sys: Vec<SystemKind> = systems()
-        .into_iter()
-        .map(|s| match s {
-            SystemKind::DbmsM { .. } => SystemKind::dbms_m_for_tpcc(),
-            other => other,
-        })
-        .collect();
-    let mut points = Vec::new();
-    for &s in &sys {
-        points.push(Point::new(s, WorkloadCfg::TpcC));
-        points.push(Point::new(s, WorkloadCfg::TpcE));
-    }
-    let ms = run_points(&points);
-    let mut out = String::from(
-        "## extension: TPC-E-like vs TPC-C (the paper's omission argument)\n\
-         system      wk     IPC   I-stalls/kI  D-stalls/kI  I-fraction\n\
-         ------------------------------------------------------------\n",
-    );
-    let mut similar = true;
-    for (i, &s) in sys.iter().enumerate() {
-        let c = &ms[2 * i];
-        let e = &ms[2 * i + 1];
-        for (wk, m) in [("tpcc", c), ("tpce", e)] {
-            out.push_str(&format!(
-                "{:<11} {:<5} {:>6.2} {:>12.0} {:>12.0} {:>11.2}\n",
-                s.label(),
-                wk,
-                m.ipc,
-                i_spki(m),
-                m.spki[3..].iter().sum::<f64>(),
-                m.instruction_stall_fraction(),
-            ));
-        }
-        similar &= (c.instruction_stall_fraction() - e.instruction_stall_fraction()).abs() < 0.35
-            && (c.ipc - e.ipc).abs() < 0.45;
-    }
-    out.push_str(&format!(
-        "\nProfiles similar enough to justify the paper's omission of TPC-E: {}\n",
-        if similar { "yes" } else { "NO" }
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

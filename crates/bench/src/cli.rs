@@ -115,13 +115,6 @@ pub const COMMANDS: &[Command] = &[
         run: |inv| Ok(print(ablations::run(inv.name))),
     },
     Command {
-        names: &["tpce"],
-        positionals: "",
-        flags: &[],
-        help: "TPC-E-like vs TPC-C similarity",
-        run: |_| Ok(print(ablations::tpce_similarity())),
-    },
-    Command {
         names: &["modules"],
         positionals: "[micro|tpcb|tpcc]",
         flags: &[],

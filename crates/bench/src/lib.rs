@@ -30,8 +30,7 @@ use engines::{build_system, SystemKind};
 use microarch::{measure, measure_workers, Measurement, Pacing, WindowSpec};
 use uarch_sim::{MachineConfig, Sim};
 use workloads::tpcc::TpcCScale;
-use workloads::tpce::TpcEScale;
-use workloads::{DbSize, MicroBench, TpcB, TpcC, TpcE, Workload};
+use workloads::{DbSize, MicroBench, TpcB, TpcC, Workload};
 
 pub mod ablations;
 pub mod args;
@@ -72,8 +71,6 @@ pub enum WorkloadCfg {
     TpcB,
     /// TPC-C at the paper's (scaled) 100 GB.
     TpcC,
-    /// TPC-E-like brokerage mix (extension).
-    TpcE,
 }
 
 impl WorkloadCfg {
@@ -97,7 +94,6 @@ impl WorkloadCfg {
             }
             WorkloadCfg::TpcB => Box::new(TpcB::new()),
             WorkloadCfg::TpcC => Box::new(TpcC::with_scale(tpcc_scale())),
-            WorkloadCfg::TpcE => Box::new(TpcE::with_scale(tpce_scale())),
         }
     }
 
@@ -129,26 +125,8 @@ impl WorkloadCfg {
                 measured: 800,
                 reps: 3,
             },
-            WorkloadCfg::TpcE => WindowSpec {
-                warmup: 800,
-                measured: 1600,
-                reps: 3,
-            },
         };
         base.scaled(scale_factor())
-    }
-}
-
-/// TPC-E scale, shrunk when `IMOLTP_SCALE` < 0.3 (smoke runs).
-fn tpce_scale() -> TpcEScale {
-    if scale_factor() < 0.3 {
-        TpcEScale {
-            customers: 8_000,
-            securities: 4_000,
-            initial_trades: 3,
-        }
-    } else {
-        TpcEScale::large()
     }
 }
 

@@ -55,7 +55,6 @@ pub const WORKLOADS: &[(&str, WorkloadCfg)] = &[
     ("micro-rw", micro(false)),
     ("tpcb", WorkloadCfg::TpcB),
     ("tpcc", WorkloadCfg::TpcC),
-    ("tpce", WorkloadCfg::TpcE),
 ];
 
 fn normalized(s: &str) -> String {

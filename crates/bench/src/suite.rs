@@ -248,7 +248,6 @@ pub fn experiments_md(figs: &[Fig], checks: &[Check]) -> String {
          | 1-wide simple core | `figures ablation-simplecore` | stall-dominated OLTP loses far less than 4x on a simple core |\n\
          | VoltDB multi-partition | `figures ablation-voltdb-mp` | ~60% more instruction stalls without the single-site guarantee (paper §7) |\n\
          | overlap sensitivity | `figures ablation-overlap` | the IPC ordering is robust to the cycle model's LLC weight |\n\
-         | TPC-E-like mix | `figures tpce` | TPC-E profiles like TPC-C, as the studies the paper cites found |\n\
          | module breakdown | `figures modules [micro\\|tpcb\\|tpcc]` | per-module instruction/cycle/miss shares (DaMoN'13-style) |\n\
          | worker scaling grid | `figures scaling [--smoke]` | throughput/IPC/SPKI vs. worker count; the partitioned engines (VoltDB, HyPer) scale the partition-local micro-benchmark better than the shared-everything designs |\n\
          | NUMA deployment grid | `figures islands [--smoke]` | placement x cross-socket mix on a two-socket machine; island placement wins local mixes, the advantage shrinks as transactions cross sockets |\n\n",

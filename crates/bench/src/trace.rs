@@ -279,7 +279,7 @@ pub fn phases_table(workload: &str, cfg: &WorkloadCfg) -> String {
     let tmp = std::env::temp_dir().join("imoltp_phases");
     for sys in crate::figures::systems() {
         let sys = match (sys, workload) {
-            (SystemKind::DbmsM { .. }, "tpcc" | "tpce") => SystemKind::dbms_m_for_tpcc(),
+            (SystemKind::DbmsM { .. }, "tpcc") => SystemKind::dbms_m_for_tpcc(),
             (s, _) => s,
         };
         let art = run_trace(sys, cfg, workload, &tmp);

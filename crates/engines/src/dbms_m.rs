@@ -208,17 +208,6 @@ impl DbmsM {
         }
     }
 
-    /// Retain log records without the rest of durable mode (crash-replay
-    /// tests that want the paper's asynchronous log, only remembered).
-    pub fn retain_log(&mut self) {
-        self.shared.inner.lock().unwrap().wal.retain_records(true);
-    }
-
-    /// The retained log records (see [`storage::recovery`]).
-    pub fn log_records(&self) -> Vec<LogRecord> {
-        self.shared.inner.lock().unwrap().wal.records().to_vec()
-    }
-
     /// Transactions aborted by commit-time validation (diagnostics).
     pub fn validation_aborts(&self) -> u64 {
         self.shared.inner.lock().unwrap().validation_aborts
@@ -232,7 +221,7 @@ impl crate::durability::DurableDb for DbmsM {
     }
 
     fn log_streams(&self) -> Vec<Vec<LogRecord>> {
-        vec![self.log_records()]
+        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
     }
 
     fn log_status(&self) -> Vec<LogStatus> {

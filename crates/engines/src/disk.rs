@@ -160,17 +160,6 @@ impl<P: DiskProfile> DiskEngine<P> {
         }
     }
 
-    /// Retain log records without the rest of durable mode (crash-replay
-    /// tests that want the paper's asynchronous log, only remembered).
-    pub fn retain_log(&mut self) {
-        self.shared.inner.lock().unwrap().wal.retain_records(true);
-    }
-
-    /// The retained log records (see [`storage::recovery`]).
-    pub fn log_records(&self) -> Vec<LogRecord> {
-        self.shared.inner.lock().unwrap().wal.records().to_vec()
-    }
-
     #[cfg(test)]
     pub(crate) fn lock_entries(&self) -> usize {
         self.shared.inner.lock().unwrap().locks.entries()
@@ -184,7 +173,7 @@ impl<P: DiskProfile> crate::durability::DurableDb for DiskEngine<P> {
     }
 
     fn log_streams(&self) -> Vec<Vec<LogRecord>> {
-        vec![self.log_records()]
+        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
     }
 
     fn log_status(&self) -> Vec<LogStatus> {

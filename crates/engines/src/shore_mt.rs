@@ -157,7 +157,7 @@ mod tests {
     fn wal_sees_commit_records() {
         let (_sim, mut db) = setup();
         let t = micro_table(&mut db);
-        db.retain_log();
+        db.enable_durability(&crate::DurabilityCfg::default());
         let mut s = db.session(0);
         s.begin();
         s.insert(t, 9, &[Value::Long(9), Value::Long(9)]).unwrap();

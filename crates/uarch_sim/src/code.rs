@@ -104,6 +104,28 @@ pub struct Module {
     pub base_line: u64,
 }
 
+/// Immutable fetch parameters of one code module, cached outside the
+/// registry lock. [`crate::Mem`] snapshots this at bind time so `exec`
+/// never touches the registry's `RwLock`.
+#[derive(Clone, Copy, Debug)]
+pub struct CodeDesc {
+    pub base_line: u64,
+    pub seg_lines: u64,
+    pub reuse: f64,
+    pub branchiness: f64,
+}
+
+impl CodeDesc {
+    pub(crate) fn of(m: &Module) -> Self {
+        CodeDesc {
+            base_line: m.base_line,
+            seg_lines: m.spec.lines(),
+            reuse: m.spec.reuse,
+            branchiness: m.spec.branchiness,
+        }
+    }
+}
+
 /// Registry of all modules of a machine. Code segments are laid out
 /// contiguously in a dedicated region of the simulated address space so
 /// they contend in the caches exactly like real text sections do.

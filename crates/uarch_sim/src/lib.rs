@@ -42,18 +42,21 @@ pub mod code;
 pub mod coherence;
 pub mod config;
 pub mod counters;
+mod hierarchy;
 pub mod iodev;
+mod llc;
 pub mod machine;
+mod numa;
 pub mod port;
 pub mod rng;
 
 use std::sync::Arc;
 
-pub use code::{ModuleId, ModuleSpec};
+pub use code::{CodeDesc, ModuleId, ModuleSpec};
 pub use config::MachineConfig;
 pub use counters::{EventCounts, StallEvent};
 pub use iodev::{DeviceStats, LogDevice, NvmeProfile};
-pub use machine::{BatchOp, CodeDesc, Machine, MAX_HOME_TAGS};
+pub use machine::{BatchOp, Machine, MAX_HOME_TAGS};
 pub use port::CorePort;
 
 /// Cache-line size used throughout the simulator (bytes). Ivy Bridge uses
@@ -67,8 +70,20 @@ pub const LINE: u64 = 64;
 /// LLC — see [`machine`]), so `Sim` is `Send + Sync`: worker threads
 /// clone the handle and drive their own cores concurrently, sharing the
 /// LLC and coherence traffic exactly like threads of one server process.
+///
+/// Everything a [`Machine`] offers through `&self` — registering modules,
+/// counter snapshots, offline switches, NUMA homes — is called on the
+/// handle directly.
 #[derive(Clone)]
 pub struct Sim(Arc<Machine>);
+
+impl std::ops::Deref for Sim {
+    type Target = Machine;
+
+    fn deref(&self) -> &Machine {
+        &self.0
+    }
+}
 
 impl Sim {
     /// Build a fresh machine with cold caches.
@@ -81,14 +96,9 @@ impl Sim {
         &self.0
     }
 
-    /// Register a code module (allocates its code segment).
-    pub fn register_module(&self, spec: ModuleSpec) -> ModuleId {
-        self.0.register_module(spec)
-    }
-
     /// Allocate simulated data memory.
     pub fn alloc(&self, size: u64, align: u64) -> u64 {
-        self.0.alloc_data(size, align)
+        self.alloc_data(size, align)
     }
 
     /// A memory port bound to `core` (and, initially, to no code module).
@@ -97,7 +107,7 @@ impl Sim {
             sim: self.clone(),
             core,
             module: ModuleId::UNATTRIBUTED,
-            desc: self.0.code_desc(ModuleId::UNATTRIBUTED),
+            desc: self.code_desc(ModuleId::UNATTRIBUTED),
         }
     }
 
@@ -117,11 +127,6 @@ impl Sim {
             .unwrap_or_else(|| panic!("core {core} port already checked out"))
     }
 
-    /// Snapshot of the aggregate counters of `core`.
-    pub fn counters(&self, core: usize) -> EventCounts {
-        self.0.counters(core)
-    }
-
     /// Snapshot of every core's aggregate counters, in core order — the
     /// export hook metric reporters use to mirror the machine state
     /// without touching it (reads never charge the simulation).
@@ -129,49 +134,9 @@ impl Sim {
         (0..self.cores()).map(|c| self.counters(c)).collect()
     }
 
-    /// Snapshot of per-module counters of `core` (index = `ModuleId.0`).
-    pub fn module_counters(&self, core: usize) -> Vec<EventCounts> {
-        self.0.module_counters(core)
-    }
-
-    /// Human-readable module names in `ModuleId` order.
-    pub fn module_names(&self) -> Vec<String> {
-        self.0.module_names()
-    }
-
-    /// Full module specs in `ModuleId` order (for report attribution).
-    pub fn module_specs(&self) -> Vec<ModuleSpec> {
-        (0..self.0.module_names().len())
-            .map(|i| self.0.module(ModuleId(i as u16)).spec)
-            .collect()
-    }
-
     /// Machine configuration (cloned; it is small).
     pub fn config(&self) -> MachineConfig {
         self.0.config().clone()
-    }
-
-    /// Number of simulated cores.
-    pub fn cores(&self) -> usize {
-        self.0.cores()
-    }
-
-    /// Toggle offline (bulk-load) mode: suppresses all simulated traffic.
-    pub fn set_offline(&self, offline: bool) {
-        self.0.set_offline(offline);
-    }
-
-    /// Take one core offline (or back online): that core's traffic is
-    /// dropped and its counters freeze, as if the core were parked or
-    /// failed; other cores are unaffected. Used by fault injection to
-    /// model degraded placement.
-    pub fn set_core_offline(&self, core: usize, offline: bool) {
-        self.0.set_core_offline(core, offline);
-    }
-
-    /// Whether `core` is individually offline.
-    pub fn core_offline(&self, core: usize) -> bool {
-        self.0.core_offline(core)
     }
 
     /// Run `f` with simulation suppressed (bulk loading). The machine is
@@ -190,57 +155,18 @@ impl Sim {
         f()
     }
 
-    /// Prime the LLC with the allocated data region (post-load warm-up;
-    /// see [`Machine::warm_data`]).
-    pub fn warm_data(&self) {
-        self.0.warm_data();
-    }
-
-    /// Number of sockets (1 unless built from [`MachineConfig::numa`]).
-    pub fn sockets(&self) -> usize {
-        self.0.sockets()
-    }
-
-    /// Socket of `core` (socket-major layout).
-    pub fn socket_of(&self, core: usize) -> usize {
-        self.0.socket_of(core)
-    }
-
     /// Scope the ambient allocation home tag: until the guard drops,
     /// [`Sim::alloc`] places data in `tag`'s arena, whose home socket is
-    /// set with [`Sim::set_tag_home`]. Placement code wraps a partition's
+    /// set with [`Machine::set_tag_home`]. Placement code wraps a partition's
     /// table creation / bulk load in one guard. Tags are machine-global, so
     /// guards must not be nested across threads (engine loads are
     /// single-threaded).
     pub fn alloc_home_guard(&self, tag: usize) -> AllocHomeGuard {
-        let prev = self.0.set_alloc_home(Some(tag));
+        let prev = self.set_alloc_home(Some(tag));
         AllocHomeGuard {
             sim: self.clone(),
             prev,
         }
-    }
-
-    /// Home socket of untagged data, or `None` for the default 4 KB
-    /// interleave (models the OS page policy).
-    pub fn set_default_home(&self, socket: Option<usize>) {
-        self.0.set_default_home(socket);
-    }
-
-    /// Re-home all data tagged `tag` to `socket` (O(1); the simulated
-    /// `move_pages`).
-    pub fn set_tag_home(&self, tag: usize, socket: usize) {
-        self.0.set_tag_home(tag, socket);
-    }
-
-    /// Current home socket of `tag`.
-    pub fn tag_home(&self, tag: usize) -> usize {
-        self.0.tag_home(tag)
-    }
-
-    /// Migrate tags whose LLC-fill traffic is dominated by a non-home
-    /// socket (see [`Machine::rehome_hot_tags`]); returns tags moved.
-    pub fn rehome_hot_tags(&self, min_hits: u64, margin: f64) -> usize {
-        self.0.rehome_hot_tags(min_hits, margin)
     }
 }
 
@@ -253,7 +179,7 @@ pub struct AllocHomeGuard {
 
 impl Drop for AllocHomeGuard {
     fn drop(&mut self) {
-        self.sim.0.set_alloc_home(self.prev);
+        self.sim.set_alloc_home(self.prev);
     }
 }
 
@@ -278,7 +204,7 @@ impl Mem {
             sim: self.sim.clone(),
             core: self.core,
             module,
-            desc: self.sim.0.code_desc(module),
+            desc: self.sim.code_desc(module),
         }
     }
 
@@ -302,7 +228,6 @@ impl Mem {
     #[inline]
     pub fn exec(&self, n: u64) {
         self.sim
-            .0
             .fetch_code_desc(self.core, self.module, n, &self.desc);
     }
 
@@ -311,7 +236,6 @@ impl Mem {
     #[inline]
     pub fn read(&self, addr: u64, len: u32) {
         self.sim
-            .0
             .data_access(self.core, self.module, addr, len, false);
     }
 
@@ -319,7 +243,6 @@ impl Mem {
     #[inline]
     pub fn write(&self, addr: u64, len: u32) {
         self.sim
-            .0
             .data_access(self.core, self.module, addr, len, true);
     }
 
@@ -334,8 +257,6 @@ impl Mem {
     /// the ops one by one; hot loops stage the ops in a stack array.
     #[inline]
     pub fn run_ops(&self, ops: &[BatchOp]) {
-        self.sim
-            .0
-            .run_batch(self.core, self.module, &self.desc, ops);
+        self.sim.run_batch(self.core, self.module, &self.desc, ops);
     }
 }

@@ -9,9 +9,6 @@
 //! * [`tpcc`] — TPC-C: nine tables, five transaction types in the
 //!   45/43/4/4/4 mix, NURand skew, by-last-name customer selection, and
 //!   index scans (§5.2);
-//! * [`tpce`] — a TPC-E-like brokerage mix (extension): verifies the
-//!   claim, cited by the paper, that TPC-E behaves like TPC-B/C
-//!   micro-architecturally;
 //! * [`contention`] — a CCBench-style skewed read/write mix over a shared
 //!   (un-partitioned) key space, used by the `bench cc-grid` sweep of the
 //!   pluggable concurrency-control layer;
@@ -30,11 +27,9 @@ pub mod micro;
 pub mod names;
 pub mod tpcb;
 pub mod tpcc;
-pub mod tpce;
 
 pub use contention::{CcOp, Contention, Zipf};
 pub use driver::{run_txns, Workload};
 pub use micro::{DbSize, MicroBench};
 pub use tpcb::TpcB;
 pub use tpcc::TpcC;
-pub use tpce::TpcE;

@@ -5,7 +5,7 @@ use imoltp::bench::{TpcB, Workload};
 use imoltp::db::{Column, DataType, Db, Schema, TableDef, Value};
 use imoltp::sim::{MachineConfig, Sim};
 use imoltp::store::recovery::replay;
-use imoltp::systems::ShoreMt;
+use imoltp::systems::{DurabilityCfg, DurableDb, ShoreMt};
 
 fn micro_table(db: &mut ShoreMt) -> imoltp::db::TableId {
     db.create_table(TableDef::new(
@@ -22,7 +22,7 @@ fn micro_table(db: &mut ShoreMt) -> imoltp::db::TableId {
 fn replayed_database_matches_original() {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
     let mut db = ShoreMt::new(&sim);
-    db.retain_log();
+    db.enable_durability(&DurabilityCfg::default());
     let t = micro_table(&mut db);
 
     let mut s = db.session(0);
@@ -59,7 +59,7 @@ fn replayed_database_matches_original() {
     let t2 = micro_table(&mut fresh);
     assert_eq!(t, t2);
     let mut fs = fresh.session(0);
-    let records = db.log_records();
+    let records = db.log_streams().remove(0);
     let stats = sim2.offline(|| replay(&records, fs.as_mut()).unwrap());
     assert!(stats.txns > 0);
     assert_eq!(stats.losers, 1, "the in-flight transaction is a loser");
@@ -90,7 +90,7 @@ fn replayed_database_matches_original() {
 fn tpcb_survives_crash_replay() {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
     let mut db = ShoreMt::new(&sim);
-    db.retain_log();
+    db.enable_durability(&DurabilityCfg::default());
     let mut w = TpcB::with_branches(1).seed(321);
     sim.offline(|| w.setup(&mut db, 1));
     sim.offline(|| {
@@ -150,7 +150,7 @@ fn tpcb_survives_crash_replay() {
         10_000,
     ));
     let mut fs = fresh.session(0);
-    let records = db.log_records();
+    let records = db.log_streams().remove(0);
     let stats = sim2.offline(|| replay(&records, fs.as_mut()).unwrap());
     assert!(
         stats.applied > 100_000,
@@ -183,7 +183,7 @@ fn dbms_m_recovers_from_its_redo_log() {
 
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
     let mut db = DbmsM::new(&sim, DbmsMOptions::default());
-    db.retain_log();
+    db.enable_durability(&DurabilityCfg::default());
     let t = db.create_table(TableDef::new(
         "t",
         Schema::new(vec![
@@ -227,7 +227,7 @@ fn dbms_m_recovers_from_its_redo_log() {
         1000,
     ));
     let mut fs = fresh.session(0);
-    let records = db.log_records();
+    let records = db.log_streams().remove(0);
     sim2.offline(|| replay(&records, fs.as_mut()).unwrap());
 
     s.abort();
