@@ -43,16 +43,16 @@ pub(crate) trait Uncore {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Coherence {
     None,
-    /// Stores to lines `first..=last`: every other core drops them from its
-    /// private data caches (MESI downgrade-to-invalid).
-    Invalidate(u64, u64),
+    /// `(first, last, origin)`: a core on socket `origin` stored to lines
+    /// `first..=last`, so every other core drops them from its private data
+    /// caches (MESI downgrade-to-invalid; see [`Core::invalidate`]).
+    Invalidate(u64, u64, usize),
     /// An inclusive LLC evicted this line: every other core drops it
     /// everywhere (the evicting core already has).
     BackInvalidate(u64),
 }
 
-/// The level that served a demand access: the first one that hit. As a
-/// number, how many levels missed on the way there.
+/// The level that served a demand access: the first one that hit.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Served {
     L1,
@@ -60,9 +60,6 @@ enum Served {
     Llc,
     Memory,
 }
-
-/// The data-side miss classes in the order a descent meets them.
-const DATA_MISSES: [StallEvent; 3] = [StallEvent::L1d, StallEvent::L2d, StallEvent::LlcD];
 
 /// Per-core private state.
 pub(crate) struct Core {
@@ -89,7 +86,7 @@ impl Core {
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            socket: id / cfg.cores_per_socket(),
+            socket: cfg.socket_of(id),
             numa: cfg.sockets > 1,
             inclusive_llc: cfg.inclusive_llc,
             i_prefetch_next_line: cfg.i_prefetch_next_line,
@@ -106,7 +103,6 @@ impl Core {
     }
 
     /// Counters per module id, for the modules this core has grown to.
-    #[inline]
     pub(crate) fn module_counts(&self) -> &[EventCounts] {
         &self.module_counts
     }
@@ -241,7 +237,7 @@ impl Core {
     /// prefetcher of a real core streams the rest of a sequential object
     /// read behind it: trailing lines fill the caches and count as loads
     /// or stores, but charge no stall-class miss.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn data_access(
         &mut self,
         uncore: &mut impl Uncore,
@@ -255,46 +251,49 @@ impl Core {
         let last = (addr + u64::from(len.max(1)) - 1) / LINE;
         let lines = last - first + 1;
         let (served, victim) = self.demand(uncore, false, first);
-        // A fill from memory homed on another socket: one QPI hop on top
-        // of the local miss, for loads and write-allocate fills alike.
-        let remote = u64::from(
-            self.numa
-                && served == Served::Memory
-                && uncore.home_socket(first, self.socket) != self.socket,
-        );
-        let event = if store {
-            // Stores retire into the store buffer: the write-allocate fill
-            // updates the caches but produces no retirement stall, and the
-            // paper's counters are load events — so store misses are
-            // tracked apart from the six stall classes, and inclusive-
-            // victim handling is load-side only.
-            self.charge(mi, |c| {
-                c.stores += lines;
-                c.store_misses += u64::from(served != Served::L1);
-                c.remote_accesses += remote;
-            });
+        let mut event = Coherence::None;
+        if store {
+            self.charge(mi, |c| c.stores += lines);
             // Write-invalidation: a store by one core removes the line
             // from every other core's private caches.
-            Coherence::Invalidate(first, last)
+            event = Coherence::Invalidate(first, last, self.socket);
         } else {
+            self.charge(mi, |c| c.loads += lines);
+        }
+        if served != Served::L1 {
+            // A fill from memory homed on another socket: one QPI hop on
+            // top of the local miss, for loads and write-allocate fills
+            // alike.
+            let remote = u64::from(
+                self.numa
+                    && served == Served::Memory
+                    && uncore.home_socket(first, self.socket) != self.socket,
+            );
             self.charge(mi, |c| {
-                c.loads += lines;
-                // Served by level k: every level above it missed.
-                for &e in &DATA_MISSES[..served as usize] {
-                    c.record_miss(e);
+                if store {
+                    // Stores retire into the store buffer: the
+                    // write-allocate fill updates the caches but produces
+                    // no retirement stall, and the paper's counters are
+                    // load events — so store misses are tracked apart from
+                    // the six stall classes.
+                    c.store_misses += 1;
+                } else {
+                    // Every level above the one that served it missed.
+                    c.record_miss(StallEvent::L1d);
+                    if served != Served::L2 {
+                        c.record_miss(StallEvent::L2d);
+                        c.misses[StallEvent::LlcD as usize] += u64::from(served == Served::Memory);
+                    }
                 }
                 c.remote_accesses += remote;
             });
-            match victim {
-                // Inclusive-LLC back-invalidation: this core inline, the
-                // others through the returned event.
-                Some(v) if self.inclusive_llc => {
-                    self.back_invalidate(v);
-                    Coherence::BackInvalidate(v)
-                }
-                _ => Coherence::None,
+            // Inclusive-LLC back-invalidation (load-side only): this core
+            // inline, the others through the returned event.
+            if let (false, true, Some(v)) = (store, self.inclusive_llc, victim) {
+                self.back_invalidate(v);
+                event = Coherence::BackInvalidate(v);
             }
-        };
+        }
         for line in first + 1..=last {
             if !self.l1d.access(line).hit {
                 self.fill_below(uncore, line);
@@ -388,7 +387,7 @@ mod tests {
             if store {
                 let first = addr / LINE;
                 let last = (addr + u64::from(len) - 1) / LINE;
-                assert_eq!(event, Coherence::Invalidate(first, last));
+                assert_eq!(event, Coherence::Invalidate(first, last, 0));
             } else if !cfg.inclusive_llc {
                 assert_eq!(event, Coherence::None);
             }

@@ -134,6 +134,13 @@ impl Sim {
         (0..self.cores()).map(|c| self.counters(c)).collect()
     }
 
+    /// Full module specs in `ModuleId` order (for report attribution).
+    pub fn module_specs(&self) -> Vec<ModuleSpec> {
+        (0..self.module_names().len())
+            .map(|i| self.module(ModuleId(i as u16)).spec)
+            .collect()
+    }
+
     /// Machine configuration (cloned; it is small).
     pub fn config(&self) -> MachineConfig {
         self.0.config().clone()

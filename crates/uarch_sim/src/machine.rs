@@ -41,8 +41,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{OnceLock, RwLock};
 
 use crate::cache::AccessOutcome;
-pub use crate::code::CodeDesc;
-use crate::code::{ModuleId, ModuleRegistry, ModuleSpec};
+use crate::code::{CodeDesc, Module, ModuleId, ModuleRegistry, ModuleSpec};
 use crate::coherence::{InvalQueue, BACK_INVALIDATE};
 use crate::config::MachineConfig;
 use crate::counters::EventCounts;
@@ -347,10 +346,9 @@ impl Machine {
         self.modules.read().unwrap().names()
     }
 
-    /// Full module specs in id order (for report attribution).
-    pub fn module_specs(&self) -> Vec<ModuleSpec> {
-        let reg = self.modules.read().unwrap();
-        reg.iter().map(|(_, m)| m.spec.clone()).collect()
+    /// Module lookup (cloned; specs are small and read-mostly).
+    pub fn module(&self, id: ModuleId) -> Module {
+        self.modules.read().unwrap().get(id).clone()
     }
 
     /// Cached immutable fetch parameters of `id` (lock-free).
@@ -474,14 +472,12 @@ impl Machine {
     fn publish(&self, from: usize, event: Coherence) {
         let (first, last, flags) = match event {
             Coherence::None => return,
-            Coherence::Invalidate(first, last) => {
-                (first, last, (self.socket_of(from) as u64) << ORIGIN_SHIFT)
+            _ if self.cores.len() == 1 => return,
+            Coherence::Invalidate(first, last, origin) => {
+                (first, last, (origin as u64) << ORIGIN_SHIFT)
             }
             Coherence::BackInvalidate(line) => (line, line, BACK_INVALIDATE),
         };
-        if self.cores.len() == 1 {
-            return;
-        }
         for line in first..=last {
             for slot in &self.cores {
                 if slot.id != from && slot.active.load(Ordering::Acquire) {
@@ -562,16 +558,15 @@ impl Machine {
         c.ensure_module(module, || self.descs.len());
         let mut uncore = self;
         for op in ops {
-            let (addr, len, store) = match *op {
+            let event = match *op {
                 BatchOp::Exec(0) => continue,
                 BatchOp::Exec(n) => {
                     c.fetch(&mut uncore, module, d, n);
                     continue;
                 }
-                BatchOp::Read { addr, len } => (addr, len, false),
-                BatchOp::Write { addr, len } => (addr, len, true),
+                BatchOp::Read { addr, len } => c.data_access(&mut uncore, module, addr, len, false),
+                BatchOp::Write { addr, len } => c.data_access(&mut uncore, module, addr, len, true),
             };
-            let event = c.data_access(&mut uncore, module, addr, len, store);
             self.publish(core, event);
         }
     }
