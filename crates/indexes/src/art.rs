@@ -7,11 +7,33 @@
 //! with adaptive compact node sizes") for HyPer's low data stalls *per
 //! transaction* despite very high stalls *per 1000 instructions*.
 //!
-//! How a key byte finds its child is said once, by [`Inner`]'s four
-//! primitives — `slot`, `put`, `take`, `ordered` — over the [`Kind`]
-//! table; descents, splits, grow/shrink and scans are written on top of
-//! them and name a layout only where the simulated node is charged
-//! (`find_child`, `add_child`, the scan's node visit).
+//! **Node interface.** How a key byte finds its child is said once, by
+//! [`Inner`]'s four primitives over the [`Kind`] table: `slot(byte)` (the
+//! child and where it sits), `put(byte, child)` (add or replace),
+//! `take(byte)` (remove) and `ordered(lo, hi)` (the children whose byte
+//! lies in a window, in byte order). Descents, splits, grow/shrink and
+//! scans are written on top of them and name a layout only where the
+//! simulated node is charged (`find_child`, `add_child`, the scan's node
+//! visit).
+//!
+//! **Window rule.** A range scan is an ordered descent. It carries each
+//! bound only while the path so far spells that bound's own leading bytes:
+//! such a bound is compared with the node's prefix (which puts the subtree
+//! outside the range, clears the bound, or keeps it) and its next byte
+//! closes one side of the window `ordered` is asked for. A child strictly
+//! inside the window is free of both bounds, and a leaf — lazy, so only
+//! its path is vouched for — is compared whole.
+//!
+//! **What a scan charges.** Per node visited, what it always did: the
+//! layout's instructions and the header line, then — if the prefix keeps
+//! the subtree in range — the key/index/child bytes a scan streams (none
+//! for a Node4, 16 / 64 / 128 bytes for a Node16 / 48 / 256); per leaf
+//! visited, 8 instructions and its line. The window decides *which* nodes
+//! those are: the two boundary paths plus what lies between them, so
+//! O(height + rows) lines (`tests/cost_model.rs` holds every index to
+//! that).
+
+use std::cmp::Ordering;
 
 use uarch_sim::Mem;
 
@@ -435,15 +457,18 @@ impl Art {
         self.splice(parent, NodeRef::Inner(n4), mem);
     }
 
-    /// Ordered DFS over `[lo, hi]`; returns false to stop.
+    /// Ordered DFS below `node`, whose path spells the first `depth` key
+    /// bytes; returns false once the visitor stops. A bound is `Some` while
+    /// that path equals the bound's own first `depth` bytes — only then can
+    /// it still cut into this subtree.
     fn scan_rec(
         &self,
         mem: &Mem,
         node: NodeRef,
-        lo: u64,
-        hi: u64,
+        depth: usize,
+        lo: Option<&[u8; 8]>,
+        hi: Option<&[u8; 8]>,
         f: &mut dyn FnMut(u64, u64) -> bool,
-        visited: &mut u64,
     ) -> bool {
         match node {
             NodeRef::None => true,
@@ -451,28 +476,39 @@ impl Art {
                 let leaf = &self.leaves[l as usize];
                 mem.exec(8);
                 mem.read(leaf.addr, 16);
-                if leaf.key >= lo && leaf.key <= hi {
-                    *visited += 1;
-                    f(leaf.key, leaf.payload)
-                } else {
-                    true
-                }
+                // Leaves are lazy: the path vouches for `depth` bytes only.
+                let kb = leaf.key.to_be_bytes();
+                let inside = lo.is_none_or(|lo| kb >= *lo) && hi.is_none_or(|hi| kb <= *hi);
+                !inside || f(leaf.key, leaf.payload)
             }
             NodeRef::Inner(id) => {
                 let n = &self.inners[id as usize];
                 mem.exec(n.kind.visit_instr());
                 mem.read(n.addr, 16);
+                // The compressed path against each bound still in force:
+                // it leaves the range, clears the bound, or keeps it.
+                let end = depth + n.prefix().len();
+                let lo_ord = lo.map(|b| n.prefix().cmp(&b[depth..end]));
+                let hi_ord = hi.map(|b| n.prefix().cmp(&b[depth..end]));
+                if lo_ord == Some(Ordering::Less) || hi_ord == Some(Ordering::Greater) {
+                    return true;
+                }
+                let lo = lo.filter(|_| lo_ord == Some(Ordering::Equal));
+                let hi = hi.filter(|_| hi_ord == Some(Ordering::Equal));
                 match n.kind {
                     Kind::N4 => {}
                     Kind::N16 => mem.read(n.addr + 16, 16),
                     Kind::N48 => mem.read(n.addr + 16, 64),
                     Kind::N256 => mem.read(n.addr + 16, 128),
                 }
-                // Subtree pruning happens naturally at leaves; radix
-                // subtrees are narrow enough that the extra node visits
-                // match real ART scan behaviour.
-                n.ordered(0, 255)
-                    .all(|(_, child)| self.scan_rec(mem, child, lo, hi, f, visited))
+                // Only the children the bounds' next byte still allows; a
+                // child strictly inside the window is free of both bounds.
+                let (lo_byte, hi_byte) = (lo.map_or(0, |b| b[end]), hi.map_or(255, |b| b[end]));
+                n.ordered(lo_byte, hi_byte).all(|(byte, child)| {
+                    let lo = lo.filter(|_| byte == lo_byte);
+                    let hi = hi.filter(|_| byte == hi_byte);
+                    self.scan_rec(mem, child, end + 1, lo, hi, f)
+                })
             }
         }
     }
@@ -591,7 +627,12 @@ impl Index for Art {
             return Some(0);
         }
         let mut visited = 0u64;
-        self.scan_rec(mem, self.root, lo, hi, f, &mut visited);
+        let mut counted = |key, payload| {
+            visited += 1;
+            f(key, payload)
+        };
+        let (lo, hi) = (lo.to_be_bytes(), hi.to_be_bytes());
+        self.scan_rec(mem, self.root, 0, Some(&lo), Some(&hi), &mut counted);
         Some(visited)
     }
 
