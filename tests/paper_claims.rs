@@ -3,6 +3,7 @@
 //! shrunk so the whole file runs in tens of seconds under `cargo test`.
 
 use imoltp::analysis::{measure, Measurement, WindowSpec};
+use imoltp::bench::tpcc::{TpcC, TpcCScale};
 use imoltp::bench::{DbSize, MicroBench, Workload};
 use imoltp::sim::{MachineConfig, Sim, StallEvent};
 use imoltp::systems::{build_system, DbmsMIndex, SystemKind};
@@ -236,6 +237,47 @@ fn read_write_variant_has_larger_instruction_footprint() {
             "{kind:?}: rw {:.0} <= ro {:.0}",
             rw.instr_per_txn,
             ro.instr_per_txn
+        );
+    }
+}
+
+/// Instructions per transaction of a TPC-C run at `scale` (seed 5, 50
+/// warm-up + 250 measured transactions).
+fn tpcc_instr_per_txn(kind: SystemKind, scale: TpcCScale) -> f64 {
+    let sim = Sim::new(MachineConfig::ivy_bridge(1));
+    let mut db = build_system(kind, &sim, 1);
+    let mut w = TpcC::with_scale(scale).seed(5);
+    sim.offline(|| w.setup(db.as_mut(), 1));
+    sim.warm_data();
+    let mut s = db.session(0);
+    let spec = WindowSpec {
+        warmup: 50,
+        measured: 250,
+        reps: 1,
+    };
+    measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn")).instr_per_txn
+}
+
+#[test]
+fn tpcc_instructions_follow_rows_touched_not_table_size() {
+    // §5 reads HyPer's TPC-C off its index: what a transaction retires
+    // follows the rows its probes and range scans touch. Four times the
+    // customers, items and initial orders leave those nearly alone — a scan
+    // that walked the whole tree would follow the table instead (HyPer went
+    // 29 880 -> 64 396 instructions per transaction when it did).
+    let tiny = TpcCScale::tiny();
+    let quadrupled = TpcCScale {
+        customers_per_district: 4 * tiny.customers_per_district,
+        items: 4 * tiny.items,
+        initial_orders: 4 * tiny.initial_orders,
+        ..tiny
+    };
+    for kind in [SystemKind::HyPer, SystemKind::VoltDb] {
+        let small = tpcc_instr_per_txn(kind, tiny);
+        let large = tpcc_instr_per_txn(kind, quadrupled);
+        assert!(
+            large < 1.25 * small,
+            "{kind:?}: {small:.0} -> {large:.0} instructions per transaction on a 4x database"
         );
     }
 }

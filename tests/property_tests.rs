@@ -40,23 +40,67 @@ enum Op {
     Get(u64),
     Remove(u64),
     Replace(u64, u64),
-    Scan(u64, u64),
+    /// Bounds, and the number of rows after which the visitor stops.
+    Scan(u64, u64, usize),
+}
+
+/// The ~320 keys a case draws from — few enough that operations collide
+/// often, spread so a radix tree meets every kind of path: dense keys that
+/// differ in the last two bytes only, full-width sparse keys (each with a
+/// neighbour that shares all but the last bit) and TPC-C-style composites
+/// `(w << 32) | (d << 8) | x` that share long prefixes.
+fn key_pool(rng: &mut StdRng) -> Vec<u64> {
+    let mut pool: Vec<u64> = (0..100).map(|_| rng.random_range(0u64..300)).collect();
+    for _ in 0..64 {
+        let k = rng.random_range(0u64..=u64::MAX);
+        pool.extend([k, k ^ 1]);
+    }
+    for w in 0..3u64 {
+        for d in 0..4u64 {
+            pool.extend((0..8u64).map(|x| (w << 32) | (d << 8) | x));
+        }
+    }
+    pool
+}
+
+/// A scan bound: on a key, just beside one, on or at the end of the block
+/// of keys that share a prefix with one, or at either end of the key space.
+fn random_bound(rng: &mut StdRng, pool: &[u64]) -> u64 {
+    let k = pool[rng.random_range(0..pool.len())];
+    match rng.random_range(0u8..9) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => k.wrapping_sub(1),
+        3 => k.wrapping_add(1),
+        4 => k & !0xFF,
+        5 => k | 0xFFFF,
+        6 => k & !0xFFFF_FFFF,
+        _ => k,
+    }
 }
 
 fn random_ops(rng: &mut StdRng) -> Vec<Op> {
+    let pool = key_pool(rng);
     let n = rng.random_range(1usize..200);
     (0..n)
         .map(|_| {
-            // Small key space so operations collide often.
-            let k = rng.random_range(0u64..300);
+            let k = pool[rng.random_range(0..pool.len())];
             match rng.random_range(0u8..5) {
                 0 => Op::Insert(k, rng.random_range(0u64..=u64::MAX)),
                 1 => Op::Get(k),
                 2 => Op::Remove(k),
                 3 => Op::Replace(k, rng.random_range(0u64..=u64::MAX)),
                 _ => {
-                    let b = rng.random_range(0u64..300);
-                    Op::Scan(k.min(b), k.max(b))
+                    let a = random_bound(rng, &pool);
+                    let b = match rng.random_range(0u8..6) {
+                        0 => a, // lo == hi
+                        _ => random_bound(rng, &pool),
+                    };
+                    let stop_after = match rng.random_range(0u8..3) {
+                        0 => rng.random_range(1usize..5),
+                        _ => usize::MAX,
+                    };
+                    Op::Scan(a.min(b), a.max(b), stop_after)
                 }
             }
         })
@@ -87,16 +131,20 @@ fn check_against_model(index: &mut dyn Index, mem: &Mem, ops: &[Op]) {
                     model.insert(k, v);
                 }
             }
-            Op::Scan(lo, hi) => {
+            Op::Scan(lo, hi, stop_after) => {
                 if index.supports_range() {
                     let mut got = Vec::new();
-                    index.scan(mem, lo, hi, &mut |k, v| {
+                    let visited = index.scan(mem, lo, hi, &mut |k, v| {
                         got.push((k, v));
-                        true
+                        got.len() < stop_after
                     });
-                    let expect: Vec<(u64, u64)> =
-                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(got, expect, "scan [{lo},{hi}]");
+                    let expect: Vec<(u64, u64)> = model
+                        .range(lo..=hi)
+                        .map(|(&k, &v)| (k, v))
+                        .take(stop_after)
+                        .collect();
+                    assert_eq!(got, expect, "scan [{lo:#x},{hi:#x}] x{stop_after}");
+                    assert_eq!(visited, Some(expect.len() as u64), "scan count");
                 }
             }
         }
