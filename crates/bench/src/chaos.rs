@@ -52,11 +52,12 @@ use obs::sink::{JsonlSink, VecSink};
 use obs::{hist::Histogram, Phase, Tracer};
 use oltp::retry::{retry_txn, Backoff, RetryPolicy, RetryStats, TxnOutcome};
 use oltp::{Column, DataType, OltpError, OltpResult, Schema, Session, TableDef, TableId, Value};
+use uarch_sim::rng::Fnv;
 use uarch_sim::{EventCounts, MachineConfig, Sim};
 use workloads::Workload;
 
 use crate::names::{slug, system_cli};
-use crate::oracle::{oracle_key, Fnv, KEYS_PER_WORKER};
+use crate::oracle::{oracle_key, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
 
 /// Fixed length (in transaction slots) of a core-offline window.
@@ -211,7 +212,7 @@ fn hash_counts(h: &mut Fnv, c: &EventCounts) {
 
 /// Per-core FNV digest over aggregate + per-module counters.
 fn core_digest(sim: &Sim, core: usize) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv::default();
     hash_counts(&mut h, &sim.counters(core));
     let mods = sim.module_counters(core);
     h.word(mods.len() as u64);
@@ -422,7 +423,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     let mut outcomes = ChaosOutcomes::default();
     let mut retry_hist = Histogram::new();
     let mut backoff_hist = Histogram::new();
-    let mut table_fnv = Fnv::new();
+    let mut table_fnv = Fnv::default();
     for slot in &slots {
         let mut slot = slot.lock().unwrap();
         sim.set_core_offline(slot.worker, false);

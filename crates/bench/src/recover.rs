@@ -58,10 +58,11 @@ use oltp::{tuple, Column, DataType, OltpError, Schema, Session, TableDef, TableI
 use storage::checkpoint::{Checkpoint, Checkpointer};
 use storage::recovery::{recover, replay, RecoveryStats, ReplayStats};
 use storage::wal::{LogRecord, Lsn};
+use uarch_sim::rng::Fnv;
 use uarch_sim::{MachineConfig, Sim};
 
 use crate::names::{slug, system_cli};
-use crate::oracle::{oracle_key, Fnv, KEYS_PER_WORKER};
+use crate::oracle::{oracle_key, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
 
 /// Worker-private scratch rows per worker (aborted-increment oracle).
@@ -241,7 +242,7 @@ impl ApplyDb {
         self.tables
             .iter()
             .map(|(&t, rows)| {
-                let mut h = Fnv::new();
+                let mut h = Fnv::default();
                 h.word(rows.len() as u64);
                 for (&k, row) in rows {
                     h.word(k);

@@ -36,6 +36,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use uarch_sim::rng::Fnv;
 use uarch_sim::Mem;
 
 use crate::engine::OltpError;
@@ -420,13 +421,7 @@ impl PartitionSerialCc {
 
     fn stripe(&self, table: TableId, key: u64) -> usize {
         // FNV-1a over (table, key): stable, spreads adjacent keys.
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for w in [u64::from(table.0), key] {
-            for b in w.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
+        let h = Fnv::default().word(u64::from(table.0)).word(key).0;
         (h % self.parts as u64) as usize
     }
 

@@ -16,26 +16,9 @@
 //! server charges simulated parse/respond work against the connection's
 //! simulated buffer when it touches these bytes.
 
+use uarch_sim::rng::{splitmix64, Fnv};
+
 use crate::wire::Frame;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
@@ -83,13 +66,13 @@ impl ClientConn {
             id,
             buf,
             state: State::Fresh,
-            rng: splitmix(seed ^ id.wrapping_mul(FNV_PRIME)).max(1),
+            rng: splitmix64(seed ^ id.wrapping_mul(Fnv::PRIME)).max(1),
             resume_at: 0,
             committed: 0,
             busy: 0,
             errors: 0,
             responses: 0,
-            digest: FNV_OFFSET,
+            digest: Fnv::default().0,
         }
     }
 
@@ -141,7 +124,7 @@ impl ClientConn {
 
     /// Deliver encoded response bytes (decode is host-side client work).
     pub fn deliver(&mut self, turn: u64, bytes: &[u8]) {
-        self.digest = fnv1a(self.digest, bytes);
+        self.digest = Fnv(self.digest).bytes(bytes).0;
         let mut at = 0;
         while at < bytes.len() {
             let (frame, used) = Frame::decode(&bytes[at..]).expect("server sent a bad frame");

@@ -30,6 +30,7 @@ use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use obs::{metrics::registry, Phase, Tracer};
 use oltp::retry::{classify, ErrorClass};
 use oltp::CcPolicy;
+use uarch_sim::rng::Fnv;
 use uarch_sim::{MachineConfig, ModuleSpec, Sim};
 use workloads::Workload;
 
@@ -578,7 +579,7 @@ impl Service {
         let mut starved = 0u64;
         let mut conns_served = 0u64;
         let mut conns_committed = 0u64;
-        let mut digest: u64 = 0xcbf29ce484222325;
+        let mut digest = Fnv::default().0;
         let measured_turns = (cfg.window.measured * cfg.window.reps.max(1) as u64) as usize;
         for state in &states {
             let st = state.lock().unwrap();
@@ -604,7 +605,7 @@ impl Service {
                 }
                 digest ^= c
                     .digest
-                    .wrapping_mul(0x100000001b3)
+                    .wrapping_mul(Fnv::PRIME)
                     .wrapping_add(c.committed << 1)
                     .wrapping_add(c.busy << 33)
                     .rotate_left((c.id % 63) as u32);

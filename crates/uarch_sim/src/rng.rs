@@ -4,6 +4,10 @@
 //! The workload crates use the `rand` crate; the simulator keeps its own
 //! dependency-free generator so that identical engine activity always
 //! produces identical miss counts, independent of `rand` versions.
+//!
+//! Beside it, the two stateless mixers every crate above the simulator
+//! shares: FNV-1a ([`Fnv`]) — the digest manifests, stripes and name keys
+//! are pinned to — and the [`splitmix64`] finaliser.
 
 /// xorshift64* — fast, small-state, good enough for address scrambling.
 #[derive(Clone, Debug)]
@@ -71,9 +75,60 @@ impl XorShift64 {
     }
 }
 
+/// Incremental 64-bit FNV-1a: `Fnv::default()` starts from the offset
+/// basis, `bytes`/`word` fold input in and chain, `.0` is the hash so far.
+pub struct Fnv(pub u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    /// The FNV prime.
+    pub const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Fold a byte string in.
+    pub fn bytes(&mut self, bytes: &[u8]) -> &mut Self {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| (h ^ u64::from(b)).wrapping_mul(Self::PRIME));
+        self
+    }
+
+    /// Fold a word in, as its 8 little-endian bytes.
+    pub fn word(&mut self, w: u64) -> &mut Self {
+        self.bytes(&w.to_le_bytes())
+    }
+}
+
+/// The splitmix64 step: add the golden-ratio increment, then finalise. One
+/// round decorrelates packed or consecutive inputs.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Published test vectors, so the shared mixers cannot drift from the
+    /// hand-rolled copies they replaced.
+    #[test]
+    fn fnv1a_and_splitmix64_match_their_reference_vectors() {
+        let fnv1a = |bytes: &[u8]| Fnv::default().bytes(bytes).0;
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        let word = u64::from_le_bytes(*b"foobar\0\0");
+        assert_eq!(Fnv::default().word(word).0, fnv1a(b"foobar\0\0"));
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6e78_9e6a_a1b9_65f4);
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

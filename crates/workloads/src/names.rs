@@ -2,6 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use uarch_sim::rng::Fnv;
 
 /// The ten syllables of TPC-C §4.3.2.3.
 pub const SYLLABLES: [&str; 10] = [
@@ -21,12 +22,7 @@ pub fn c_last(num: u64) -> String {
 /// A 16-bit order-insensitive hash of a last name, used to key the
 /// customer-by-name secondary structure.
 pub fn name_hash(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h & 0xFFFF
+    Fnv::default().bytes(name.as_bytes()).0 & 0xFFFF
 }
 
 /// Non-uniform random values, TPC-C §2.1.6:
