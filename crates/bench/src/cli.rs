@@ -83,7 +83,7 @@ pub const COMMANDS: &[Command] = &[
         names: &["all"],
         positionals: "",
         flags: &[],
-        help: "every figure + results/fig*.csv, results/summary.json and EXPERIMENTS.md; exit 1 on a failed shape check",
+        help: "every figure + results/fig*.csv, results/figures.md and results/summary.json; exit 1 on a failed shape check",
         run: |_| Ok(i32::from(suite::run_all(&grid::repo_root()) != 0)),
     },
     Command {

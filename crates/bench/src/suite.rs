@@ -1,5 +1,7 @@
-//! The `bench all` pipeline: run every experiment, write per-figure CSVs
-//! under `results/`, and regenerate `EXPERIMENTS.md`.
+//! The `bench all` pipeline: run every experiment and write, under
+//! `results/`, the per-figure CSVs, `figures.md` (every figure table next
+//! to the paper's expectation, then the shape checks) and `summary.json`.
+//! Nothing outside `results/` is written: `EXPERIMENTS.md` is hand-written.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -41,8 +43,8 @@ fn expectation(id: &str) -> &'static str {
     }
 }
 
-/// Run everything, write `results/*.csv`, regenerate `EXPERIMENTS.md`, and
-/// print the text tables + check summary. Returns the number of failed
+/// Run everything, write `results/{fig*.csv, figures.md, summary.json}`,
+/// and print the text tables + check summary. Returns the number of failed
 /// checks.
 pub fn run_all(repo_root: &Path) -> usize {
     let mut figures = Figures::new();
@@ -57,8 +59,7 @@ pub fn run_all(repo_root: &Path) -> usize {
         println!("{}", fig.render_text());
     }
 
-    let md = experiments_md(&figs, &checks);
-    fs::write(repo_root.join("EXPERIMENTS.md"), md).expect("write EXPERIMENTS.md");
+    fs::write(results.join("figures.md"), figures_md(&figs, &checks)).expect("write figures.md");
 
     let failed = checks.iter().filter(|c| !c.pass).count();
     println!(
@@ -115,96 +116,13 @@ pub fn summary_json(figures: usize, checks: &[Check]) -> obs::json::Json {
     ])
 }
 
-/// Worked `figures diff` example embedded in EXPERIMENTS.md. The numbers
-/// come from the two run records committed under `results/` (regenerate
-/// them with `figures record` if the engines or the cycle model change).
-pub fn diff_example_md() -> &'static str {
-    "## Differential top-down analysis\n\n\
-     `figures record <system> <workload> <out.json>` captures one traced run \
-     as a JSON `RunRecord`: per-phase hardware-event counts plus the cycle \
-     model's constants. `figures diff <a.json> <b.json> [--threshold PCT]` \
-     then decomposes the throughput delta between two records into per \
-     phase\u{d7}component cycles-per-transaction contributions and prints them \
-     ranked by magnitude. Because the cycle model is linear and the span \
-     tree partitions the measured window, the per-cell deltas sum exactly \
-     to the total cycles/txn delta; the command exits nonzero when the \
-     candidate's throughput falls more than the threshold below the \
-     baseline, which is the nightly regression gate.\n\n\
-     Worked example over the two records committed under `results/`:\n\n\
-     ```text\n\
-     $ figures diff results/run_voltdb_micro.json results/run_shore_mt_micro.json\n\
-     == differential top-down: VoltDB/micro (baseline) vs Shore-MT/micro (candidate) ==\n\
-     throughput:        94180 ->        76491 tps  (-18.78%)\n\
-     cycles/txn:      21235.9 ->      26150.4      (+4914.6)\n\
-     phase                         component |     baseline    candidate  delta c/txn\n\
-     VoltDB:dispatch              mispredict |       6958.7          0.0      -6958.7\n\
-     VoltDB:dispatch                  retire |       5900.0          0.0      -5900.0\n\
-     Shore-MT:dispatch            mispredict |          0.0       4179.8      +4179.8\n\
-     VoltDB:dispatch                     l1i |       3766.1          0.0      -3766.1\n\
-     Shore-MT:dispatch                retire |          0.0       3600.0      +3600.0\n\
-     Shore-MT:cc                  mispredict |          0.0       2237.5      +2237.5\n\
-     Shore-MT:cc                      retire |          0.0       2018.0      +2018.0\n\
-     Shore-MT:dispatch                   l1i |          0.0       1554.2      +1554.2\n\
-     ...\n\
-     (total)                                 |                                +4914.6\n\
-     ```\n\n\
-     Reading the table: comparing across engines, each engine's phases only \
-     appear on its own side, so the ranked rows show where each design \
-     spends its cycles. Shore-MT's extra ~4.9k cycles/txn come from its \
-     heavier dispatch front-end and the `cc` (centralized locking) and \
-     `log` phases that the partitioned, single-threaded VoltDB executor \
-     avoids \u{2014} the paper's \u{a7}5 argument, quantified per component. \
-     Comparing two records of the *same* system (e.g. before/after an \
-     optimization) attributes a regression to the exact phase and stall \
-     component that moved.\n\n"
-}
-
-/// Worked islands-grid example embedded in EXPERIMENTS.md. The numbers
-/// come from the committed `results/islands.csv` (regenerate with
-/// `bench islands` if the NUMA model or the placement policies change).
-pub fn islands_example_md() -> &'static str {
-    "## NUMA deployment grid (Hardware Islands)\n\n\
-     `bench islands [--smoke]` (or `figures islands`) runs the read-write \
-     micro-benchmark on a two-socket machine (per-socket LLCs, QPI-like \
-     remote-fill penalty) under three placements \u{d7} three cross-socket \
-     transaction mixes, for every engine. *Spread* scatters workers round \
-     robin across sockets and leaves data OS-interleaved; *island* co-homes \
-     each partition with its worker's socket; *os* starts with everything \
-     first-touched on socket 0 and lets the metrics-driven rebalancer \
-     migrate hot partitions. Full grid: `results/islands.csv`.\n\n\
-     Worked slice (2 sockets \u{d7} 4 cores, 8 workers, from the committed CSV):\n\n\
-     ```text\n\
-     system   placement cross%        tps   remote%  rehomed\n\
-     VoltDB   spread         0     744740     49.7%        0\n\
-     VoltDB   island         0     749857      0.0%        0\n\
-     VoltDB   os             0     751375      0.1%        3\n\
-     VoltDB   spread        50     552975     50.1%        0\n\
-     VoltDB   island        50     551251     44.8%        0\n\
-     HyPer    spread         0   11071816     50.0%        0\n\
-     HyPer    island         0   13748061      0.0%        0\n\
-     HyPer    spread        50    6247121     50.0%        0\n\
-     HyPer    island        50    6059470     43.8%        0\n\
-     ```\n\n\
-     Reading the slice: on a fully partition-local mix, island placement \
-     eliminates cross-socket fills entirely (remote share 0% vs ~50% under \
-     spread) and wins throughput \u{2014} dramatically for HyPer, whose \
-     LLC-heavy data stalls make every miss a potential QPI round trip. As \
-     the cross-socket fraction rises, each transaction touches its partner \
-     partition on the other socket, the remote share under island placement \
-     climbs back toward spread's, and the advantage shrinks \u{2014} the \
-     Porobic et al. (VLDB'12) crossover. The `os` rows show the rebalancer \
-     recovering island-like homing from a worst-case first-touch layout \
-     (`rehomed` > 0), driven only by the per-tag fill counters the metrics \
-     registry already exports. CI runs the smoke grid and fails unless this \
-     ordering holds; the nightly full grid uploads the CSV.\n\n"
-}
-
-/// Build the EXPERIMENTS.md document.
-pub fn experiments_md(figs: &[Fig], checks: &[Check]) -> String {
+/// Build the `results/figures.md` document.
+fn figures_md(figs: &[Fig], checks: &[Check]) -> String {
     let mut md = String::new();
-    md.push_str("# EXPERIMENTS — paper vs. reproduction\n\n");
+    md.push_str("# Figures — paper vs. reproduction\n\n");
     md.push_str(
-        "Regenerated by `cargo run --release -p bench --bin figures -- all`.\n\n\
+        "Generated by `cargo run --release -p bench --bin figures -- all`; do not \
+         edit. The hand-written experiment notes are in `../EXPERIMENTS.md`.\n\n\
          Every table below is measured on the simulated Ivy Bridge machine \
          (Table 1 geometry; penalties 8/19/167 cycles; ideal IPC 3.0) with the \
          paper's §3 methodology: bulk load, warm-up window, measured window, \
@@ -219,7 +137,9 @@ pub fn experiments_md(figs: &[Fig], checks: &[Check]) -> String {
     let _ = writeln!(
         md,
         "Multi-threaded figures use {MT_WORKERS} workers (one partition per \
-         worker for the partitioned engines, single-site transactions only).\n"
+         worker for the partitioned engines, single-site transactions only). \
+         Measurement windows are scaled by `IMOLTP_SCALE` = {}.\n",
+        crate::scale_factor()
     );
 
     for fig in figs {
@@ -238,22 +158,6 @@ pub fn experiments_md(figs: &[Fig], checks: &[Check]) -> String {
         md.push('\n');
     }
 
-    md.push_str(
-        "## Extensions beyond the paper\n\n\
-         Not part of the figure set above; regenerate with the listed \
-         subcommands.\n\n\
-         | experiment | command | what it shows |\n|---|---|---|\n\
-         | LLC capacity sweep | `figures ablation-llc` | even 16x more LLC does not cache the working set (the paper's §8 argument) |\n\
-         | next-line I-prefetcher | `figures ablation-prefetch` | sequential code prefetches; the branchy frontends keep missing |\n\
-         | 1-wide simple core | `figures ablation-simplecore` | stall-dominated OLTP loses far less than 4x on a simple core |\n\
-         | VoltDB multi-partition | `figures ablation-voltdb-mp` | ~60% more instruction stalls without the single-site guarantee (paper §7) |\n\
-         | overlap sensitivity | `figures ablation-overlap` | the IPC ordering is robust to the cycle model's LLC weight |\n\
-         | module breakdown | `figures modules [micro\\|tpcb\\|tpcc]` | per-module instruction/cycle/miss shares (DaMoN'13-style) |\n\
-         | worker scaling grid | `figures scaling [--smoke]` | throughput/IPC/SPKI vs. worker count; the partitioned engines (VoltDB, HyPer) scale the partition-local micro-benchmark better than the shared-everything designs |\n\
-         | NUMA deployment grid | `figures islands [--smoke]` | placement x cross-socket mix on a two-socket machine; island placement wins local mixes, the advantage shrinks as transactions cross sockets |\n\n",
-    );
-    md.push_str(islands_example_md());
-    md.push_str(diff_example_md());
     md.push_str("## Shape checks\n\n");
     md.push_str("| status | figure | claim | measured |\n|---|---|---|---|\n");
     for c in checks {

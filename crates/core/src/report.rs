@@ -4,7 +4,7 @@
 //! a swept parameter (database size, rows per transaction, ...) on the
 //! inner axis, and either a scalar (IPC) or a six-component stall
 //! breakdown per bar. This module renders the same data as aligned text,
-//! markdown, and CSV so `EXPERIMENTS.md` can be regenerated mechanically.
+//! markdown, and CSV so `results/figures.md` can be regenerated mechanically.
 
 use std::fmt::Write as _;
 

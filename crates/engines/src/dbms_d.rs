@@ -35,7 +35,7 @@ const OPTIMIZER: usize = 2;
 const EXECUTOR: usize = 3;
 const CATALOG: usize = 4;
 
-/// Frontend instruction budgets (see EXPERIMENTS.md for the calibration).
+/// Frontend instruction budgets (see results/figures.md for the calibration).
 mod cost {
     // Charged per transaction.
     pub const NET_RECV: u64 = 5200;

@@ -35,7 +35,7 @@ use crate::durability::{configure_wal, flush_behind, wal_status, DurabilityCfg, 
 use crate::scaffold::{table_index, EngineCore, LatchModel, Module, Ports};
 
 /// Per-phase instruction budgets of the storage manager (tuned against the
-/// paper's bars; see EXPERIMENTS.md).
+/// paper's bars; see results/figures.md).
 pub struct DiskCost {
     pub begin: u64,
     pub commit: u64,

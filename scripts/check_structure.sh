@@ -4,7 +4,9 @@
 # 1. The simulator's seam: `hierarchy.rs` decides and names no
 #    synchronisation primitive; `machine.rs` synchronises and accesses no
 #    cache.
-# 2. DESIGN.md §3: in the inventory table, every back-ticked name in the
+# 2. The ART range scan collects no children: `art.rs` does not name
+#    `Vec<NodeRef>`, the per-node list the full-tree walk needed.
+# 3. DESIGN.md §3: in the inventory table, every back-ticked name in the
 #    "Key modules" cell of a `crates/<dir>` row is a real
 #    crates/<dir>/src/<name>.rs.
 set -euo pipefail
@@ -18,6 +20,11 @@ if grep -nE 'Atomic|Mutex|RwLock|thread_token' "$sim/hierarchy.rs"; then
 fi
 if grep -nE '\.access(_at)?\(' "$sim/machine.rs"; then
     echo "structure: machine.rs accesses a cache" >&2
+    bad=1
+fi
+
+if grep -n 'Vec<NodeRef>' crates/indexes/src/art.rs; then
+    echo "structure: art.rs collects a node's children into a Vec again" >&2
     bad=1
 fi
 

@@ -1,6 +1,6 @@
 //! Reproducibility: identical seeds and configurations must produce
 //! bit-identical simulated measurements — the property that makes the
-//! figure tables in EXPERIMENTS.md stable across regenerations — and the
+//! figure tables in results/figures.md stable across regenerations — and the
 //! single-worker session API must reproduce the counter values measured
 //! before the concurrent-execution refactor.
 
