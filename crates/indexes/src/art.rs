@@ -24,12 +24,12 @@
 //! inside the window is free of both bounds, and a leaf — lazy, so only
 //! its path is vouched for — is compared whole.
 //!
-//! **What a scan charges.** Per node visited, what it always did: the
-//! layout's instructions and the header line, then — if the prefix keeps
-//! the subtree in range — the key/index/child bytes a scan streams (none
-//! for a Node4, 16 / 64 / 128 bytes for a Node16 / 48 / 256); per leaf
-//! visited, 8 instructions and its line. The window decides *which* nodes
-//! those are: the two boundary paths plus what lies between them, so
+//! **What a scan charges.** Per node visited: the layout's instructions
+//! and the header line, as for a probe, and — if the prefix keeps the
+//! subtree in range — the key/index/child bytes a scan streams (none for a
+//! Node4, 16 / 64 / 128 bytes for a Node16 / 48 / 256). Per leaf visited:
+//! 8 instructions and its line. The window decides *which* nodes those
+//! are: the two boundary paths plus what lies between them, so
 //! O(height + rows) lines (`tests/cost_model.rs` holds every index to
 //! that).
 
@@ -85,7 +85,7 @@ impl Kind {
     }
 
     /// The layout a node shrinks into, and the child count at which it
-    /// does: well below the smaller layout's capacity, so a node at the
+    /// does: below the smaller layout's capacity, so a node at the
     /// boundary does not flip back and forth.
     fn smaller(self) -> Option<(Kind, u16)> {
         [
@@ -384,6 +384,7 @@ impl Art {
             None => self.root = new_child,
             Some((id, byte)) => {
                 let n = &mut self.inners[id as usize];
+                debug_assert!(n.slot(byte).is_some(), "parent lost child during splice");
                 mem.write(n.addr, 16);
                 n.put(byte, new_child);
             }

@@ -8,22 +8,28 @@ use imoltp::bench::{DbSize, MicroBench, Workload};
 use imoltp::sim::{MachineConfig, Sim, StallEvent};
 use imoltp::systems::{build_system, DbmsMIndex, SystemKind};
 
-/// Run the read-only micro-benchmark with `rows` table rows.
-fn micro(kind: SystemKind, rows: u64, rows_per_txn: u32) -> Measurement {
+/// Load `w` offline into a fresh one-core `kind`, warm the LLC, and measure
+/// one window of `measured` transactions after `warmup`.
+fn run(kind: SystemKind, mut w: impl Workload, warmup: u64, measured: u64) -> Measurement {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
     let mut db = build_system(kind, &sim, 1);
-    let mut w = MicroBench::new(DbSize::Mb1)
-        .with_rows(rows)
-        .rows_per_txn(rows_per_txn);
     sim.offline(|| w.setup(db.as_mut(), 1));
     sim.warm_data();
     let mut s = db.session(0);
     let spec = WindowSpec {
-        warmup: 1200,
-        measured: 2000,
+        warmup,
+        measured,
         reps: 1,
     };
     measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn"))
+}
+
+/// Run the read-only micro-benchmark with `rows` table rows.
+fn micro(kind: SystemKind, rows: u64, rows_per_txn: u32) -> Measurement {
+    let w = MicroBench::new(DbSize::Mb1)
+        .with_rows(rows)
+        .rows_per_txn(rows_per_txn);
+    run(kind, w, 1200, 2000)
 }
 
 const SMALL: u64 = 16 * 1024; // fits every cache level that matters
@@ -219,18 +225,8 @@ fn read_write_variant_has_larger_instruction_footprint() {
     // Appendix A: update transactions retire more instructions and stall
     // more on the instruction side than reads.
     for kind in [SystemKind::ShoreMt, SystemKind::VoltDb] {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = build_system(kind, &sim, 1);
-        let mut w = MicroBench::new(DbSize::Mb1).with_rows(LARGE).read_write();
-        sim.offline(|| w.setup(db.as_mut(), 1));
-        sim.warm_data();
-        let mut s = db.session(0);
-        let spec = WindowSpec {
-            warmup: 1200,
-            measured: 2000,
-            reps: 1,
-        };
-        let rw = measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn"));
+        let w = MicroBench::new(DbSize::Mb1).with_rows(LARGE).read_write();
+        let rw = run(kind, w, 1200, 2000);
         let ro = micro(kind, LARGE, 1);
         assert!(
             rw.instr_per_txn > ro.instr_per_txn,
@@ -241,30 +237,12 @@ fn read_write_variant_has_larger_instruction_footprint() {
     }
 }
 
-/// Instructions per transaction of a TPC-C run at `scale` (seed 5, 50
-/// warm-up + 250 measured transactions).
-fn tpcc_instr_per_txn(kind: SystemKind, scale: TpcCScale) -> f64 {
-    let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let mut db = build_system(kind, &sim, 1);
-    let mut w = TpcC::with_scale(scale).seed(5);
-    sim.offline(|| w.setup(db.as_mut(), 1));
-    sim.warm_data();
-    let mut s = db.session(0);
-    let spec = WindowSpec {
-        warmup: 50,
-        measured: 250,
-        reps: 1,
-    };
-    measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn")).instr_per_txn
-}
-
 #[test]
 fn tpcc_instructions_follow_rows_touched_not_table_size() {
     // §5 reads HyPer's TPC-C off its index: what a transaction retires
     // follows the rows its probes and range scans touch. Four times the
-    // customers, items and initial orders leave those nearly alone — a scan
-    // that walked the whole tree would follow the table instead (HyPer went
-    // 29 880 -> 64 396 instructions per transaction when it did).
+    // customers, items and initial orders leave those nearly alone; a scan
+    // whose cost followed the table would at least double it.
     let tiny = TpcCScale::tiny();
     let quadrupled = TpcCScale {
         customers_per_district: 4 * tiny.customers_per_district,
@@ -273,8 +251,8 @@ fn tpcc_instructions_follow_rows_touched_not_table_size() {
         ..tiny
     };
     for kind in [SystemKind::HyPer, SystemKind::VoltDb] {
-        let small = tpcc_instr_per_txn(kind, tiny);
-        let large = tpcc_instr_per_txn(kind, quadrupled);
+        let [small, large] = [tiny, quadrupled]
+            .map(|scale| run(kind, TpcC::with_scale(scale).seed(5), 50, 250).instr_per_txn);
         assert!(
             large < 1.25 * small,
             "{kind:?}: {small:.0} -> {large:.0} instructions per transaction on a 4x database"
