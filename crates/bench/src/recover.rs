@@ -43,7 +43,7 @@
 //! manifest: `bench recover --plan <manifest.json>` replays it and
 //! cross-checks the recorded digests.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -239,6 +239,7 @@ impl ApplyDb {
 
     /// Per-table FNV digests over `(key, encoded row)` in key order.
     pub fn digests(&self) -> Vec<(u32, u64)> {
+        let mut encoded = tuple::BytesMut::new();
         self.tables
             .iter()
             .map(|(&t, rows)| {
@@ -246,7 +247,9 @@ impl ApplyDb {
                 h.word(rows.len() as u64);
                 for (&k, row) in rows {
                     h.word(k);
-                    h.bytes(&tuple::encode(row));
+                    encoded.clear();
+                    tuple::encode_into(row, &mut encoded);
+                    h.bytes(&encoded);
                 }
                 (t, h.0)
             })
@@ -274,12 +277,13 @@ impl Session for ApplyDb {
         self.in_txn = false;
     }
     fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> oltp::OltpResult<()> {
-        let rows = self.tables.entry(t.0).or_default();
-        if rows.contains_key(&key) {
-            return Err(OltpError::DuplicateKey { table: t, key });
+        match self.tables.entry(t.0).or_default().entry(key) {
+            Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
+            Entry::Vacant(slot) => {
+                slot.insert(row.to_vec());
+                Ok(())
+            }
         }
-        rows.insert(key, row.to_vec());
-        Ok(())
     }
     fn read_with(
         &mut self,
@@ -377,6 +381,14 @@ fn stream_of(system: SystemKind, worker: usize) -> usize {
     } else {
         0
     }
+}
+
+/// What of one stream survives a crash: the records at or below its
+/// flushed horizon. LSNs strictly increase along a stream
+/// ([`storage::wal::Wal::records`]), so that is a prefix.
+fn durable_prefix(recs: &[LogRecord], flushed: Lsn) -> &[LogRecord] {
+    debug_assert!(recs.windows(2).all(|w| w[0].lsn < w[1].lsn));
+    &recs[..recs.partition_point(|r| r.lsn <= flushed)]
 }
 
 /// Run one crash-recovery point end to end: durable run, deterministic
@@ -624,20 +636,23 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         }
     };
 
-    // Harvest: per-stream durable prefixes and merged checkpoints.
+    // Harvest: the streams, the latency samples, merged checkpoints. The
+    // engine has nothing more to say after that and goes — sessions hold
+    // it alive too — before the three passes build their targets.
     let streams = db.log_streams();
-    let durable: Vec<Vec<LogRecord>> = streams
+    let mut commit_latencies = db.take_commit_latencies();
+    commit_latencies.sort_by(f64::total_cmp);
+    drop(db);
+    let durable: Vec<&[LogRecord]> = streams
         .iter()
-        .enumerate()
-        .map(|(i, recs)| {
-            let f = status[i].flushed;
-            recs.iter().filter(|r| r.lsn <= f).cloned().collect()
-        })
+        .zip(&status)
+        .map(|(recs, st)| durable_prefix(recs, st.flushed))
         .collect();
     let mut ckpts: Vec<Option<Checkpoint>> = (0..streams.len()).map(|_| None).collect();
     let mut capture_done: Vec<bool> = vec![true; streams.len()];
     for slot in &slots_mx {
         let mut slot = slot.lock().unwrap();
+        slot.session = None;
         let stream = stream_of(system, slot.worker);
         if !slot.cp_started {
             capture_done[stream] = false;
@@ -744,9 +759,6 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
             }
         }
     }
-
-    let mut commit_latencies = db.take_commit_latencies();
-    commit_latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     let mut report = RecoverReport {
         schedule,
@@ -1123,6 +1135,42 @@ mod tests {
         });
         cfg.kill_at = kill_at;
         run(&cfg)
+    }
+
+    #[test]
+    fn durable_prefix_is_what_filtering_by_the_flushed_lsn_kept() {
+        // A killed run's streams: commits past the last group flush sit
+        // above the flushed horizon on the shared log and on both
+        // partition logs.
+        for system in [SystemKind::ShoreMt, SystemKind::HyPer] {
+            let sim = Sim::new(MachineConfig::ivy_bridge(2));
+            let mut db = SystemBuilder::new(system)
+                .cores(2)
+                .partitions(2)
+                .build_durable(&sim);
+            db.enable_durability(&DurabilityCfg { epoch: 8 });
+            let t = db.create_table(TableDef::new(
+                "t",
+                Schema::new(vec![Column::new("key", DataType::Long)]),
+                64,
+            ));
+            for worker in 0..2 {
+                let mut s = db.session(worker);
+                for k in 0..21 {
+                    let key = oracle_key(worker, 2, k);
+                    s.begin();
+                    s.insert(t, key, &[Value::Long(k as i64)]).unwrap();
+                    s.commit().unwrap();
+                }
+            }
+            let (streams, status) = (db.log_streams(), db.log_status());
+            assert_eq!(streams.len(), if system.partitioned() { 2 } else { 1 });
+            for (recs, st) in streams.iter().zip(&status) {
+                let kept: Vec<&LogRecord> = recs.iter().filter(|r| r.lsn <= st.flushed).collect();
+                assert!(!kept.is_empty() && kept.len() < recs.len());
+                assert!(durable_prefix(recs, st.flushed).iter().eq(kept));
+            }
+        }
     }
 
     #[test]

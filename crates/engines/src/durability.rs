@@ -18,8 +18,10 @@
 //!   may wrap the ring unbounded.
 //!
 //! [`DurableDb`] exposes the log streams (one per partition on VoltDB /
-//! HyPer, one engine-wide otherwise) for the crash-recovery harness:
-//! truncate at the flushed horizon, feed [`storage::recovery::recover`].
+//! HyPer, one engine-wide otherwise) for the crash-recovery harness: cut
+//! each at its flushed horizon — LSNs rise along a stream, so what
+//! survives is a prefix and can be borrowed — and feed
+//! [`storage::recovery::recover`].
 
 use oltp::Db;
 use storage::wal::{LogRecord, Lsn, Wal, WalStats};
@@ -65,9 +67,10 @@ pub trait DurableDb: Db {
     fn enable_durability(&mut self, cfg: &DurabilityCfg);
 
     /// The retained records of every log stream, in stream order
-    /// (partitioned engines: index = partition). Includes unflushed
-    /// records — the harness truncates at [`LogStatus::flushed`] to model
-    /// what survives a crash.
+    /// (partitioned engines: index = partition), each in append order
+    /// with strictly increasing LSNs. Includes unflushed records — the
+    /// prefix at or below [`LogStatus::flushed`] is what survives a crash.
+    /// This is the one copy of the log a harness needs to make.
     fn log_streams(&self) -> Vec<Vec<LogRecord>>;
 
     /// Current horizon/flushed coordinates of every stream.

@@ -14,7 +14,10 @@
 //! paper studies (50-byte `String`s give better spatial locality than
 //! 8-byte `Long`s during comparisons).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
+
+/// The buffer [`encode_into`] appends to, for callers that reuse one.
+pub use bytes::BytesMut;
 
 use crate::value::Value;
 

@@ -21,8 +21,20 @@
 //! engines (VoltDB, HyPer) recover each partition's stream through a
 //! session pinned to that partition's core, mirroring how their command
 //! logs replay per-site.
-
-use std::collections::HashSet;
+//!
+//! Both start from the same analysis and share nothing after it. A
+//! transaction's fate is read off its control records alone: a Commit
+//! record makes it a winner (even beside an Abort record), an Abort
+//! record without one makes it aborted, neither leaves it unfinished. The
+//! analysis keeps one `(txn, fate)` entry per transaction that has a
+//! Commit or Abort record, sorted by id, and the apply loops look a
+//! record's transaction up by binary search — an id that is not found is
+//! unfinished. The table is complete before the first lookup and never
+//! changes after, so a lookup is a pure function of the id and the last
+//! answer can be reused while the id repeats, which it does for every
+//! record but the first of a transaction on an uninterleaved stream. The
+//! analysis also notes where the first unfinished record sits, so undo
+//! scans the tail a crash can have left open and not the whole log.
 
 use bytes::Bytes;
 use oltp::{tuple, OltpError, Session, TableId};
@@ -97,54 +109,126 @@ impl From<OltpError> for ReplayError {
     }
 }
 
+/// How a transaction's records on one stream say it ended. Ordered so
+/// that, of two control records of one transaction, the Commit sorts
+/// first.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Fate {
+    /// Has a Commit record: redone.
+    Committed,
+    /// Has an Abort record and no Commit record: skipped.
+    Aborted,
+    /// Has neither: in flight at the crash.
+    Unfinished,
+}
+
+/// The analysis pass over one stream (see the module docs).
+struct Fates {
+    /// One entry per transaction with a Commit or Abort record, sorted
+    /// by id.
+    ended: Vec<(TxnId, Fate)>,
+    /// The last lookup.
+    memo: Option<(TxnId, Fate)>,
+    /// Distinct transactions of each fate.
+    committed: u64,
+    aborted: u64,
+    unfinished: u64,
+    /// Index of the first record of an unfinished transaction (the
+    /// stream's length if there is none): undo has nothing to do below it.
+    undo_from: usize,
+}
+
+impl Fates {
+    fn analyse(records: &[LogRecord]) -> Fates {
+        let mut ended: Vec<(TxnId, Fate)> = records
+            .iter()
+            .filter_map(|r| match r.kind {
+                LogKind::Commit => Some((r.txn, Fate::Committed)),
+                LogKind::Abort => Some((r.txn, Fate::Aborted)),
+                _ => None,
+            })
+            .collect();
+        ended.sort_unstable();
+        ended.dedup_by_key(|e| e.0);
+        let committed = ended.iter().filter(|e| e.1 == Fate::Committed).count() as u64;
+        let mut fates = Fates {
+            aborted: ended.len() as u64 - committed,
+            ended,
+            memo: None,
+            committed,
+            unfinished: 0,
+            undo_from: records.len(),
+        };
+        // Unfinished transactions have no entry to count; count their ids.
+        let mut open: Vec<TxnId> = Vec::new();
+        for (i, r) in records.iter().enumerate() {
+            if fates.of(r.txn) == Fate::Unfinished && open.last() != Some(&r.txn) {
+                if open.is_empty() {
+                    fates.undo_from = i;
+                }
+                open.push(r.txn);
+            }
+        }
+        open.sort_unstable();
+        open.dedup();
+        fates.unfinished = open.len() as u64;
+        fates
+    }
+
+    fn of(&mut self, txn: TxnId) -> Fate {
+        match self.memo {
+            Some((t, fate)) if t == txn => fate,
+            _ => {
+                let fate = match self.ended.binary_search_by_key(&txn, |e| e.0) {
+                    Ok(i) => self.ended[i].1,
+                    Err(_) => Fate::Unfinished,
+                };
+                self.memo = Some((txn, fate));
+                fate
+            }
+        }
+    }
+}
+
 /// Replay `records` through `s`, a session on the target database. The
 /// target must already have the same tables created (matching [`TableId`]
 /// order) and be otherwise empty.
 pub fn replay(records: &[LogRecord], s: &mut dyn Session) -> Result<ReplayStats, ReplayError> {
     // Pass 1: analysis — who committed?
-    let winners: HashSet<TxnId> = records
-        .iter()
-        .filter(|r| matches!(r.kind, LogKind::Commit))
-        .map(|r| r.txn)
-        .collect();
-    let losers: HashSet<TxnId> = records
-        .iter()
-        .map(|r| r.txn)
-        .filter(|t| !winners.contains(t))
-        .collect();
+    let mut fates = Fates::analyse(records);
 
     // Pass 2: redo committed work in LSN order. Each committed transaction
     // is re-applied atomically.
     let mut stats = ReplayStats {
-        txns: winners.len() as u64,
-        losers: losers.len() as u64,
+        txns: fates.committed,
+        losers: fates.aborted + fates.unfinished,
         applied: 0,
     };
-    let mut open: Option<TxnId> = None;
+    // Whether a target transaction is open. The target is single-writer,
+    // so winners interleaved on a shared stream share brackets: a Begin
+    // closes whatever is open, a Commit closes it for everyone.
+    let mut open = false;
     for r in records {
-        if !winners.contains(&r.txn) {
+        if fates.of(r.txn) != Fate::Committed {
             continue;
         }
         match r.kind {
             LogKind::Begin => {
-                if let Some(prev) = open.take() {
-                    // Interleaved logs from a single-writer engine should
-                    // not happen; be safe and close the previous txn.
-                    let _ = prev;
+                if open {
                     s.commit()?;
                 }
                 s.begin();
-                open = Some(r.txn);
+                open = true;
             }
             LogKind::Insert => {
-                ensure_open(s, &mut open, r.txn);
+                ensure_open(s, &mut open);
                 let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
                 let row = tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
                 s.insert(TableId(r.table), r.key, &row)?;
                 stats.applied += 1;
             }
             LogKind::Update => {
-                ensure_open(s, &mut open, r.txn);
+                ensure_open(s, &mut open);
                 let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
                 let row = tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
                 let updated = s.update(TableId(r.table), r.key, &mut |target| {
@@ -158,30 +242,30 @@ pub fn replay(records: &[LogRecord], s: &mut dyn Session) -> Result<ReplayStats,
                 stats.applied += 1;
             }
             LogKind::Delete => {
-                ensure_open(s, &mut open, r.txn);
+                ensure_open(s, &mut open);
                 s.delete(TableId(r.table), r.key)?;
                 stats.applied += 1;
             }
             LogKind::Commit => {
-                if open.take().is_some() {
+                if std::mem::take(&mut open) {
                     s.commit()?;
                 }
             }
             LogKind::Abort => {}
         }
     }
-    if open.take().is_some() {
-        // A committed txn whose Commit record we already counted but whose
-        // Begin/Commit bracketing was truncated: close it.
+    if open {
+        // A winner's record after the stream's last winner Commit (its
+        // own Commit came earlier): close the bracket it opened.
         s.commit()?;
     }
     Ok(stats)
 }
 
-fn ensure_open(s: &mut dyn Session, open: &mut Option<TxnId>, txn: TxnId) {
-    if open.is_none() {
+fn ensure_open(s: &mut dyn Session, open: &mut bool) {
+    if !*open {
         s.begin();
-        *open = Some(txn);
+        *open = true;
     }
 }
 
@@ -198,13 +282,12 @@ impl Batch {
             ops: 0,
         }
     }
-    fn ensure(&mut self, s: &mut dyn Session) -> Result<(), ReplayError> {
+    fn ensure(&mut self, s: &mut dyn Session) {
         if !self.open {
             s.begin();
             self.open = true;
             self.ops = 0;
         }
-        Ok(())
     }
     fn bump(&mut self, s: &mut dyn Session) -> Result<(), ReplayError> {
         self.ops += 1;
@@ -266,27 +349,11 @@ pub fn recover(
     records: &[LogRecord],
     s: &mut dyn Session,
 ) -> Result<RecoveryStats, ReplayError> {
-    let winners: HashSet<TxnId> = records
-        .iter()
-        .filter(|r| matches!(r.kind, LogKind::Commit))
-        .map(|r| r.txn)
-        .collect();
-    let aborted: HashSet<TxnId> = records
-        .iter()
-        .filter(|r| matches!(r.kind, LogKind::Abort))
-        .map(|r| r.txn)
-        .filter(|t| !winners.contains(t))
-        .collect();
-    let unfinished: HashSet<TxnId> = records
-        .iter()
-        .map(|r| r.txn)
-        .filter(|t| !winners.contains(t) && !aborted.contains(t))
-        .collect();
-
+    let mut fates = Fates::analyse(records);
     let mut stats = RecoveryStats {
-        winners: winners.len() as u64,
-        aborted: aborted.len() as u64,
-        unfinished: unfinished.len() as u64,
+        winners: fates.committed,
+        aborted: fates.aborted,
+        unfinished: fates.unfinished,
         ..Default::default()
     };
 
@@ -297,7 +364,7 @@ pub fn recover(
     if let Some(c) = image {
         for t in &c.tables {
             for (key, bytes) in &t.rows {
-                batch.ensure(s)?;
+                batch.ensure(s);
                 upsert(s, t.table, *key, bytes, TxnId(0))?;
                 stats.image_rows += 1;
                 batch.bump(s)?;
@@ -310,7 +377,7 @@ pub fn recover(
         image.is_some_and(|c| c.covers(table) && lsn <= c.begin_lsn)
     };
     for r in records {
-        if !winners.contains(&r.txn) {
+        if fates.of(r.txn) != Fate::Committed {
             continue;
         }
         match r.kind {
@@ -320,7 +387,7 @@ pub fn recover(
                     continue;
                 }
                 let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
-                batch.ensure(s)?;
+                batch.ensure(s);
                 upsert(s, r.table, r.key, redo, r.txn)?;
                 stats.redo_applied += 1;
                 batch.bump(s)?;
@@ -330,7 +397,7 @@ pub fn recover(
                     stats.redo_skipped += 1;
                     continue;
                 }
-                batch.ensure(s)?;
+                batch.ensure(s);
                 s.delete(TableId(r.table), r.key)?;
                 stats.redo_applied += 1;
                 batch.bump(s)?;
@@ -340,23 +407,24 @@ pub fn recover(
     }
 
     // 3. Undo unfinished transactions from their before-images, newest
-    // first. Unfinished work sits at the tail of the stream (a crash mid
-    // transaction), and under 2PL its locks were still held, so no later
-    // winner touched the same keys — tolerant deletes/upserts are safe.
-    for r in records.iter().rev() {
-        if !unfinished.contains(&r.txn) {
+    // first, down to the first record any of them wrote. Unfinished work
+    // sits at the tail of the stream (a crash mid transaction), and under
+    // 2PL its locks were still held, so no later winner touched the same
+    // keys — tolerant deletes/upserts are safe.
+    for r in records[fates.undo_from..].iter().rev() {
+        if fates.of(r.txn) != Fate::Unfinished {
             continue;
         }
         match r.kind {
             LogKind::Insert => {
-                batch.ensure(s)?;
+                batch.ensure(s);
                 s.delete(TableId(r.table), r.key)?;
                 stats.undo_applied += 1;
                 batch.bump(s)?;
             }
             LogKind::Update | LogKind::Delete => match r.undo.as_ref() {
                 Some(before) => {
-                    batch.ensure(s)?;
+                    batch.ensure(s);
                     upsert(s, r.table, r.key, before, r.txn)?;
                     stats.undo_applied += 1;
                     batch.bump(s)?;
@@ -664,5 +732,420 @@ pub(crate) mod tests {
         let again = recover(None, wal.records(), &mut a).unwrap();
         assert_eq!(again.redo_applied, sa.redo_applied);
         assert_eq!(a.rows, b.rows);
+    }
+
+    /// The analysis as it was before [`Fates`]: three hash sets per
+    /// `recover`, two per `replay`, probed once per record. Kept with its
+    /// apply loops so generated logs can be driven through both.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashSet;
+
+        pub(super) fn replay(
+            records: &[LogRecord],
+            s: &mut dyn Session,
+        ) -> Result<ReplayStats, ReplayError> {
+            let winners: HashSet<TxnId> = records
+                .iter()
+                .filter(|r| matches!(r.kind, LogKind::Commit))
+                .map(|r| r.txn)
+                .collect();
+            let losers: HashSet<TxnId> = records
+                .iter()
+                .map(|r| r.txn)
+                .filter(|t| !winners.contains(t))
+                .collect();
+            let mut stats = ReplayStats {
+                txns: winners.len() as u64,
+                losers: losers.len() as u64,
+                applied: 0,
+            };
+            let mut open: Option<TxnId> = None;
+            let ensure_open = |s: &mut dyn Session, open: &mut Option<TxnId>, txn| {
+                if open.is_none() {
+                    s.begin();
+                    *open = Some(txn);
+                }
+            };
+            for r in records {
+                if !winners.contains(&r.txn) {
+                    continue;
+                }
+                match r.kind {
+                    LogKind::Begin => {
+                        if open.take().is_some() {
+                            s.commit()?;
+                        }
+                        s.begin();
+                        open = Some(r.txn);
+                    }
+                    LogKind::Insert => {
+                        ensure_open(s, &mut open, r.txn);
+                        let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
+                        let row =
+                            tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
+                        s.insert(TableId(r.table), r.key, &row)?;
+                        stats.applied += 1;
+                    }
+                    LogKind::Update => {
+                        ensure_open(s, &mut open, r.txn);
+                        let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
+                        let row =
+                            tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
+                        let updated = s.update(TableId(r.table), r.key, &mut |target| {
+                            target.clone_from(&row);
+                        })?;
+                        if !updated {
+                            return Err(ReplayError::Apply(OltpError::Aborted(
+                                "redo update missed",
+                            )));
+                        }
+                        stats.applied += 1;
+                    }
+                    LogKind::Delete => {
+                        ensure_open(s, &mut open, r.txn);
+                        s.delete(TableId(r.table), r.key)?;
+                        stats.applied += 1;
+                    }
+                    LogKind::Commit => {
+                        if open.take().is_some() {
+                            s.commit()?;
+                        }
+                    }
+                    LogKind::Abort => {}
+                }
+            }
+            if open.take().is_some() {
+                s.commit()?;
+            }
+            Ok(stats)
+        }
+
+        pub(super) fn recover(
+            ckpt: Option<&Checkpoint>,
+            records: &[LogRecord],
+            s: &mut dyn Session,
+        ) -> Result<RecoveryStats, ReplayError> {
+            let winners: HashSet<TxnId> = records
+                .iter()
+                .filter(|r| matches!(r.kind, LogKind::Commit))
+                .map(|r| r.txn)
+                .collect();
+            let aborted: HashSet<TxnId> = records
+                .iter()
+                .filter(|r| matches!(r.kind, LogKind::Abort))
+                .map(|r| r.txn)
+                .filter(|t| !winners.contains(t))
+                .collect();
+            let unfinished: HashSet<TxnId> = records
+                .iter()
+                .map(|r| r.txn)
+                .filter(|t| !winners.contains(t) && !aborted.contains(t))
+                .collect();
+            let mut stats = RecoveryStats {
+                winners: winners.len() as u64,
+                aborted: aborted.len() as u64,
+                unfinished: unfinished.len() as u64,
+                ..Default::default()
+            };
+            let image = ckpt.filter(|c| c.complete);
+            let mut batch = Batch::new();
+            if let Some(c) = image {
+                for t in &c.tables {
+                    for (key, bytes) in &t.rows {
+                        batch.ensure(s);
+                        upsert(s, t.table, *key, bytes, TxnId(0))?;
+                        stats.image_rows += 1;
+                        batch.bump(s)?;
+                    }
+                }
+            }
+            let covered = |table: u32, lsn: Lsn| -> bool {
+                image.is_some_and(|c| c.covers(table) && lsn <= c.begin_lsn)
+            };
+            for r in records {
+                if !winners.contains(&r.txn) {
+                    continue;
+                }
+                match r.kind {
+                    LogKind::Insert | LogKind::Update | LogKind::Delete
+                        if covered(r.table, r.lsn) =>
+                    {
+                        stats.redo_skipped += 1;
+                    }
+                    LogKind::Insert | LogKind::Update => {
+                        let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
+                        batch.ensure(s);
+                        upsert(s, r.table, r.key, redo, r.txn)?;
+                        stats.redo_applied += 1;
+                        batch.bump(s)?;
+                    }
+                    LogKind::Delete => {
+                        batch.ensure(s);
+                        s.delete(TableId(r.table), r.key)?;
+                        stats.redo_applied += 1;
+                        batch.bump(s)?;
+                    }
+                    LogKind::Begin | LogKind::Commit | LogKind::Abort => {}
+                }
+            }
+            for r in records.iter().rev() {
+                if !unfinished.contains(&r.txn) {
+                    continue;
+                }
+                match r.kind {
+                    LogKind::Insert => {
+                        batch.ensure(s);
+                        s.delete(TableId(r.table), r.key)?;
+                        stats.undo_applied += 1;
+                        batch.bump(s)?;
+                    }
+                    LogKind::Update | LogKind::Delete => match r.undo.as_ref() {
+                        Some(before) => {
+                            batch.ensure(s);
+                            upsert(s, r.table, r.key, before, r.txn)?;
+                            stats.undo_applied += 1;
+                            batch.bump(s)?;
+                        }
+                        None => stats.undo_skipped += 1,
+                    },
+                    LogKind::Begin | LogKind::Commit | LogKind::Abort => {}
+                }
+            }
+            batch.close(s)?;
+            Ok(stats)
+        }
+    }
+
+    /// A transaction the generator has open.
+    struct OpenTxn {
+        id: u64,
+        /// `(key, value before this write)`, oldest first: what an abort
+        /// rolls back in place.
+        writes: Vec<(u64, Option<i64>)>,
+    }
+
+    /// A stream as an in-place 2PL engine with up to three concurrent
+    /// writers would log it, plus a fuzzy image of the table taken
+    /// somewhere along it. Transactions interleave; a key written by an
+    /// open transaction stays locked until it ends, and one that is
+    /// abandoned never ends. A quarter of the transactions log no Begin
+    /// record (command logs); endings are Commit, Abort (after an
+    /// in-place rollback), both records in either order, a duplicated
+    /// Commit, or none.
+    fn generated_log(seed: u64, steps: u64) -> (Vec<LogRecord>, Checkpoint) {
+        use std::collections::BTreeMap;
+        use uarch_sim::rng::XorShift64;
+
+        let mut rng = XorShift64::new(seed);
+        let mut records: Vec<LogRecord> = Vec::new();
+        let mut table: BTreeMap<u64, i64> = BTreeMap::new();
+        let mut locks: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut open: Vec<OpenTxn> = Vec::new();
+        let (mut next_txn, mut next_key, mut next_val) = (1u64, 1u64, 100i64);
+        let cut = rng.next_below(steps.max(1));
+        let mut ckpt = Checkpoint {
+            begin_lsn: Lsn(0),
+            end_lsn: Lsn(0),
+            complete: !seed.is_multiple_of(3),
+            tables: vec![TableImage {
+                table: 0,
+                rows: Vec::new(),
+            }],
+        };
+        let log =
+            |records: &mut Vec<LogRecord>, txn, kind, key, redo: Option<i64>, undo: Option<i64>| {
+                records.push(LogRecord {
+                    lsn: Lsn(records.len() as u64 + 1),
+                    txn: TxnId(txn),
+                    kind,
+                    len: 40,
+                    table: 0,
+                    key,
+                    redo: redo.map(|v| tuple::encode(&row(v))),
+                    undo: undo.map(|v| tuple::encode(&row(v))),
+                });
+            };
+        for step in 0..steps {
+            if step == cut {
+                ckpt.begin_lsn = Lsn(records.len() as u64);
+                ckpt.end_lsn = ckpt.begin_lsn;
+                ckpt.tables[0].rows = table
+                    .iter()
+                    .map(|(&k, &v)| (k, tuple::encode(&row(v))))
+                    .collect();
+            }
+            if open.len() < 3 && (open.is_empty() || rng.chance(0.3)) {
+                if rng.chance(0.75) {
+                    log(&mut records, next_txn, LogKind::Begin, 0, None, None);
+                }
+                open.push(OpenTxn {
+                    id: next_txn,
+                    writes: Vec::new(),
+                });
+                next_txn += 1;
+                continue;
+            }
+            let i = rng.next_below(open.len() as u64) as usize;
+            let id = open[i].id;
+            if rng.chance(0.7) {
+                // A data record on a fresh key, or on an existing key no
+                // other open transaction holds.
+                let free: Vec<u64> = table
+                    .keys()
+                    .copied()
+                    .filter(|k| locks.get(k).is_none_or(|&t| t == id))
+                    .collect();
+                next_val += 1;
+                if free.is_empty() || rng.chance(0.4) {
+                    log(
+                        &mut records,
+                        id,
+                        LogKind::Insert,
+                        next_key,
+                        Some(next_val),
+                        None,
+                    );
+                    open[i].writes.push((next_key, None));
+                    table.insert(next_key, next_val);
+                    locks.insert(next_key, id);
+                    next_key += 1;
+                } else {
+                    let key = free[rng.next_below(free.len() as u64) as usize];
+                    let before = table[&key];
+                    if rng.chance(0.2) {
+                        log(&mut records, id, LogKind::Delete, key, None, Some(before));
+                        table.remove(&key);
+                    } else {
+                        log(
+                            &mut records,
+                            id,
+                            LogKind::Update,
+                            key,
+                            Some(next_val),
+                            Some(before),
+                        );
+                        table.insert(key, next_val);
+                    }
+                    open[i].writes.push((key, Some(before)));
+                    locks.insert(key, id);
+                }
+                continue;
+            }
+            let txn = open.swap_remove(i);
+            let ending = rng.next_below(20);
+            if ending == 0 {
+                continue; // abandoned: its locks are never released
+            }
+            match ending {
+                1..=5 => {
+                    for (key, before) in txn.writes.iter().rev() {
+                        match before {
+                            Some(v) => table.insert(*key, *v),
+                            None => table.remove(key),
+                        };
+                    }
+                    log(&mut records, id, LogKind::Abort, 0, None, None);
+                }
+                6 => {
+                    log(&mut records, id, LogKind::Abort, 0, None, None);
+                    log(&mut records, id, LogKind::Commit, 0, None, None);
+                }
+                7 => {
+                    log(&mut records, id, LogKind::Commit, 0, None, None);
+                    log(&mut records, id, LogKind::Abort, 0, None, None);
+                }
+                8 => {
+                    log(&mut records, id, LogKind::Commit, 0, None, None);
+                    log(&mut records, id, LogKind::Commit, 0, None, None);
+                }
+                _ => {
+                    log(&mut records, id, LogKind::Commit, 0, None, None);
+                }
+            }
+            locks.retain(|_, t| *t != id);
+        }
+        (records, ckpt)
+    }
+
+    #[test]
+    fn sorted_analysis_matches_the_hash_set_reference_on_generated_logs() {
+        let mut seen = RecoveryStats::default();
+        let mut with_image = 0;
+        for seed in 1..=300u64 {
+            // Seeds divisible by 50 generate the empty log.
+            let steps = if seed.is_multiple_of(50) {
+                0
+            } else {
+                20 + seed % 120
+            };
+            let (records, ckpt) = generated_log(seed, steps);
+            let (mut a, mut b) = (MiniDb::new(), MiniDb::new());
+            let got = replay(&records, &mut a).expect("generated logs replay");
+            let want = reference::replay(&records, &mut b).expect("reference replay");
+            assert_eq!(got, want, "seed {seed}: ReplayStats");
+            assert_eq!(a.rows, b.rows, "seed {seed}: replayed rows");
+            let replayed = a.rows;
+
+            for image in [None, Some(&ckpt)] {
+                let (mut a, mut b) = (MiniDb::new(), MiniDb::new());
+                let got = recover(image, &records, &mut a).expect("generated logs recover");
+                let want = reference::recover(image, &records, &mut b).expect("reference recover");
+                assert_eq!(got, want, "seed {seed}: RecoveryStats");
+                assert_eq!(a.rows, b.rows, "seed {seed}: recovered rows");
+                if image.is_none() {
+                    assert_eq!(a.rows, replayed, "seed {seed}: recover == replay");
+                }
+                with_image += u64::from(got.image_rows > 0);
+                seen.winners += got.winners;
+                seen.aborted += got.aborted;
+                seen.unfinished += got.unfinished;
+                seen.undo_applied += got.undo_applied;
+                seen.redo_skipped += got.redo_skipped;
+            }
+        }
+        // The generator reached every class it exists to reach.
+        assert!(seen.winners > 1000 && seen.aborted > 300 && seen.unfinished > 300);
+        assert!(seen.undo_applied > 300 && seen.redo_skipped > 300 && with_image > 100);
+    }
+
+    #[test]
+    fn a_commit_record_wins_over_an_abort_record_and_repeats_count_once() {
+        let rec = |lsn, txn, kind| LogRecord {
+            lsn: Lsn(lsn),
+            txn: TxnId(txn),
+            kind,
+            len: 24,
+            table: 0,
+            key: 0,
+            redo: None,
+            undo: None,
+        };
+        let records = [
+            rec(1, 7, LogKind::Abort),
+            rec(2, 7, LogKind::Commit),
+            rec(3, 5, LogKind::Commit),
+            rec(4, 5, LogKind::Commit),
+            rec(5, 9, LogKind::Abort),
+            rec(6, 3, LogKind::Delete),
+            rec(7, 9, LogKind::Abort),
+            rec(8, 3, LogKind::Delete),
+        ];
+        let mut fates = Fates::analyse(&records);
+        assert_eq!(
+            (fates.committed, fates.aborted, fates.unfinished),
+            (2, 1, 1)
+        );
+        for (txn, fate) in [
+            (7, Fate::Committed),
+            (5, Fate::Committed),
+            (9, Fate::Aborted),
+            (3, Fate::Unfinished),
+            (3, Fate::Unfinished),
+            (4, Fate::Unfinished),
+            (7, Fate::Committed),
+        ] {
+            assert_eq!(fates.of(TxnId(txn)), fate, "txn {txn}");
+        }
     }
 }

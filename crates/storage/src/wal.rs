@@ -328,7 +328,11 @@ impl Wal {
         self.durable_horizon
     }
 
-    /// Retained records (empty unless [`Wal::retain_records`] was enabled).
+    /// Retained records (empty unless [`Wal::retain_records`] was enabled),
+    /// in append order. Every append takes the next LSN and pushes its
+    /// record under the same `&mut self`, so LSNs strictly increase along
+    /// the slice and the records at or below any horizon are a prefix of
+    /// it — `partition_point(|r| r.lsn <= flushed)` finds its end.
     pub fn records(&self) -> &[LogRecord] {
         &self.records
     }
@@ -395,6 +399,31 @@ mod tests {
         let kinds: Vec<LogKind> = wal.records().iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [LogKind::Begin, LogKind::Insert, LogKind::Commit]);
         assert!(wal.records().iter().all(|r| r.txn == TxnId(5)));
+    }
+
+    #[test]
+    fn retained_lsns_strictly_increase() {
+        let mem = mem();
+        // Group flushes, backpressure flushes and ring wrap-around all
+        // happen inside the loop; none may reorder or skip a record.
+        let mut wal = Wal::new(&mem, 4096, 3);
+        wal.set_high_water(1024);
+        wal.retain_records(true);
+        for t in 0..200u64 {
+            wal.append(&mem, TxnId(t), LogKind::Begin, 0);
+            wal.append_data(&mem, TxnId(t), LogKind::Update, 0, t, None, None, 200);
+            if t % 3 != 0 {
+                wal.append(&mem, TxnId(t), LogKind::Commit, 0);
+            }
+            let recs = wal.records();
+            assert!(recs.windows(2).all(|w| w[0].lsn < w[1].lsn));
+            assert_eq!(recs.last().unwrap().lsn, wal.horizon());
+            // The durable records are the prefix the horizon cuts.
+            let cut = recs.partition_point(|r| r.lsn <= wal.flushed());
+            assert!(recs[..cut].iter().all(|r| r.lsn <= wal.flushed()));
+            assert!(recs[cut..].iter().all(|r| r.lsn > wal.flushed()));
+        }
+        assert!(wal.backpressure_flushes > 0 && wal.flushed() < wal.horizon());
     }
 
     #[test]

@@ -195,6 +195,12 @@ impl Cache {
     pub fn capacity_lines(&self) -> usize {
         self.tags.len()
     }
+
+    /// Every set's tags, most recently used first.
+    #[cfg(test)]
+    pub(crate) fn tags(&self) -> &[u64] {
+        &self.tags
+    }
 }
 
 /// Result of one cache access.

@@ -78,6 +78,7 @@ pub(crate) struct StripedLlc {
     stripe_mask: usize,
     stripe_shift: u32,
     per_socket: usize,
+    ways: u32,
 }
 
 impl StripedLlc {
@@ -106,6 +107,17 @@ impl StripedLlc {
             stripe_mask: stripes - 1,
             stripe_shift: stripes.trailing_zeros(),
             per_socket: stripes,
+            ways: cfg.llc.ways,
+        }
+    }
+
+    /// The set of a socket's LLC that `line` maps to.
+    #[inline(always)]
+    fn set_of(&self, line: u64) -> usize {
+        if self.set_mask != u64::MAX {
+            (line & self.set_mask) as usize
+        } else {
+            (line % self.sets) as usize
         }
     }
 
@@ -114,11 +126,7 @@ impl StripedLlc {
     /// index `s / stripes`, so each set lives in exactly one stripe.
     #[inline(always)]
     fn locate(&self, line: u64) -> (usize, usize) {
-        let set = if self.set_mask != u64::MAX {
-            (line & self.set_mask) as usize
-        } else {
-            (line % self.sets) as usize
-        };
+        let set = self.set_of(line);
         (set & self.stripe_mask, set >> self.stripe_shift)
     }
 
@@ -134,7 +142,36 @@ impl StripedLlc {
     }
 
     /// Prime every socket's LLC with the line spans `[base, end)`, in
-    /// order (newest lines last), charging nothing.
+    /// order (newest lines last), charging nothing. The spans are
+    /// disjoint (one per arena), so a walk touches every line once.
+    ///
+    /// Only the tail of that walk is walked. Touching a line makes it the
+    /// most recent of its set, so after a set has been touched with
+    /// `ways` distinct lines it holds exactly those, the latest first —
+    /// whatever it held before, and whatever was walked earlier. The
+    /// shortest suffix of the spans that gives every set `ways` lines
+    /// therefore leaves every set as the whole walk would, and it is about
+    /// as long as the LLC, not as the arenas. If the spans run out first,
+    /// some set keeps lines it held before and every line is walked.
+    pub(crate) fn warm_data(&self, spans: &[(u64, u64)]) {
+        let mut seen = vec![0u32; self.sets as usize];
+        let mut short = self.sets;
+        for (i, &(base, end)) in spans.iter().enumerate().rev() {
+            for line in (base..end).rev() {
+                let seen = &mut seen[self.set_of(line)];
+                *seen += 1;
+                short -= u64::from(*seen == self.ways);
+                if short == 0 {
+                    let mut tail = spans[i..].to_vec();
+                    tail[0].0 = line;
+                    return self.walk(&tail);
+                }
+            }
+        }
+        self.walk(spans)
+    }
+
+    /// Touch every line of `spans`, in order, in every socket's LLC.
     ///
     /// Walks stripe by stripe instead of line by line: one lock
     /// acquisition per stripe and a sequential sweep of that stripe's
@@ -145,7 +182,7 @@ impl StripedLlc {
     /// are identical to the flat walk. Every socket's LLC is warmed the
     /// same way: after a bulk load any socket may serve the first reads,
     /// and warm-up windows converge residency to steady state anyway.
-    pub(crate) fn warm_data(&self, spans: &[(u64, u64)]) {
+    fn walk(&self, spans: &[(u64, u64)]) {
         let stripes = self.per_socket as u64;
         for (i, stripe) in self.stripes.iter().enumerate() {
             let s = (i % self.per_socket) as u64;
@@ -174,6 +211,7 @@ impl StripedLlc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CacheGeometry;
     use crate::machine::DATA_REGION_BASE;
     use crate::rng::XorShift64;
 
@@ -199,5 +237,70 @@ mod tests {
             }
             misses
         });
+    }
+
+    /// Every stripe's tags: contents and recency order of every set.
+    fn tags(llc: &StripedLlc) -> Vec<Vec<u64>> {
+        let tags = |s: &LlcStripe| s.lock().cache().tags().to_vec();
+        llc.stripes.iter().map(tags).collect()
+    }
+
+    #[test]
+    fn tail_warm_leaves_every_set_as_the_full_walk_does() {
+        let mut rng = XorShift64::new(77);
+        // (LLC bytes, ways, sockets): 64 and 128 sets in 64 stripes, and
+        // 170 sets — not a power of two — in 2 stripes.
+        for (size, ways, sockets) in [(1 << 16, 16, 1), (1 << 16, 8, 2), (1 << 16, 6, 2)] {
+            let mut cfg = MachineConfig::numa(sockets, 1);
+            cfg.llc = CacheGeometry::new(size, 64, ways);
+            let capacity = cfg.llc.sets() * u64::from(ways);
+            for round in 0..40 {
+                let (full, tail) = (StripedLlc::new(&cfg), StripedLlc::new(&cfg));
+                let first = DATA_REGION_BASE / 64 + rng.next_below(1000);
+                // The same random contents in both before the warm-up.
+                for _ in 0..rng.next_below(3 * capacity) {
+                    let socket = rng.next_below(sockets as u64) as usize;
+                    let line = first + rng.next_below(8 * capacity);
+                    full.touch(socket, line);
+                    tail.touch(socket, line);
+                }
+                // One to four disjoint spans, some adjacent, from a few
+                // lines each to 64 times the LLC.
+                let mut spans = Vec::new();
+                let mut base = first;
+                for _ in 0..=rng.next_below(4) {
+                    let len = match (round + rng.next_below(2)) % 4 {
+                        0 => 1 + rng.next_below(capacity / 8),
+                        1 => capacity / 2 + rng.next_below(capacity),
+                        2 => 2 * capacity + rng.next_below(capacity),
+                        _ => 64 * capacity + rng.next_below(64),
+                    };
+                    spans.push((base, base + len));
+                    base += len + rng.next_below(2) * rng.next_below(3 * capacity);
+                }
+                full.walk(&spans);
+                tail.warm_data(&spans);
+                assert_eq!(
+                    tags(&full),
+                    tags(&tail),
+                    "{size}/{ways}/{sockets} {spans:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warming_a_span_far_larger_than_the_llc_touches_about_one_llc_of_lines() {
+        let llc = StripedLlc::new(&MachineConfig::ivy_bridge(1));
+        let sum =
+            |f: fn(&Cache) -> u64| -> u64 { llc.stripes.iter().map(|s| f(s.lock().cache())).sum() };
+        let capacity = sum(|c| c.capacity_lines() as u64);
+        let base = DATA_REGION_BASE / 64 + 5;
+        llc.warm_data(&[(base, base + 64 * capacity)]);
+        assert!(sum(Cache::accesses) <= 2 * capacity);
+        // And those were the right ones: the span's last `capacity` lines.
+        assert_eq!(sum(|c| c.resident_lines() as u64), capacity);
+        let last = llc.touch(0, base + 63 * capacity);
+        assert!(last.hit && llc.touch(0, base + 63 * capacity - 1).evicted.is_some());
     }
 }

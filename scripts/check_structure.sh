@@ -6,7 +6,10 @@
 #    cache.
 # 2. The ART range scan collects no children: `art.rs` does not name
 #    `Vec<NodeRef>`, the per-node list the full-tree walk needed.
-# 3. DESIGN.md §3: in the inventory table, every back-ticked name in the
+# 3. The recovery harness borrows the harvested log: `recover.rs` names no
+#    `.cloned()`, which is how the durable prefix used to be copied out of
+#    the streams `log_streams()` had already copied.
+# 4. DESIGN.md §3: in the inventory table, every back-ticked name in the
 #    "Key modules" cell of a `crates/<dir>` row is a real
 #    crates/<dir>/src/<name>.rs.
 set -euo pipefail
@@ -25,6 +28,11 @@ fi
 
 if grep -n 'Vec<NodeRef>' crates/indexes/src/art.rs; then
     echo "structure: art.rs collects a node's children into a Vec again" >&2
+    bad=1
+fi
+
+if grep -n '\.cloned()' crates/bench/src/recover.rs; then
+    echo "structure: recover.rs clones the harvested log again" >&2
     bad=1
 fi
 

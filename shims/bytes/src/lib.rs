@@ -115,6 +115,11 @@ impl BytesMut {
         self.data.is_empty()
     }
 
+    /// Empty the buffer, keeping its allocation.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Convert into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)
