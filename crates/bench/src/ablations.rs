@@ -12,14 +12,13 @@
 //! * [`overlap_sensitivity`] — how robust the IPC conclusions are to the
 //!   cycle model's LLC-miss overlap weight.
 
-use engines::{build_system, SystemKind, VoltDb};
-use microarch::{measure, Measurement, WindowSpec};
-use oltp::Db;
+use engines::{DurableDb, SystemBuilder, SystemKind, VoltDb};
+use microarch::{Measurement, WindowSpec};
 use uarch_sim::{MachineConfig, Sim};
 use workloads::{DbSize, MicroBench, Workload};
 
 use crate::figures::systems;
-use crate::scale_factor;
+use crate::{drive, scale_factor};
 
 /// An ablation subcommand and the report it prints.
 pub type Ablation = (&'static str, fn() -> String);
@@ -56,20 +55,32 @@ fn window() -> WindowSpec {
 
 /// Run the 100 GB read-only micro-benchmark on `system` under `cfg`.
 fn run_micro(system: SystemKind, cfg: MachineConfig, multi_partition: bool) -> Measurement {
-    let sim = Sim::new(cfg);
-    let mut db: Box<dyn Db> = match system {
+    let w = MicroBench::new(DbSize::Gb100);
+    measure_micro(system, cfg, multi_partition, w, window())
+}
+
+fn measure_micro(
+    system: SystemKind,
+    cfg: MachineConfig,
+    multi_partition: bool,
+    mut w: MicroBench,
+    window: WindowSpec,
+) -> Measurement {
+    let (sim, db): (Sim, Box<dyn DurableDb>) = match system {
         SystemKind::VoltDb if multi_partition => {
+            // The one load `SystemBuilder::load` cannot express:
+            // `set_single_sited` is a knob of the concrete engine, not of
+            // a `Box<dyn DurableDb>`.
+            let sim = Sim::new(cfg);
             let mut v = VoltDb::new(&sim, 1);
             v.set_single_sited(false);
-            Box::new(v)
+            sim.offline(|| w.setup(&mut v, 1));
+            sim.warm_data();
+            (sim, Box::new(v))
         }
-        k => build_system(k, &sim, 1),
+        k => SystemBuilder::new(k).load(cfg, |db| w.setup(db, 1)),
     };
-    let mut w = MicroBench::new(DbSize::Gb100);
-    sim.offline(|| w.setup(db.as_mut(), 1));
-    sim.warm_data();
-    let mut s = db.session(0);
-    measure(&sim, 0, window(), |_| w.exec(s.as_mut(), 0).expect("txn"))
+    drive(&sim, &*db, &mut w, &[0], window, |_| {})
 }
 
 fn i_spki(m: &Measurement) -> f64 {
@@ -240,20 +251,19 @@ mod tests {
         // binary): multi-partition VoltDB must retire more instructions
         // and stall more on the instruction side.
         let run = |mp: bool| {
-            let sim = Sim::new(MachineConfig::ivy_bridge(1));
-            let mut v = VoltDb::new(&sim, 1);
-            v.set_single_sited(!mp);
-            let mut db: Box<dyn Db> = Box::new(v);
-            let mut w = MicroBench::new(DbSize::Mb1).with_rows(20_000);
-            sim.offline(|| w.setup(db.as_mut(), 1));
-            sim.warm_data();
-            let mut s = db.session(0);
+            let w = MicroBench::new(DbSize::Mb1).with_rows(20_000);
             let spec = WindowSpec {
                 warmup: 400,
                 measured: 800,
                 reps: 1,
             };
-            measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).unwrap())
+            measure_micro(
+                SystemKind::VoltDb,
+                MachineConfig::ivy_bridge(1),
+                mp,
+                w,
+                spec,
+            )
         };
         let single = run(false);
         let multi = run(true);

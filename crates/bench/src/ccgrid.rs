@@ -19,7 +19,7 @@ use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use oltp::cc::CcPolicy;
 use oltp::retry::{classify, Backoff, ErrorClass, RetryPolicy};
 use oltp::{OltpError, Session};
-use uarch_sim::{MachineConfig, Sim};
+use uarch_sim::MachineConfig;
 use workloads::{CcOp, Contention, Workload};
 
 /// One contention cell: the workload knobs every (engine, protocol) pair
@@ -251,9 +251,6 @@ pub fn run_cell(
     cfg: &CcGridCfg,
 ) -> CcGridRow {
     let workers = cfg.workers;
-    let sim = Sim::new(MachineConfig::ivy_bridge(workers));
-    // A single partition: the contention key space is shared, so every
-    // worker must reach every row (partitioned engines run one island).
     let mut w = Contention::new()
         .rows(cfg.rows)
         .theta(cell.theta)
@@ -262,13 +259,15 @@ pub fn run_cell(
         .ops_per_txn(cfg.ops_per_txn)
         .flash_sale(cell.flash_sale)
         .seed(cfg.seed);
-    let mut db = SystemBuilder::new(system)
+    // A single partition: the contention key space is shared, so every
+    // worker must reach every row (partitioned engines run one island).
+    let (sim, db) = SystemBuilder::new(system)
         .cores(workers)
         .partitions(1)
         .cc(policy)
-        .build(&sim);
-    sim.offline(|| w.setup(&mut *db, workers));
-    sim.warm_data();
+        .load(MachineConfig::ivy_bridge(workers), |db| {
+            w.setup(db, workers)
+        });
 
     let retry_policy = RetryPolicy::default();
     let wl = Mutex::new(w);

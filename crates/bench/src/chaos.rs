@@ -51,13 +51,13 @@ use obs::json::Json;
 use obs::sink::{JsonlSink, VecSink};
 use obs::{hist::Histogram, Phase, Tracer};
 use oltp::retry::{retry_txn, Backoff, RetryPolicy, RetryStats, TxnOutcome};
-use oltp::{Column, DataType, OltpError, OltpResult, Schema, Session, TableDef, TableId, Value};
+use oltp::{OltpError, OltpResult, Session};
 use uarch_sim::rng::Fnv;
 use uarch_sim::{EventCounts, MachineConfig, Sim};
 use workloads::Workload;
 
 use crate::names::{slug, system_cli};
-use crate::oracle::{oracle_key, KEYS_PER_WORKER};
+use crate::oracle::{Counters, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
 
 /// Fixed length (in transaction slots) of a core-offline window.
@@ -227,6 +227,8 @@ fn core_digest(sim: &Sim, core: usize) -> u64 {
 /// reach it. Uncontended: only the owning worker locks it during the run.
 struct ChaosWorker {
     worker: usize,
+    /// `None` only while a wedged or finished session has been dropped to
+    /// return its core port before a fresh one opens.
     session: Option<Box<dyn Session>>,
     keys: Vec<u64>,
     /// Confirmed committed increments per key.
@@ -260,54 +262,40 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
         workers.is_multiple_of(sockets),
         "chaos workers ({workers}) must divide evenly across {sockets} socket(s)"
     );
+    let mut w = cfg.workload.build();
+    let mut counters = None;
     // numa(1, n) is bit-identical to ivy_bridge(n), and Island placement
     // is a no-op on one socket, so the default configuration reproduces
     // every historical manifest digest exactly.
-    let sim = Sim::new(MachineConfig::numa(sockets, workers / sockets));
-    let mut db = SystemBuilder::new(cfg.system)
+    let (sim, db) = SystemBuilder::new(cfg.system)
         .cores(workers)
         .partitions(workers)
         .cc(cfg.cc)
         .placement(engines::Placement::Island)
-        .build(&sim);
-
-    // The oracle table: KEYS_PER_WORKER rows per worker, inserted through
-    // that worker's session so partitioned engines keep them single-site.
-    let ctable = db.create_table(TableDef::new(
-        "chaos_counters",
-        Schema::new(vec![
-            Column::new("key", DataType::Long),
-            Column::new("hits", DataType::Long),
-        ]),
-        workers as u64 * KEYS_PER_WORKER,
-    ));
-    let mut w = cfg.workload.build();
-    sim.offline(|| {
-        // Oracle rows go in first so the workload's `setup` (which ends
-        // with `finish_load`) still runs last, as every loader expects.
-        for worker in 0..workers {
-            let mut s = db.session(worker);
-            for k in 0..KEYS_PER_WORKER {
-                let key = oracle_key(worker, workers, k);
-                s.begin();
-                s.insert(ctable, key, &[Value::Long(key as i64), Value::Long(0)])
-                    .expect("oracle row insert");
-                s.commit().expect("oracle row commit");
+        .load(MachineConfig::numa(sockets, workers / sockets), |db| {
+            // The oracle table goes in first so the workload's `setup`
+            // (which ends with `finish_load`) still runs last, as every
+            // loader expects.
+            let c = Counters::create(db, "chaos_counters", workers, KEYS_PER_WORKER, 0);
+            for worker in 0..workers {
+                c.load(db.session(worker).as_mut(), worker);
             }
-        }
-        w.setup(db.as_mut(), workers);
-    });
-    sim.warm_data();
+            counters = Some(c);
+            w.setup(db, workers);
+        });
+    let counters = counters.expect("the loader ran");
+
+    // Arm the injector for exactly the measured window, carrying over the
+    // claim taken before the load. Sessions open under the armed plan.
+    let installed = quiesced.install(plan.clone());
 
     let engine: &'static str = db.name();
     let slots: Vec<Mutex<ChaosWorker>> = (0..workers)
         .map(|worker| {
             Mutex::new(ChaosWorker {
                 worker,
-                session: None,
-                keys: (0..KEYS_PER_WORKER)
-                    .map(|k| oracle_key(worker, workers, k))
-                    .collect(),
+                session: Some(db.session(worker)),
+                keys: counters.keys(worker),
                 confirmed: vec![0; KEYS_PER_WORKER as usize],
                 ambiguous: vec![0; KEYS_PER_WORKER as usize],
                 stats: RetryStats::default(),
@@ -322,39 +310,25 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
         .collect();
     let span_sinks: Vec<VecSink> = (0..workers).map(|_| VecSink::new()).collect();
 
-    // Arm the injector for exactly the measured window, carrying over the
-    // claim taken before the load.
-    let installed = quiesced.install(plan.clone());
-
     let cores: Vec<usize> = (0..workers).collect();
     let wl = Mutex::new(w);
     let measurement = {
         let db = &*db;
         let wl = &wl;
         let slots = &slots;
-        let sim_handle = &sim;
+        let counters = &counters;
         let span_sinks = &span_sinks;
         let policy = cfg.policy;
         measure_workers(&sim, &cores, window, Pacing::Lockstep, |worker| {
-            let mut session = Some(db.session(worker));
             let sink = span_sinks[worker].clone();
-            let tracer_sim = sim_handle.clone();
-            let mut installed_tracer = false;
-            let mem = sim_handle.mem(worker);
+            let mem = sim.mem(worker);
             move |_| {
-                if !installed_tracer {
-                    // Tracers are thread-local: install this worker's on
-                    // its own thread, on its first turn.
-                    let tracer = Tracer::new(&tracer_sim);
+                obs::install_with(|| {
+                    let tracer = Tracer::new(mem.sim());
                     tracer.add_sink(Box::new(sink.clone()));
-                    obs::install(tracer);
-                    installed_tracer = true;
-                }
-                let mut slot = slots[worker].lock().unwrap();
-                if slot.session.is_none() {
-                    slot.session = session.take();
-                }
-                let slot = &mut *slot;
+                    tracer
+                });
+                let slot = &mut *slots[worker].lock().unwrap();
 
                 // Core-offline window in force: the worker idles this slot.
                 if let Some(until) = slot.offline_until {
@@ -379,7 +353,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
                     slot.out.poisons += 1;
                 }
 
-                let mut outcome = run_one(slot, wl, ctable, engine, &policy, &mem);
+                let mut outcome = run_one(slot, wl, counters, engine, &policy, &mem);
                 if matches!(
                     &outcome,
                     TxnOutcome::GaveUp {
@@ -396,7 +370,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
                     slot.session = Some(db.session(worker));
                     faults::heal(worker);
                     slot.out.reopens += 1;
-                    outcome = run_one(slot, wl, ctable, engine, &policy, &mem);
+                    outcome = run_one(slot, wl, counters, engine, &policy, &mem);
                 }
                 slot.retry_hist.record(u64::from(outcome.attempts()));
                 slot.txn_no += 1;
@@ -414,7 +388,6 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     // Merge the per-thread span streams (by simulated timestamp) and
     // export them through the standard obs sinks.
     let merged = obs::merge_span_streams(span_sinks.iter().map(|s| s.take()).collect());
-    let span_count = merged.len() as u64;
 
     // Verification: read the oracle table through fresh sessions with the
     // injector disarmed. Any worker cores left offline come back first.
@@ -432,15 +405,12 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
         for ki in 0..KEYS_PER_WORKER as usize {
             let key = slot.keys[ki];
             s.begin();
-            let row = s.read(ctable, key).expect("oracle read");
+            let row = s.read(counters.table, key).expect("oracle read");
             s.commit().expect("oracle read commit");
             let Some(row) = row else {
                 panic!("oracle key {key} missing after the run")
             };
-            let Value::Long(v) = row[1] else {
-                panic!("oracle value column changed type")
-            };
-            let actual = v as u64;
+            let actual = Counters::hits(&row);
             let lo = slot.confirmed[ki];
             let hi = lo + slot.ambiguous[ki];
             lost += lo.saturating_sub(actual);
@@ -460,24 +430,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
         backoff_hist.merge(&slot.backoff_hist);
     }
 
-    let manifest = manifest_json(
-        cfg,
-        &plan,
-        window,
-        &outcomes,
-        &retry_hist,
-        &backoff_hist,
-        &digests,
-        table_fnv.0,
-        lost,
-        phantom,
-        faults_fired,
-        span_count,
-        &fired,
-        &measurement,
-    );
-
-    ChaosReport {
+    let mut report = ChaosReport {
         outcomes,
         retry_hist,
         backoff_hist,
@@ -488,8 +441,10 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
         faults_fired,
         measurement,
         spans: merged,
-        manifest,
-    }
+        manifest: Json::Null,
+    };
+    report.manifest = manifest_json(cfg, &plan, window, &fired, &report);
+    report
 }
 
 /// One logical transaction under the retry policy: even slots run the
@@ -498,7 +453,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
 fn run_one(
     slot: &mut ChaosWorker,
     wl: &Mutex<Box<dyn Workload>>,
-    ctable: TableId,
+    counters: &Counters,
     engine: &'static str,
     policy: &RetryPolicy,
     mem: &uarch_sim::Mem,
@@ -527,7 +482,7 @@ fn run_one(
         if faults::fire("driver/conflict", worker) {
             out.driver_conflicts += 1;
             return Err(OltpError::Conflict {
-                table: ctable,
+                table: counters.table,
                 key: 0,
             });
         }
@@ -540,11 +495,7 @@ fn run_one(
             let ki = (txn_no / 2 % KEYS_PER_WORKER) as usize;
             let key = keys[ki];
             s.begin();
-            match s.update(ctable, key, &mut |row| {
-                if let Value::Long(v) = &mut row[1] {
-                    *v += 1;
-                }
-            }) {
+            match counters.bump(s, key) {
                 Ok(found) => {
                     debug_assert!(found, "oracle key {key} vanished");
                     match s.commit() {
@@ -580,23 +531,14 @@ fn run_one(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn manifest_json(
     cfg: &ChaosCfg,
     plan: &FaultPlan,
     window: WindowSpec,
-    outcomes: &ChaosOutcomes,
-    retry_hist: &Histogram,
-    backoff_hist: &Histogram,
-    digests: &[u64],
-    table_digest: u64,
-    lost: u64,
-    phantom: u64,
-    faults_fired: u64,
-    span_count: u64,
     fired: &[faults::Fired],
-    m: &Measurement,
+    report: &ChaosReport,
 ) -> Json {
+    let (outcomes, m) = (&report.outcomes, &report.measurement);
     let r = &outcomes.retry;
     let mut site_counts: Vec<(&'static str, u64)> = Vec::new();
     for f in fired {
@@ -644,8 +586,8 @@ fn manifest_json(
                 ("ambiguous_commits", Json::u64(outcomes.ambiguous_commits)),
             ]),
         ),
-        ("retry_hist", retry_hist.to_json()),
-        ("backoff_hist", backoff_hist.to_json()),
+        ("retry_hist", report.retry_hist.to_json()),
+        ("backoff_hist", report.backoff_hist.to_json()),
         (
             "fired_by_site",
             Json::Obj(
@@ -655,20 +597,24 @@ fn manifest_json(
                     .collect(),
             ),
         ),
-        ("faults_fired", Json::u64(faults_fired)),
-        ("spans", Json::u64(span_count)),
-        ("lost_updates", Json::u64(lost)),
-        ("phantom_updates", Json::u64(phantom)),
+        ("faults_fired", Json::u64(report.faults_fired)),
+        ("spans", Json::u64(report.spans.len() as u64)),
+        ("lost_updates", Json::u64(report.lost_updates)),
+        ("phantom_updates", Json::u64(report.phantom_updates)),
         (
             "digests",
             Json::Arr(
-                digests
+                report
+                    .digests
                     .iter()
                     .map(|d| Json::str(&format!("{d:#018x}")))
                     .collect(),
             ),
         ),
-        ("table_digest", Json::str(&format!("{table_digest:#018x}"))),
+        (
+            "table_digest",
+            Json::str(&format!("{:#018x}", report.table_digest)),
+        ),
         ("tps", Json::Num(m.tps)),
         ("txns", Json::u64(m.txns)),
     ])

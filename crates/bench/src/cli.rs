@@ -292,6 +292,10 @@ pub fn usage(prog: &str, commands: &[Command]) -> String {
 
 /// Entry point of both binaries.
 pub fn main() -> ! {
+    if let Err(e) = crate::env_scale() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let argv: Vec<String> = std::env::args().collect();
     std::process::exit(run(&argv))
 }

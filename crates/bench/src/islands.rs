@@ -19,14 +19,13 @@
 //! pages amortize.
 
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use engines::{Placement, SystemBuilder, SystemKind};
-use microarch::{measure_workers, Measurement, Pacing};
-use uarch_sim::{MachineConfig, Sim, StallEvent};
+use microarch::Measurement;
+use uarch_sim::{MachineConfig, StallEvent};
 use workloads::{DbSize, MicroBench, Workload};
 
-use crate::grid;
+use crate::{drive, grid};
 
 /// One cell of the islands grid.
 pub struct IslandsRow {
@@ -150,21 +149,19 @@ const REBALANCE_MARGIN: f64 = 0.55;
 fn run_cell(cell: &Cell, smoke: bool) -> IslandsRow {
     let (sockets, per_socket) = topology(smoke);
     let workers = sockets * per_socket;
-    let sim = Sim::new(MachineConfig::numa(sockets, per_socket));
-    let mut db = SystemBuilder::new(cell.system)
-        .cores(workers)
-        .placement(cell.placement)
-        .build(&sim);
     let mut w = MicroBench::new(DbSize::Gb10)
         .with_rows(grid_rows(smoke))
         .read_write()
         .cross_frac(cell.cross_pct as f64 / 100.0);
-    sim.offline(|| w.setup(db.as_mut(), workers));
-    sim.warm_data();
+    let machine = MachineConfig::numa(sockets, per_socket);
+    let (sim, db) = SystemBuilder::new(cell.system)
+        .cores(workers)
+        .placement(cell.placement)
+        .load(machine, |db| w.setup(db, workers));
 
-    // The OS thread for worker slot `i` drives core `cores[i]`, and passes
-    // that core as the workload's worker id: the request stream is keyed
-    // by partition owner, so every placement runs the identical set of
+    // `drive` runs worker slot `i` on core `cores[i]` and passes that core
+    // as the workload's worker id: the request stream is keyed by
+    // partition owner, so every placement runs the identical set of
     // per-partition streams and only the thread-to-core mapping (plus data
     // homing) differs.
     let cores = cell.placement.worker_cores(workers, &sim);
@@ -190,20 +187,8 @@ fn run_cell(cell: &Cell, smoke: bool) -> IslandsRow {
         );
     }
 
-    let w = Mutex::new(w);
-    let db = &*db;
-    let w = &w;
     let window = grid::worker_window(smoke);
-    let measurement = measure_workers(&sim, &cores, window, Pacing::Lockstep, |i| {
-        let core = cores[i];
-        let mut s = db.session(core);
-        move |_| {
-            w.lock()
-                .unwrap()
-                .exec(s.as_mut(), core)
-                .expect("islands transaction failed");
-        }
-    });
+    let measurement = drive(&sim, &*db, &mut w, &cores, window, |_| {});
     IslandsRow {
         system: cell.system.label(),
         partitioned: cell.system.partitioned(),

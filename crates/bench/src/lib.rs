@@ -6,7 +6,7 @@
 //! filtering). [`run_points`] fans experiment points out over OS threads —
 //! every point owns its own simulator, so they are independent.
 //!
-//! The crate is one CLI over three shared pieces:
+//! The crate is one CLI over five shared pieces:
 //!
 //! * [`cli`] — the command table (names, flag [`args::Spec`]s, help,
 //!   handler) both binaries (`bench` and its alias `figures`) dispatch
@@ -17,7 +17,16 @@
 //!   [`recover::sweep`] and, through [`run_points`], the figure suite
 //!   ([`figures`], [`suite`]);
 //! * [`replay`] — the manifest reader behind `chaos --plan` and
-//!   `recover --plan`.
+//!   `recover --plan`;
+//! * [`drive`] — the session driver: one session per worker core, a
+//!   `Phase::Txn` root span around every transaction, `measure` on one core
+//!   and lockstep `measure_workers` on more. Every harness that runs a
+//!   plain workload loop over a database loaded with
+//!   [`engines::SystemBuilder::load`] goes through it ([`ccgrid`],
+//!   [`chaos`] and [`recover`] keep their own step closures: they are state
+//!   machines, not workload loops);
+//! * `oracle` — the worker-private counter tables [`chaos`] and
+//!   [`recover`] verify against.
 //!
 //! The single-run commands ([`trace`], [`metrics_report`], [`perf`],
 //! [`serve`], [`chaos`], [`recover`], [`diff`]) are not grids; they share
@@ -26,8 +35,10 @@
 use std::env;
 use std::sync::Mutex;
 
-use engines::{build_system, SystemKind};
+use engines::{SystemBuilder, SystemKind};
 use microarch::{measure, measure_workers, Measurement, Pacing, WindowSpec};
+use obs::Phase;
+use oltp::Db;
 use uarch_sim::{MachineConfig, Sim};
 use workloads::tpcc::TpcCScale;
 use workloads::{DbSize, MicroBench, TpcB, TpcC, Workload};
@@ -144,12 +155,31 @@ fn tpcc_scale() -> TpcCScale {
     }
 }
 
+/// The value of `IMOLTP_SCALE`: unset is 1.0, anything but a positive
+/// finite number is an error (a typo must not run at full scale).
+fn parse_scale(raw: Option<&str>) -> Result<f64, String> {
+    let Some(raw) = raw else { return Ok(1.0) };
+    match raw.parse::<f64>() {
+        Ok(v) if v > 0.0 && v.is_finite() => Ok(v),
+        _ => Err(format!(
+            "IMOLTP_SCALE={raw}: expected a positive number (e.g. 0.2)"
+        )),
+    }
+}
+
+/// `IMOLTP_SCALE` as the environment has it; [`cli::main`] checks it up
+/// front so a bad value is a usage error, not a panic mid-run.
+fn env_scale() -> Result<f64, String> {
+    parse_scale(env::var("IMOLTP_SCALE").ok().as_deref())
+}
+
 /// Global intensity factor from `IMOLTP_SCALE` (default 1.0).
+///
+/// # Panics
+///
+/// Panics when the variable is set to anything but a positive number.
 pub fn scale_factor() -> f64 {
-    env::var("IMOLTP_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    env_scale().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// One experiment point. Construct with [`Point::new`] and the builder
@@ -247,41 +277,67 @@ impl Point {
     }
 }
 
-/// Run one experiment point to a [`Measurement`].
+/// Drive `workload` over `db` for one measurement window: worker `i` opens
+/// a session on `cores[i]` (and passes that core as the workload's worker
+/// id), `before(i)` runs on the worker's own thread ahead of every
+/// transaction (the hook a tracing harness installs its thread-local
+/// tracer from), and every transaction runs inside a `Phase::Txn` root span
+/// — inert unless a tracer is installed.
 ///
-/// Single-worker points use the exact single-threaded measurement loop the
-/// paper's figures were calibrated on. Multi-worker points open one
-/// [`oltp::Session`] per worker and drive them from parallel OS threads in
-/// deterministic lockstep; per-worker counters are averaged and transaction
-/// counts summed, as in the paper's multi-threaded experiments.
+/// One core is the exact single-threaded measurement loop the paper's
+/// figures were calibrated on, run on the calling thread; more cores run on
+/// parallel OS threads in deterministic lockstep, the workload shared
+/// behind one lock, per-worker counters averaged and transaction counts
+/// summed, as in the paper's multi-threaded experiments.
+///
+/// # Panics
+///
+/// Panics when a transaction fails: aborts are unexpected in these
+/// benchmarks (single-site, no conflicts).
+pub fn drive(
+    sim: &Sim,
+    db: &dyn Db,
+    workload: &mut dyn Workload,
+    cores: &[usize],
+    window: WindowSpec,
+    before: impl Fn(usize) + Sync,
+) -> Measurement {
+    let system = db.name();
+    let workload = Mutex::new(workload);
+    let (workload, before) = (&workload, &before);
+    let step = |i: usize| {
+        let core = cores[i];
+        let mut s = db.session(core);
+        move |_| {
+            before(i);
+            let _txn = obs::span(system, Phase::Txn, core);
+            let mut w = workload.lock().unwrap();
+            if let Err(e) = w.exec(s.as_mut(), core) {
+                panic!("{} txn failed on {system}, worker {i}: {e}", w.name());
+            }
+        }
+    };
+    match cores {
+        [core] => measure(sim, *core, window, step(0)),
+        _ => measure_workers(sim, cores, window, Pacing::Lockstep, step),
+    }
+}
+
+/// Run one experiment point to a [`Measurement`]: a fresh machine and
+/// engine, the workload bulk-loaded offline, then [`drive`] over cores
+/// `0..workers`.
 pub fn run_point(point: &Point) -> Measurement {
     let workers = point.worker_count();
-    let sim = Sim::new(MachineConfig::ivy_bridge(workers));
-    let mut db = build_system(point.system(), &sim, point.effective_partitions());
     let mut w = point.workload().build();
-    sim.offline(|| w.setup(db.as_mut(), workers));
-    sim.warm_data();
+    let (sim, db) = SystemBuilder::new(point.system())
+        .cores(workers)
+        .partitions(point.effective_partitions())
+        .load(MachineConfig::ivy_bridge(workers), |db| {
+            w.setup(db, workers)
+        });
+    let cores: Vec<usize> = (0..workers).collect();
     let window = point.effective_window();
-    if workers == 1 {
-        let mut s = db.session(0);
-        measure(&sim, 0, window, |_| {
-            w.exec(s.as_mut(), 0).expect("benchmark transaction failed");
-        })
-    } else {
-        let cores: Vec<usize> = (0..workers).collect();
-        let w = Mutex::new(w);
-        let db = &*db;
-        let w = &w;
-        measure_workers(&sim, &cores, window, Pacing::Lockstep, |worker| {
-            let mut s = db.session(worker);
-            move |_| {
-                w.lock()
-                    .unwrap()
-                    .exec(s.as_mut(), worker)
-                    .expect("benchmark transaction failed");
-            }
-        })
-    }
+    drive(&sim, &*db, w.as_mut(), &cores, window, |_| {})
 }
 
 /// Run many points in parallel across OS threads (each point owns its own
@@ -311,6 +367,17 @@ mod tests {
             reps: 2,
         });
         run_point(&p)
+    }
+
+    #[test]
+    fn scale_is_a_positive_number_or_an_error() {
+        assert_eq!(parse_scale(None), Ok(1.0));
+        assert_eq!(parse_scale(Some("0.2")), Ok(0.2));
+        assert_eq!(parse_scale(Some("3")), Ok(3.0));
+        for bad in ["0,2", "", "fast", "0", "-1", "nan", "inf"] {
+            let err = parse_scale(Some(bad)).unwrap_err();
+            assert!(err.starts_with(&format!("IMOLTP_SCALE={bad}:")), "{err}");
+        }
     }
 
     #[test]

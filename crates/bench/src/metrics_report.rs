@@ -9,10 +9,10 @@
 //! subtract to a window, so a mid-run report never disturbs (or even
 //! observes) the simulation clock.
 
-use engines::{build_system, SystemKind};
+use engines::{SystemBuilder, SystemKind};
 use microarch::{measure, Measurement};
 use obs::metrics::{registry, Snapshot};
-use uarch_sim::{MachineConfig, Sim};
+use uarch_sim::MachineConfig;
 
 use crate::WorkloadCfg;
 
@@ -65,11 +65,9 @@ fn engine_line(win: &Snapshot, engine: &str, txns: u64) -> String {
 
 /// Run the point and capture periodic + final metric reports.
 pub fn run(cfg: &MetricsCfg) -> MetricsReport {
-    let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let mut db = build_system(cfg.system, &sim, 1);
     let mut w = cfg.workload.build();
-    sim.offline(|| w.setup(db.as_mut(), 1));
-    sim.warm_data();
+    let (sim, db) =
+        SystemBuilder::new(cfg.system).load(MachineConfig::ivy_bridge(1), |db| w.setup(db, 1));
     let engine = db.name();
 
     let mut window = cfg.workload.window();

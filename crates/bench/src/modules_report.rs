@@ -5,13 +5,13 @@
 //! For one system and workload, print each module's share of
 //! instructions, cycles, L1I misses and LLC data misses.
 
-use engines::{build_system, SystemKind};
-use microarch::{measure, Measurement, WindowSpec};
-use uarch_sim::{MachineConfig, Sim, StallEvent};
+use engines::{SystemBuilder, SystemKind};
+use microarch::{Measurement, WindowSpec};
+use uarch_sim::{MachineConfig, StallEvent};
 use workloads::tpcc::TpcCScale;
 use workloads::{DbSize, MicroBench, TpcB, TpcC, Workload};
 
-use crate::scale_factor;
+use crate::{drive, scale_factor};
 
 /// Per-module event shares for one run.
 pub struct ModuleBreakdown {
@@ -27,8 +27,6 @@ pub struct ModuleBreakdown {
 
 /// Run `system` on `workload` ("micro" | "tpcb" | "tpcc") and attribute.
 pub fn module_breakdown(system: SystemKind, workload: &str) -> ModuleBreakdown {
-    let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let mut db = build_system(system, &sim, 1);
     let mut w: Box<dyn Workload> = match workload {
         "tpcb" => Box::new(TpcB::new()),
         "tpcc" => Box::new(TpcC::with_scale(TpcCScale {
@@ -39,16 +37,15 @@ pub fn module_breakdown(system: SystemKind, workload: &str) -> ModuleBreakdown {
         })),
         _ => Box::new(MicroBench::new(DbSize::Gb100)),
     };
-    sim.offline(|| w.setup(db.as_mut(), 1));
-    sim.warm_data();
-    let mut s = db.session(0);
+    let (sim, db) =
+        SystemBuilder::new(system).load(MachineConfig::ivy_bridge(1), |db| w.setup(db, 1));
     let spec = WindowSpec {
         warmup: 1500,
         measured: 3000,
         reps: 2,
     }
     .scaled(scale_factor());
-    let m = measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn"));
+    let m = drive(&sim, &*db, w.as_mut(), &[0], spec, |_| {});
 
     // Raw per-module counters for the miss shares.
     let specs = sim.module_specs();

@@ -49,20 +49,20 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use engines::{DurabilityCfg, DurableDb, SystemBuilder, SystemKind};
+use engines::{DurabilityCfg, SystemBuilder, SystemKind};
 use faults::FaultPlan;
 use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use obs::json::Json;
 use obs::Phase;
-use oltp::{tuple, Column, DataType, OltpError, Schema, Session, TableDef, TableId, Value};
+use oltp::{tuple, OltpError, Session, TableId, Value};
 use storage::checkpoint::{Checkpoint, Checkpointer};
 use storage::recovery::{recover, replay, RecoveryStats, ReplayStats};
 use storage::wal::{LogRecord, Lsn};
 use uarch_sim::rng::Fnv;
-use uarch_sim::{MachineConfig, Sim};
+use uarch_sim::MachineConfig;
 
 use crate::names::{slug, system_cli};
-use crate::oracle::{oracle_key, KEYS_PER_WORKER};
+use crate::oracle::{Counters, KEYS_PER_WORKER};
 use crate::{scale_factor, WorkloadCfg};
 
 /// Worker-private scratch rows per worker (aborted-increment oracle).
@@ -347,6 +347,7 @@ impl Session for ApplyDb {
 /// only the owning worker locks it until the post-crash harvest).
 struct RecoverWorker {
     worker: usize,
+    /// Dropped (`None`) at the harvest, with the engine.
     session: Option<Box<dyn Session>>,
     keys: Vec<u64>,
     scratch: Vec<u64>,
@@ -413,53 +414,28 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     // chaos/recover test must not see this plan early).
     let quiesced = faults::quiesce();
 
-    let sim = Sim::new(MachineConfig::ivy_bridge(workers));
-    let mut db: Box<dyn DurableDb> = SystemBuilder::new(cfg.system)
+    let durability = DurabilityCfg { epoch: cfg.epoch };
+    let mut w = cfg.workload.build();
+    let mut tables = None;
+    let (sim, mut db) = SystemBuilder::new(cfg.system)
         .cores(workers)
         .partitions(workers)
-        .build_durable(&sim);
-    // Durable mode from the first record: the load itself is logged, so
-    // recovery replays into a completely empty target.
-    db.enable_durability(&DurabilityCfg { epoch: cfg.epoch });
-
-    let ctable = db.create_table(TableDef::new(
-        "recover_counters",
-        Schema::new(vec![
-            Column::new("key", DataType::Long),
-            Column::new("hits", DataType::Long),
-        ]),
-        workers as u64 * KEYS_PER_WORKER,
-    ));
-    let stable = db.create_table(TableDef::new(
-        "recover_scratch",
-        Schema::new(vec![
-            Column::new("key", DataType::Long),
-            Column::new("hits", DataType::Long),
-        ]),
-        workers as u64 * SCRATCH_KEYS,
-    ));
-    let mut w = cfg.workload.build();
-    sim.offline(|| {
-        for worker in 0..workers {
-            let mut s = db.session(worker);
-            for k in 0..KEYS_PER_WORKER {
-                let key = oracle_key(worker, workers, k);
-                s.begin();
-                s.insert(ctable, key, &[Value::Long(key as i64), Value::Long(0)])
-                    .expect("oracle row insert");
-                s.commit().expect("oracle row commit");
+        .load(MachineConfig::ivy_bridge(workers), |db| {
+            // Durable mode from the first record: the load itself is
+            // logged, so recovery replays into a completely empty target.
+            db.enable_durability(&durability);
+            let counters = Counters::create(db, "recover_counters", workers, KEYS_PER_WORKER, 0);
+            let scratch = Counters::create(db, "recover_scratch", workers, SCRATCH_KEYS, 1);
+            for worker in 0..workers {
+                let mut s = db.session(worker);
+                counters.load(s.as_mut(), worker);
+                scratch.load(s.as_mut(), worker);
             }
-            for k in 0..SCRATCH_KEYS {
-                let key = oracle_key(worker, workers, k) + 1;
-                s.begin();
-                s.insert(stable, key, &[Value::Long(key as i64), Value::Long(0)])
-                    .expect("scratch row insert");
-                s.commit().expect("scratch row commit");
-            }
-        }
-        w.setup(db.as_mut(), workers);
-    });
-    sim.warm_data();
+            tables = Some((counters, scratch));
+            w.setup(db, workers);
+        });
+    let (counters, scratch) = tables.expect("the loader ran");
+    let (ctable, stable) = (counters.table, scratch.table);
     // The load must survive any crash: force it durable. Then re-arm
     // durable mode: retention is untouched (the load's records stay on
     // the streams), but the log device is re-attached with an empty
@@ -469,8 +445,11 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     // latency. Load-time latency samples are discarded with it (they
     // are not client-visible commits).
     db.flush_all();
-    db.enable_durability(&DurabilityCfg { epoch: cfg.epoch });
+    db.enable_durability(&durability);
     let _ = db.take_commit_latencies();
+
+    // Sessions open under the armed plan.
+    let installed = quiesced.install(plan.clone());
 
     let engine: &'static str = db.name();
     let system = cfg.system;
@@ -478,13 +457,9 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         .map(|worker| {
             Mutex::new(RecoverWorker {
                 worker,
-                session: None,
-                keys: (0..KEYS_PER_WORKER)
-                    .map(|k| oracle_key(worker, workers, k))
-                    .collect(),
-                scratch: (0..SCRATCH_KEYS)
-                    .map(|k| oracle_key(worker, workers, k) + 1)
-                    .collect(),
+                session: Some(db.session(worker)),
+                keys: counters.keys(worker),
+                scratch: scratch.keys(worker),
                 committed: vec![0; KEYS_PER_WORKER as usize],
                 horizons: vec![Vec::new(); KEYS_PER_WORKER as usize],
                 commit_errors: 0,
@@ -498,7 +473,6 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         })
         .collect();
 
-    let installed = quiesced.install(plan.clone());
     let crashed = AtomicBool::new(false);
     let crash: Mutex<Option<CrashInfo>> = Mutex::new(None);
 
@@ -510,17 +484,13 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         let slots_mx = &slots_mx;
         let crashed = &crashed;
         let crash = &crash;
+        let (counters, scratch) = (&counters, &scratch);
         measure_workers(&sim, &cores, window, Pacing::Lockstep, |worker| {
-            let mut session = Some(db.session(worker));
             move |_| {
                 if crashed.load(Ordering::SeqCst) {
                     return; // power is off: idle out the window
                 }
-                let mut slot = slots_mx[worker].lock().unwrap();
-                if slot.session.is_none() {
-                    slot.session = session.take();
-                }
-                let slot = &mut *slot;
+                let slot = &mut *slots_mx[worker].lock().unwrap();
                 let n = slot.txn_no;
                 slot.txn_no += 1;
                 if faults::fire(KILL_SITE, worker) {
@@ -547,11 +517,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                     let _t = obs::span(engine, Phase::Txn, worker);
                     let key = slot.scratch[(n / 8 % SCRATCH_KEYS) as usize];
                     s.begin();
-                    let _ = s.update(stable, key, &mut |row| {
-                        if let Value::Long(v) = &mut row[1] {
-                            *v += 1;
-                        }
-                    });
+                    let _ = scratch.bump(s, key);
                     s.abort();
                 } else if n.is_multiple_of(2) {
                     // Verified oracle increment.
@@ -559,11 +525,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                     let ki = (n / 2 % KEYS_PER_WORKER) as usize;
                     let key = slot.keys[ki];
                     s.begin();
-                    match s.update(ctable, key, &mut |row| {
-                        if let Value::Long(v) = &mut row[1] {
-                            *v += 1;
-                        }
-                    }) {
+                    match counters.bump(s, key) {
                         Ok(found) => {
                             debug_assert!(found, "oracle key {key} vanished");
                             match s.commit() {
@@ -739,24 +701,17 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         let f = status[stream_of(system, slot.worker)].flushed;
         for ki in 0..KEYS_PER_WORKER as usize {
             let acked = slot.horizons[ki].iter().filter(|&&h| h <= f).count() as u64;
-            let actual = match rec_db.value(ctable.0, slot.keys[ki]) {
-                Some(row) => match row[1] {
-                    Value::Long(v) => v as u64,
-                    _ => panic!("oracle value column changed type"),
-                },
-                None => 0, // a lost row counts as zero increments
-            };
+            // A lost row counts as zero increments.
+            let actual = rec_db
+                .value(ctable.0, slot.keys[ki])
+                .map_or(0, Counters::hits);
             confirmed += acked;
             committed += slot.committed[ki];
             lost += acked.saturating_sub(actual);
             phantom += actual.saturating_sub(slot.committed[ki]);
         }
         for &key in &slot.scratch {
-            if let Some(row) = rec_db.value(stable.0, key) {
-                if let Value::Long(v) = row[1] {
-                    aborted_effects += v as u64;
-                }
-            }
+            aborted_effects += rec_db.value(stable.0, key).map_or(0, Counters::hits);
         }
     }
 
@@ -1143,26 +1098,16 @@ mod tests {
         // above the flushed horizon on the shared log and on both
         // partition logs.
         for system in [SystemKind::ShoreMt, SystemKind::HyPer] {
-            let sim = Sim::new(MachineConfig::ivy_bridge(2));
-            let mut db = SystemBuilder::new(system)
-                .cores(2)
-                .partitions(2)
-                .build_durable(&sim);
-            db.enable_durability(&DurabilityCfg { epoch: 8 });
-            let t = db.create_table(TableDef::new(
-                "t",
-                Schema::new(vec![Column::new("key", DataType::Long)]),
-                64,
-            ));
-            for worker in 0..2 {
-                let mut s = db.session(worker);
-                for k in 0..21 {
-                    let key = oracle_key(worker, 2, k);
-                    s.begin();
-                    s.insert(t, key, &[Value::Long(k as i64)]).unwrap();
-                    s.commit().unwrap();
-                }
-            }
+            let (_sim, db) = SystemBuilder::new(system).cores(2).partitions(2).load(
+                MachineConfig::ivy_bridge(2),
+                |db| {
+                    db.enable_durability(&DurabilityCfg { epoch: 8 });
+                    let t = Counters::create(db, "t", 2, 21, 0);
+                    for worker in 0..2 {
+                        t.load(db.session(worker).as_mut(), worker);
+                    }
+                },
+            );
             let (streams, status) = (db.log_streams(), db.log_status());
             assert_eq!(streams.len(), if system.partitioned() { 2 } else { 1 });
             for (recs, st) in streams.iter().zip(&status) {

@@ -2,24 +2,24 @@
 //! layer enabled and export the span stream as Chrome/Perfetto trace JSON
 //! and JSONL, plus a per-phase breakdown table.
 //!
-//! This is the only place in the harness that installs a [`obs::Tracer`];
+//! Of the plain workload loops, this is the only one that installs a
+//! [`obs::Tracer`] (the chaos and service harnesses install their own);
 //! every other path runs with tracing disabled and is bit-identical to a
 //! build without the `obs` crate wired in.
 
 use std::fs;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use engines::{build_system, SystemKind};
-use microarch::{measure, measure_workers, Measurement, Pacing};
+use engines::{SystemBuilder, SystemKind};
+use microarch::Measurement;
 use obs::flame::StallComponent;
 use obs::sink::{JsonlSink, PerfettoSink, VecSink};
 use obs::{Phase, Tracer};
-use uarch_sim::{EventCounts, MachineConfig, Sim};
+use uarch_sim::{EventCounts, MachineConfig};
 
 use crate::names::slug;
-use crate::WorkloadCfg;
+use crate::{drive, WorkloadCfg};
 
 /// Result of a traced run: the measurement plus the export paths.
 pub struct TraceArtifacts {
@@ -38,7 +38,7 @@ pub struct TraceArtifacts {
 
 /// Run one traced point on a single core. The tracer is installed only
 /// for the duration of the run; `Phase::Txn` root spans are opened by
-/// this driver around every transaction, and the engine opens the inner
+/// [`drive`] around every transaction, and the engine opens the inner
 /// phase spans itself.
 pub fn run_trace(
     system: SystemKind,
@@ -50,11 +50,12 @@ pub fn run_trace(
 }
 
 /// Run one traced point with `workers` parallel sessions. With one worker
-/// this is the exact single-threaded tracing path; with more, every worker
-/// thread installs its own thread-local [`Tracer`] feeding an in-memory
-/// sink, and after the workers join the per-thread span streams are merged
-/// by simulated timestamp and replayed through a harness tracer that owns
-/// the Perfetto/JSONL exports — one coherent trace file across all cores.
+/// the tracer streams straight to the Perfetto/JSONL exports as spans
+/// close; with more, every worker thread installs its own thread-local
+/// [`Tracer`] feeding an in-memory sink, and after the workers join the
+/// per-thread span streams are merged by simulated timestamp and replayed
+/// through a harness tracer that owns the exports — one coherent trace
+/// file across all cores.
 ///
 /// When `flame` selects a component the span stream is additionally folded
 /// into a stall-weighted collapsed-stack flamegraph. The fold's weights
@@ -74,13 +75,10 @@ pub fn run_trace_flame(
     let perfetto = out_dir.join(format!("trace_{sys_slug}_{wl_name}.perfetto.json"));
     let jsonl = out_dir.join(format!("trace_{sys_slug}_{wl_name}.jsonl"));
 
-    let sim = Sim::new(MachineConfig::ivy_bridge(workers));
-    let mut db = build_system(system, &sim, workers);
     let mut w = workload.build();
-    sim.offline(|| w.setup(db.as_mut(), workers));
-    sim.warm_data();
-    let engine: &'static str = db.name();
-    let window = workload.window();
+    let machine = MachineConfig::ivy_bridge(workers);
+    let builder = SystemBuilder::new(system).cores(workers);
+    let (sim, db) = builder.load(machine, |db| w.setup(db, workers));
     let clock_ghz = sim.config().clock_ghz;
 
     let file_sinks = |tracer: &Tracer| {
@@ -92,82 +90,56 @@ pub fn run_trace_flame(
         let jf = fs::File::create(&jsonl).expect("create jsonl file");
         tracer.add_sink(Box::new(JsonlSink::new(Box::new(BufWriter::new(jf)))));
     };
+    // One in-memory span stream per worker: what the merge reads with
+    // several workers, and what the flame fold reads with one.
+    let cores: Vec<usize> = (0..workers).collect();
+    let sinks: Vec<VecSink> = cores.iter().map(|_| VecSink::new()).collect();
+    let worker_tracer = |worker: usize| {
+        let tracer = Tracer::new(&sim);
+        tracer.add_sink(Box::new(sinks[worker].clone()));
+        tracer
+    };
 
     // Counter baseline for the flame window: every span the tracer will
     // record falls between this snapshot and the one taken after the run,
     // so the per-core residual (window minus span self weights) is the
     // true untraced remainder.
     let flame_start: Vec<EventCounts> = sim.counters_all();
-    let mut flame_records: Option<Vec<obs::SpanRecord>> = None;
 
-    let measurement = if workers == 1 {
-        let tracer = Tracer::new(&sim);
-        file_sinks(&tracer);
-        let rec_sink = VecSink::new();
-        if flame.is_some() {
-            tracer.add_sink(Box::new(rec_sink.clone()));
-        }
-        obs::install(tracer);
-
-        let mut s = db.session(0);
-        let measurement = measure(&sim, 0, window, |_| {
-            let _t = obs::span(engine, Phase::Txn, 0);
-            w.exec(s.as_mut(), 0).expect("trace transaction failed");
-        });
-
-        drop(s);
-        let tracer = obs::uninstall().expect("tracer still installed");
-        tracer.finish();
-        if flame.is_some() {
-            flame_records = Some(rec_sink.take());
-        }
-        measurement
-    } else {
-        let cores: Vec<usize> = (0..workers).collect();
-        let sinks: Vec<VecSink> = (0..workers).map(|_| VecSink::new()).collect();
-        let w = Mutex::new(w);
-        let measurement = {
-            let db = &*db;
-            let w = &w;
-            let sim_handle = &sim;
-            let sinks = &sinks;
-            measure_workers(&sim, &cores, window, Pacing::Lockstep, |worker| {
-                let mut s = db.session(worker);
-                let sink = sinks[worker].clone();
-                let sim = sim_handle.clone();
-                let mut installed = false;
-                move |_| {
-                    if !installed {
-                        // Tracers are thread-local; install this worker's on
-                        // its own thread, on the first turn it executes.
-                        let tracer = Tracer::new(&sim);
-                        tracer.add_sink(Box::new(sink.clone()));
-                        obs::install(tracer);
-                        installed = true;
-                    }
-                    let _t = obs::span(engine, Phase::Txn, worker);
-                    w.lock()
-                        .unwrap()
-                        .exec(s.as_mut(), worker)
-                        .expect("trace transaction failed");
-                }
-            })
+    if workers == 1 {
+        // A lone worker runs on this thread, so its tracer is installed
+        // here — `drive`'s hook then finds it in place — and also streams
+        // to the files in span-close order, which a replay of the
+        // in-memory records (start order) would not reproduce. Only the
+        // flame fold needs those records.
+        let tracer = match flame {
+            Some(_) => worker_tracer(0),
+            None => Tracer::new(&sim),
         };
-        let merged = obs::merge_span_streams(sinks.iter().map(|s| s.take()).collect());
-        let tracer = Tracer::new(&sim);
         file_sinks(&tracer);
-        for rec in &merged {
-            tracer.ingest(rec);
+        obs::install(tracer);
+    }
+    let install = |worker| obs::install_with(|| worker_tracer(worker));
+    let measurement = drive(&sim, &*db, w.as_mut(), &cores, workload.window(), install);
+    let records = match obs::uninstall() {
+        Some(streamed) => {
+            streamed.finish();
+            sinks[0].take()
         }
-        tracer.finish();
-        if flame.is_some() {
-            flame_records = Some(merged);
+        None => {
+            let merged = obs::merge_span_streams(sinks.iter().map(|s| s.take()).collect());
+            let tracer = Tracer::new(&sim);
+            file_sinks(&tracer);
+            for rec in &merged {
+                tracer.ingest(rec);
+            }
+            tracer.finish();
+            merged
         }
-        measurement
     };
 
-    let (folded_path, flame_total) = match (flame, flame_records) {
-        (Some(comp), Some(records)) => {
+    let (folded_path, flame_total) = match flame {
+        Some(comp) => {
             let cfg = sim.config();
             let mut folded = obs::flame::fold(&records, &cfg, comp);
             let window_by_core: Vec<(usize, EventCounts)> = sim
@@ -184,7 +156,7 @@ pub fn run_trace_flame(
             fs::write(&path, obs::flame::render(&folded)).expect("write folded stacks");
             (Some(path), Some(obs::flame::total_weight(&folded)))
         }
-        _ => (None, None),
+        None => (None, None),
     };
 
     TraceArtifacts {

@@ -175,20 +175,6 @@ impl Measurement {
         self.spki.iter().sum()
     }
 
-    /// Instruction-side share of the stall cycles (0..=1).
-    pub fn instruction_stall_fraction(&self) -> f64 {
-        let total = self.spki_total();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        StallEvent::ALL
-            .iter()
-            .filter(|e| e.is_instruction())
-            .map(|&e| self.spki[e as usize])
-            .sum::<f64>()
-            / total
-    }
-
     /// Fraction of estimated cycles spent stalled rather than retiring.
     /// Computed from the raw counts so it is invariant under repetition
     /// averaging (where `counts` sums repetitions but `cycles` averages).
@@ -362,23 +348,5 @@ mod tests {
         assert!((avg.ipc - m.ipc).abs() < 1e-12);
         assert!((avg.spki_total() - m.spki_total()).abs() < 1e-9);
         assert_eq!(avg.txns, 30);
-    }
-
-    #[test]
-    fn instruction_stall_fraction_splits_i_vs_d() {
-        let cfg = MachineConfig::ivy_bridge(1);
-        let mut counts = EventCounts {
-            instructions: 1000,
-            ..Default::default()
-        };
-        counts.misses[StallEvent::L1i as usize] = 100; // 800 cycles
-        counts.misses[StallEvent::L1d as usize] = 100; // 800 cycles
-        let s = Sample {
-            counts,
-            modules: vec![],
-            spans: None,
-        };
-        let m = Measurement::from_sample(&cfg, &s, 1);
-        assert!((m.instruction_stall_fraction() - 0.5).abs() < 1e-9);
     }
 }

@@ -414,9 +414,15 @@ pub fn uninstall() -> Option<Tracer> {
     TRACER.with(|t| t.borrow_mut().take())
 }
 
-/// Whether a tracer is installed on this thread.
-pub fn is_installed() -> bool {
-    TRACER.with(|t| t.borrow().is_some())
+/// Install `make()` for the current thread unless it already has a
+/// tracer. Tracers are thread-local, so a worker's tracer has to be
+/// installed on the worker's own thread: step closures built on a
+/// coordinator thread call this at the top of every turn, and only the
+/// first call on each thread builds anything.
+pub fn install_with(make: impl FnOnce() -> Tracer) {
+    TRACER.with(|t| {
+        t.borrow_mut().get_or_insert_with(make);
+    });
 }
 
 /// Snapshot one core's aggregates from the installed tracer (`None` when
@@ -510,10 +516,28 @@ mod tests {
 
     #[test]
     fn uninstalled_span_is_inert() {
-        assert!(!is_installed());
         let g = span("X", Phase::Index, 0);
         assert!(g.open.is_none());
         drop(g);
+    }
+
+    #[test]
+    fn install_with_builds_one_tracer_per_thread() {
+        let sim = sim();
+        let mut built = 0;
+        for _ in 0..3 {
+            install_with(|| {
+                built += 1;
+                Tracer::new(&sim)
+            });
+        }
+        assert_eq!(built, 1);
+        {
+            let _t = span("X", Phase::Txn, 0);
+            sim.mem(0).exec(7);
+        }
+        let tracer = uninstall().expect("installed by the first call");
+        assert_eq!(tracer.snapshot().self_total().instructions, 7);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use engines::{SystemBuilder, SystemKind};
+use engines::{DurableDb, SystemBuilder, SystemKind};
 use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use obs::{metrics::registry, Phase, Tracer};
 use oltp::retry::{classify, ErrorClass};
@@ -314,18 +314,25 @@ struct CoreState {
 }
 
 impl Service {
+    /// A fresh machine of `pool` cores with the engine built and the
+    /// workload loaded on it.
+    fn load(&self) -> (Sim, Box<dyn DurableDb>, Box<dyn Workload>) {
+        let cfg = &self.cfg;
+        let mut w = (cfg.workload)();
+        let (sim, db) = SystemBuilder::new(cfg.system)
+            .cores(cfg.pool)
+            .cc(cfg.cc)
+            .load(MachineConfig::ivy_bridge(cfg.pool), |db| {
+                w.setup(db, cfg.pool)
+            });
+        (sim, db, w)
+    }
+
     /// Run the service under the measurement harness and report.
     pub fn run(&self) -> ServeReport {
         let cfg = &self.cfg;
         let cores = cfg.pool;
-        let sim = Sim::new(MachineConfig::ivy_bridge(cores));
-        let mut db = SystemBuilder::new(cfg.system)
-            .cores(cores)
-            .cc(cfg.cc)
-            .build(&sim);
-        let mut w = (cfg.workload)();
-        sim.offline(|| w.setup(db.as_mut(), cores));
-        sim.warm_data();
+        let (sim, db, w) = self.load();
         let engine: &'static str = db.name();
         let _faults = cfg.fault_plan.clone().map(faults::install);
 
@@ -376,7 +383,6 @@ impl Service {
             let db = &*db;
             let pool = &pool;
             let wl = &wl;
-            let sim_handle = &sim;
             let stmt = cfg.stmt.as_str();
             let states = &states;
             let (batch, intake) = (cfg.batch, cfg.intake);
@@ -388,19 +394,13 @@ impl Service {
             let depth_gauges = &depth_gauges;
             measure_workers(&sim, &core_list, cfg.window, Pacing::Lockstep, |core| {
                 let state = Arc::clone(&states[core]);
-                let sim = sim_handle.clone();
                 let mem_parse = sim.mem(core).with_module(m_parse);
                 let mem_dispatch = sim.mem(core).with_module(m_dispatch);
                 let mem_respond = sim.mem(core).with_module(m_respond);
-                let mut installed = false;
                 move |_| {
-                    if !installed {
-                        // Tracers are thread-local; install this worker's
-                        // on its own thread on its first turn. No sinks:
-                        // only the profiler's span aggregates are needed.
-                        obs::install(Tracer::new(&sim));
-                        installed = true;
-                    }
+                    // No sinks: only the profiler's span aggregates are
+                    // needed.
+                    obs::install_with(|| Tracer::new(mem_parse.sim()));
                     let st = &mut *state.lock().unwrap();
                     let turn = st.turn;
                     st.turn += 1;
@@ -652,14 +652,7 @@ impl Service {
     fn run_direct(&self) -> Measurement {
         let cfg = &self.cfg;
         let cores = cfg.pool;
-        let sim = Sim::new(MachineConfig::ivy_bridge(cores));
-        let mut db = SystemBuilder::new(cfg.system)
-            .cores(cores)
-            .cc(cfg.cc)
-            .build(&sim);
-        let mut w = (cfg.workload)();
-        sim.offline(|| w.setup(db.as_mut(), cores));
-        sim.warm_data();
+        let (sim, db, w) = self.load();
         let wl = Mutex::new(w);
         let core_list: Vec<usize> = (0..cores).collect();
         let db = &*db;

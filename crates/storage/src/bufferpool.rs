@@ -200,11 +200,6 @@ impl BufferPool {
     pub fn resident(&self) -> usize {
         self.table.len()
     }
-
-    /// Total pages (resident + on disk).
-    pub fn total_pages(&self) -> usize {
-        self.table.len() + self.disk.len()
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +227,6 @@ mod tests {
             })
             .collect();
         assert!(pool.evictions > 0);
-        assert_eq!(pool.total_pages(), 16);
         // Every page's data is intact after round-tripping through "disk".
         for (i, &pid) in pids.iter().enumerate() {
             let val = pool.with_page(&mem, pid, |p, base| {

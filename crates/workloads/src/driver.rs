@@ -27,14 +27,3 @@ pub trait Workload: Send {
     /// Run one complete transaction for `worker` on its session `s`.
     fn exec(&mut self, s: &mut dyn Session, worker: usize) -> OltpResult<()>;
 }
-
-/// Run `n` transactions for `worker` on its session, panicking on
-/// unexpected errors (aborts are unexpected in these benchmarks:
-/// single-site, no conflicts).
-pub fn run_txns(s: &mut dyn Session, workload: &mut dyn Workload, worker: usize, n: u64) {
-    for i in 0..n {
-        workload
-            .exec(s, worker)
-            .unwrap_or_else(|e| panic!("{} txn {i} failed on {}: {e}", workload.name(), s.name()));
-    }
-}

@@ -29,7 +29,7 @@ pub mod tpcb;
 pub mod tpcc;
 
 pub use contention::{CcOp, Contention, Zipf};
-pub use driver::{run_txns, Workload};
+pub use driver::Workload;
 pub use micro::{DbSize, MicroBench};
 pub use tpcb::TpcB;
 pub use tpcc::TpcC;

@@ -7,8 +7,8 @@
 
 use imoltp::analysis::{markdown_table, measure, WindowSpec};
 use imoltp::bench::{DbSize, MicroBench, Workload};
-use imoltp::sim::{MachineConfig, Sim};
-use imoltp::systems::{build_system, SystemKind};
+use imoltp::sim::MachineConfig;
+use imoltp::systems::{SystemBuilder, SystemKind};
 
 fn main() {
     let size = match std::env::args().nth(1).as_deref() {
@@ -30,11 +30,9 @@ fn main() {
 
     let mut rows = Vec::new();
     for kind in SystemKind::ALL {
-        let sim = Sim::new(MachineConfig::ivy_bridge(1));
-        let mut db = build_system(kind, &sim, 1);
         let mut w = MicroBench::new(size);
-        sim.offline(|| w.setup(db.as_mut(), 1));
-        sim.warm_data();
+        let (sim, db) =
+            SystemBuilder::new(kind).load(MachineConfig::ivy_bridge(1), |db| w.setup(db, 1));
         let spec = WindowSpec {
             warmup: 1500,
             measured: 3000,

@@ -7,37 +7,28 @@
 //! cargo run --release --example multicore
 //! ```
 
-use std::sync::Mutex;
-
-use imoltp::analysis::{measure, measure_workers, Pacing, WindowSpec};
+use imoltp::analysis::WindowSpec;
 use imoltp::bench::{DbSize, MicroBench, Workload};
-use imoltp::sim::{MachineConfig, Sim};
-use imoltp::systems::{build_system, SystemKind};
+use imoltp::harness::drive;
+use imoltp::sim::MachineConfig;
+use imoltp::systems::{SystemBuilder, SystemKind};
 
 fn run(kind: SystemKind, workers: usize) -> (f64, f64, u64) {
-    let sim = Sim::new(MachineConfig::ivy_bridge(workers));
-    let mut db = build_system(kind, &sim, workers);
     let mut w = MicroBench::new(DbSize::Gb10);
-    sim.offline(|| w.setup(db.as_mut(), workers));
-    sim.warm_data();
+    let (sim, db) = SystemBuilder::new(kind)
+        .cores(workers)
+        .load(MachineConfig::ivy_bridge(workers), |db| {
+            w.setup(db, workers)
+        });
     let spec = WindowSpec {
         warmup: 1000,
         measured: 2000,
         reps: 2,
     };
-    let m = if workers == 1 {
-        let mut s = db.session(0);
-        measure(&sim, 0, spec, |_| w.exec(s.as_mut(), 0).expect("txn"))
-    } else {
-        let cores: Vec<usize> = (0..workers).collect();
-        let w = Mutex::new(w);
-        let db = &*db;
-        let w = &w;
-        measure_workers(&sim, &cores, spec, Pacing::Lockstep, |worker| {
-            let mut s = db.session(worker);
-            move |_| w.lock().unwrap().exec(s.as_mut(), worker).expect("txn")
-        })
-    };
+    // One session per worker core; one core runs on this thread, more run
+    // on their own OS threads in deterministic lockstep.
+    let cores: Vec<usize> = (0..workers).collect();
+    let m = drive(&sim, &*db, &mut w, &cores, spec, |_| {});
     (m.ipc, m.spki.iter().sum(), m.counts.invalidations)
 }
 

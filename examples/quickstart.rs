@@ -7,21 +7,21 @@
 
 use imoltp::analysis::{measure, Measurement, WindowSpec};
 use imoltp::bench::{DbSize, MicroBench, Workload};
-use imoltp::sim::{MachineConfig, Sim, StallEvent};
-use imoltp::systems::{build_system, SystemKind};
+use imoltp::sim::{MachineConfig, StallEvent};
+use imoltp::systems::{SystemBuilder, SystemKind};
 
 fn main() {
-    // 1. A simulated Ivy Bridge server (Table 1 of the paper).
-    let sim = Sim::new(MachineConfig::ivy_bridge(1));
-
-    // 2. An engine — here HyPer, the compiled-transaction archetype.
-    let mut db = build_system(SystemKind::HyPer, &sim, 1);
-
-    // 3. The read-only micro-benchmark at the "10 GB" scale: one random
+    // 1. The read-only micro-benchmark at the "10 GB" scale: one random
     //    index probe per transaction against a table far beyond the LLC.
     let mut workload = MicroBench::new(DbSize::Gb10);
-    sim.offline(|| workload.setup(db.as_mut(), 1)); // bulk load, unprofiled
-    sim.warm_data();
+
+    // 2. An engine — here HyPer, the compiled-transaction archetype.
+    let builder = SystemBuilder::new(SystemKind::HyPer);
+
+    // 3. The load protocol: a simulated Ivy Bridge server (Table 1 of the
+    //    paper), the engine built on it, the bulk load run unprofiled,
+    //    then the cache warm-up.
+    let (sim, db) = builder.load(MachineConfig::ivy_bridge(1), |db| workload.setup(db, 1));
 
     // 4. Open a session — the per-worker transaction handle — and measure
     //    with the paper's methodology: warm-up window, measured window,

@@ -8,8 +8,8 @@
 use imoltp::analysis::{measure, WindowSpec};
 use imoltp::bench::tpcc::TpcCScale;
 use imoltp::bench::{TpcC, Workload};
-use imoltp::sim::{MachineConfig, Sim};
-use imoltp::systems::{build_system, SystemKind};
+use imoltp::sim::MachineConfig;
+use imoltp::systems::{SystemBuilder, SystemKind};
 
 fn main() {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -24,8 +24,6 @@ fn main() {
         }
     };
 
-    let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let mut db = build_system(kind, &sim, 1);
     // A reduced TPC-C so the example loads in a couple of seconds.
     let scale = TpcCScale {
         warehouses: 2,
@@ -37,10 +35,10 @@ fn main() {
     print!(
         "loading TPC-C (W={}) on {} ... ",
         scale.warehouses,
-        db.name()
+        kind.label()
     );
-    sim.offline(|| w.setup(db.as_mut(), 1));
-    sim.warm_data();
+    let (sim, db) =
+        SystemBuilder::new(kind).load(MachineConfig::ivy_bridge(1), |db| w.setup(db, 1));
     println!("done");
 
     let spec = WindowSpec {

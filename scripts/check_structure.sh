@@ -12,6 +12,13 @@
 # 4. DESIGN.md §3: in the inventory table, every back-ticked name in the
 #    "Key modules" cell of a `crates/<dir>` row is a real
 #    crates/<dir>/src/<name>.rs.
+# 5. The load protocol is written once, in `SystemBuilder::load`: under
+#    crates/bench/src and crates/service/src nothing names `build_system`,
+#    and only `ablations.rs` names `warm_data` — its multi-partition VoltDB
+#    what-if builds a concrete `VoltDb` to flip `set_single_sited`, which a
+#    `Box<dyn DurableDb>` cannot express.
+# 6. The oracle tables come from `oracle::Counters`: `recover.rs` and
+#    `chaos.rs` name no `TableDef::new`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
@@ -33,6 +40,21 @@ fi
 
 if grep -n '\.cloned()' crates/bench/src/recover.rs; then
     echo "structure: recover.rs clones the harvested log again" >&2
+    bad=1
+fi
+
+harness="crates/bench/src crates/service/src"
+if grep -rn 'build_system' $harness; then
+    echo "structure: a harness builds its engine outside SystemBuilder::load" >&2
+    bad=1
+fi
+if grep -rn 'warm_data' $harness | grep -v '^crates/bench/src/ablations\.rs:'; then
+    echo "structure: a harness spells the load protocol (warm_data) itself" >&2
+    bad=1
+fi
+
+if grep -n 'TableDef::new' crates/bench/src/recover.rs crates/bench/src/chaos.rs; then
+    echo "structure: recover.rs or chaos.rs hand-rolls an oracle table again" >&2
     bad=1
 fi
 
