@@ -4,8 +4,8 @@
 //! Every cell runs the [`workloads::Contention`] workload on one engine
 //! under one [`CcPolicy`], with all workers sharing one un-partitioned
 //! key space (partitioned engines are built with a single partition).
-//! Transactions are interleaved at **operation** granularity under the
-//! deterministic lockstep gate: each worker advances one operation per
+//! Transactions are interleaved at **operation** granularity in
+//! deterministic lockstep order: each worker advances one operation per
 //! global turn, so transactions genuinely overlap and the protocol — not
 //! the pacing — decides who aborts. Retries follow the same
 //! [`RetryPolicy`]/[`Backoff`] discipline as the chaos harness, and the
@@ -76,7 +76,7 @@ pub struct CcGridRow {
     pub policy: &'static str,
     /// The cell.
     pub cell: CellSpec,
-    /// Worker threads.
+    /// Workers.
     pub workers: usize,
     /// Committed transactions per simulated second.
     pub tps: f64,
@@ -98,7 +98,7 @@ pub struct CcGridCfg {
     pub policies: Vec<CcPolicy>,
     /// Cells to sweep.
     pub cells: Vec<CellSpec>,
-    /// Worker threads per run.
+    /// Workers per run.
     pub workers: usize,
     /// Table rows.
     pub rows: u64,

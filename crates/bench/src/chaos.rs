@@ -76,7 +76,7 @@ pub struct ChaosCfg {
     pub seed: u64,
     /// Base firing rate for every site (poison/offline run at 1/8 of it).
     pub fault_rate: f64,
-    /// Worker threads (= simulated cores = partitions).
+    /// Workers (= simulated cores = partitions).
     pub workers: usize,
     /// Sockets of the simulated machine (`workers` must divide evenly
     /// across them). 1 — the default — is bit-identical to the historical
@@ -222,9 +222,9 @@ fn core_digest(sim: &Sim, core: usize) -> u64 {
     h.0
 }
 
-/// Per-worker chaos state, kept in a `Mutex` slot so the step closure
-/// (running on the worker thread) and the post-run verifier can both
-/// reach it. Uncontended: only the owning worker locks it during the run.
+/// Per-worker chaos state, kept in a `Mutex` slot so the step closure and
+/// the post-run verifier can both reach it. Uncontended: only the owning
+/// worker locks it during the run.
 struct ChaosWorker {
     worker: usize,
     /// `None` only while a wedged or finished session has been dropped to
@@ -385,7 +385,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     let fired = installed.fired();
     drop(installed); // disarm before verification
 
-    // Merge the per-thread span streams (by simulated timestamp) and
+    // Merge the per-worker span streams (by simulated timestamp) and
     // export them through the standard obs sinks.
     let merged = obs::merge_span_streams(span_sinks.iter().map(|s| s.take()).collect());
 

@@ -40,7 +40,7 @@ pub struct IslandsRow {
     pub cross_pct: u32,
     /// Sockets in the simulated machine.
     pub sockets: usize,
-    /// Worker threads (= cores; the grid runs at full occupancy).
+    /// Workers (= cores; the grid runs at full occupancy).
     pub workers: usize,
     /// Partitions the OS-managed rebalancer migrated off socket 0 before
     /// the measured window (always 0 for the other placements).

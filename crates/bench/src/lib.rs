@@ -19,8 +19,8 @@
 //! * [`replay`] — the manifest reader behind `chaos --plan` and
 //!   `recover --plan`;
 //! * [`drive`] — the session driver: one session per worker core, a
-//!   `Phase::Txn` root span around every transaction, `measure` on one core
-//!   and lockstep `measure_workers` on more. Every harness that runs a
+//!   `Phase::Txn` root span around every transaction, lockstep
+//!   `measure_workers` on any number of cores. Every harness that runs a
 //!   plain workload loop over a database loaded with
 //!   [`engines::SystemBuilder::load`] goes through it ([`ccgrid`],
 //!   [`chaos`] and [`recover`] keep their own step closures: they are state
@@ -32,11 +32,11 @@
 //! [`serve`], [`chaos`], [`recover`], [`diff`]) are not grids; they share
 //! only the write-and-gate tail.
 
+use std::cell::RefCell;
 use std::env;
-use std::sync::Mutex;
 
 use engines::{SystemBuilder, SystemKind};
-use microarch::{measure, measure_workers, Measurement, Pacing, WindowSpec};
+use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use obs::Phase;
 use oltp::Db;
 use uarch_sim::{MachineConfig, Sim};
@@ -207,7 +207,7 @@ impl Point {
         }
     }
 
-    /// Multi-worker point (§7): one OS thread per simulated core.
+    /// Multi-worker point (§7): one engine session per simulated core.
     ///
     /// # Panics
     ///
@@ -261,7 +261,7 @@ impl Point {
         &self.workload
     }
 
-    /// Worker threads.
+    /// Workers (one session and one simulated core each).
     pub fn worker_count(&self) -> usize {
         self.workers
     }
@@ -279,16 +279,15 @@ impl Point {
 
 /// Drive `workload` over `db` for one measurement window: worker `i` opens
 /// a session on `cores[i]` (and passes that core as the workload's worker
-/// id), `before(i)` runs on the worker's own thread ahead of every
-/// transaction (the hook a tracing harness installs its thread-local
-/// tracer from), and every transaction runs inside a `Phase::Txn` root span
-/// — inert unless a tracer is installed.
+/// id), `before(i)` runs ahead of each of worker `i`'s transactions (the
+/// hook a tracing harness installs that worker's tracer from), and every
+/// transaction runs inside a `Phase::Txn` root span — inert unless a
+/// tracer is installed.
 ///
-/// One core is the exact single-threaded measurement loop the paper's
-/// figures were calibrated on, run on the calling thread; more cores run on
-/// parallel OS threads in deterministic lockstep, the workload shared
-/// behind one lock, per-worker counters averaged and transaction counts
-/// summed, as in the paper's multi-threaded experiments.
+/// The workers take turns in deterministic lockstep on the calling thread,
+/// per-worker counters averaged and transaction counts summed, as in the
+/// paper's multi-threaded experiments; one core is the single-threaded
+/// measurement loop the paper's figures were calibrated on.
 ///
 /// # Panics
 ///
@@ -300,27 +299,23 @@ pub fn drive(
     workload: &mut dyn Workload,
     cores: &[usize],
     window: WindowSpec,
-    before: impl Fn(usize) + Sync,
+    before: impl Fn(usize),
 ) -> Measurement {
     let system = db.name();
-    let workload = Mutex::new(workload);
+    let workload = RefCell::new(workload);
     let (workload, before) = (&workload, &before);
-    let step = |i: usize| {
+    measure_workers(sim, cores, window, Pacing::Lockstep, |i| {
         let core = cores[i];
         let mut s = db.session(core);
         move |_| {
             before(i);
             let _txn = obs::span(system, Phase::Txn, core);
-            let mut w = workload.lock().unwrap();
+            let mut w = workload.borrow_mut();
             if let Err(e) = w.exec(s.as_mut(), core) {
                 panic!("{} txn failed on {system}, worker {i}: {e}", w.name());
             }
         }
-    };
-    match cores {
-        [core] => measure(sim, *core, window, step(0)),
-        _ => measure_workers(sim, cores, window, Pacing::Lockstep, step),
-    }
+    })
 }
 
 /// Run one experiment point to a [`Measurement`]: a fresh machine and

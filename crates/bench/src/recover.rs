@@ -94,7 +94,7 @@ pub struct RecoverCfg {
     pub ckpt_start: Option<u64>,
     /// Group-commit epoch: commits per group flush.
     pub epoch: u32,
-    /// Worker threads (= simulated cores = partitions).
+    /// Workers (= simulated cores = partitions).
     pub workers: usize,
     /// Measurement window; `None` uses the recover default scaled by
     /// `IMOLTP_SCALE`. Repetitions are forced to 1 (a crash has no

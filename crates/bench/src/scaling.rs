@@ -22,7 +22,7 @@ pub struct ScalingRow {
     pub system: &'static str,
     /// Whether the engine is partitioned (VoltDB, HyPer).
     pub partitioned: bool,
-    /// Worker threads in this cell.
+    /// Workers in this cell.
     pub workers: usize,
     /// The averaged multi-worker measurement. `tps`/`ipc`/`spki` are
     /// per-worker averages; workers run concurrently, so the aggregate

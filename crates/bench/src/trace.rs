@@ -49,13 +49,12 @@ pub fn run_trace(
     run_trace_flame(system, workload, wl_name, out_dir, 1, None)
 }
 
-/// Run one traced point with `workers` parallel sessions. With one worker
-/// the tracer streams straight to the Perfetto/JSONL exports as spans
-/// close; with more, every worker thread installs its own thread-local
-/// [`Tracer`] feeding an in-memory sink, and after the workers join the
-/// per-thread span streams are merged by simulated timestamp and replayed
-/// through a harness tracer that owns the exports — one coherent trace
-/// file across all cores.
+/// Run one traced point with `workers` lockstep sessions. With one worker
+/// its tracer streams straight to the Perfetto/JSONL exports as spans
+/// close; with more, every worker installs its own [`Tracer`] feeding an
+/// in-memory sink, and after the window the per-worker span streams are
+/// merged by simulated timestamp and replayed through a harness tracer
+/// that owns the exports — one coherent trace file across all cores.
 ///
 /// When `flame` selects a component the span stream is additionally folded
 /// into a stall-weighted collapsed-stack flamegraph. The fold's weights
@@ -106,22 +105,21 @@ pub fn run_trace_flame(
     // true untraced remainder.
     let flame_start: Vec<EventCounts> = sim.counters_all();
 
-    if workers == 1 {
-        // A lone worker runs on this thread, so its tracer is installed
-        // here — `drive`'s hook then finds it in place — and also streams
-        // to the files in span-close order, which a replay of the
-        // in-memory records (start order) would not reproduce. Only the
-        // flame fold needs those records.
+    // A lone worker's tracer also streams to the files in span-close
+    // order, which a replay of the in-memory records (start order) would
+    // not reproduce. Only the flame fold needs those records.
+    let streamed = (workers == 1).then(|| {
         let tracer = match flame {
             Some(_) => worker_tracer(0),
             None => Tracer::new(&sim),
         };
         file_sinks(&tracer);
-        obs::install(tracer);
-    }
-    let install = |worker| obs::install_with(|| worker_tracer(worker));
+        tracer
+    });
+    let install =
+        |worker| obs::install_with(|| streamed.clone().unwrap_or_else(|| worker_tracer(worker)));
     let measurement = drive(&sim, &*db, w.as_mut(), &cores, workload.window(), install);
-    let records = match obs::uninstall() {
+    let records = match streamed {
         Some(streamed) => {
             streamed.finish();
             sinks[0].take()
@@ -371,7 +369,7 @@ mod tests {
             .expect("txn phase");
         assert_eq!(txn.count, m.txns);
         // The merged Perfetto document contains spans from both cores and
-        // stays timestamp-ordered despite interleaved per-thread streams.
+        // stays timestamp-ordered despite interleaved per-worker streams.
         let perfetto = std::fs::read_to_string(&art.perfetto).unwrap();
         let doc = obs::json::parse(&perfetto).expect("perfetto JSON parses");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();

@@ -3,24 +3,20 @@
 //! sampling, three repetitions, per-worker filtering) in deterministic
 //! transaction-count terms.
 //!
-//! Multi-worker experiments run each worker on its own OS thread against
-//! the shared simulated machine. Two pacing disciplines are offered:
-//!
-//! * [`Pacing::Lockstep`] — a turn gate hands out global transaction
-//!   numbers round-robin, so the interleaving (and therefore every
-//!   counter) is bit-reproducible run over run. This is how the figure
-//!   harness runs; throughput scaling is read off the *simulated* cycle
-//!   counters, which the gate does not distort.
-//! * [`Pacing::Free`] — workers run unsynchronized between the window
-//!   barriers; the interleaving is real and nondeterministic (used by the
-//!   concurrency stress tests, not by the figures).
+//! Every window runs on the calling thread. Multi-worker experiments take
+//! turns in a fixed global order — worker `t % n` runs transaction `t` —
+//! so the interleaving, and therefore every counter, is bit-reproducible
+//! run over run. Throughput scaling is read off the *simulated* cycle
+//! counters, which the host's turn order does not distort; the paper's
+//! "counter sets per simulated core/thread" are the per-worker profilers.
 
-use std::sync::{Condvar, Mutex};
+use std::cell::RefCell;
 
+use obs::Tracer;
 use uarch_sim::Sim;
 
 use crate::measurement::Measurement;
-use crate::profiler::{Profiler, Sample};
+use crate::profiler::Profiler;
 
 /// Window specification for one experiment point.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -57,256 +53,151 @@ impl WindowSpec {
     }
 }
 
-/// How worker threads interleave between window barriers.
+/// How workers interleave inside a window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pacing {
     /// Transactions execute in a deterministic global round-robin order
     /// (worker `w` runs global transactions `t` with `t % workers == w`).
     Lockstep,
-    /// Workers run freely; only the window edges are barrier-aligned.
-    Free,
 }
 
 /// Run a single-worker experiment: `step(i)` must execute exactly one
 /// transaction on the engine under test, which must emit all its simulated
 /// activity on `core`.
-pub fn measure<F: FnMut(u64)>(
-    sim: &Sim,
-    core: usize,
-    spec: WindowSpec,
-    mut step: F,
-) -> Measurement {
-    let cfg = sim.config();
-    let mut txn_no = 0u64;
-    for _ in 0..spec.warmup {
-        step(txn_no);
-        txn_no += 1;
-    }
-    let mut runs = Vec::with_capacity(spec.reps as usize);
-    for _ in 0..spec.reps.max(1) {
-        let profiler = Profiler::attach(sim, core);
-        for _ in 0..spec.measured {
-            step(txn_no);
-            txn_no += 1;
-        }
-        runs.push(Measurement::from_sample(
-            &cfg,
-            &profiler.sample(),
-            spec.measured,
-        ));
-    }
-    Measurement::average(&runs)
+pub fn measure<F: FnMut(u64)>(sim: &Sim, core: usize, spec: WindowSpec, step: F) -> Measurement {
+    let mut step = Some(step);
+    measure_workers(sim, &[core], spec, Pacing::Lockstep, |_| {
+        step.take().expect("one worker")
+    })
 }
 
-/// A turn gate: hands the global transaction sequence to worker threads
-/// one turn at a time. Poisoned (waking every waiter into a panic) if the
-/// holder of a turn panics, so a failed worker cannot deadlock the rest.
-struct TurnGate {
-    cur: Mutex<(u64, bool)>,
-    cv: Condvar,
+/// Each worker's thread-local tracer, swapped in around that worker's
+/// turns only. A worker starts with no tracer, keeps the one it installs,
+/// and loses it when the window ends — what a thread of its own would give
+/// it. The caller's tracer is off the thread for the window and comes back
+/// on drop, on return and on unwind alike.
+struct TracerSlots {
+    caller: Option<Tracer>,
+    workers: Vec<Option<Tracer>>,
 }
 
-impl TurnGate {
-    fn new() -> Self {
-        TurnGate {
-            cur: Mutex::new((0, false)),
-            cv: Condvar::new(),
+impl TracerSlots {
+    fn new(workers: usize) -> Self {
+        TracerSlots {
+            caller: obs::uninstall(),
+            workers: vec![None; workers],
         }
     }
 
-    fn run<R>(&self, turn: u64, f: impl FnOnce() -> R) -> R {
-        let mut cur = self.cur.lock().unwrap();
-        loop {
-            assert!(!cur.1, "turn gate poisoned by a worker panic");
-            if cur.0 == turn {
-                break;
-            }
-            cur = self.cv.wait(cur).unwrap();
+    /// Run `f` (one turn, one attach or one sample) as worker `w`.
+    fn as_worker<R>(&mut self, w: usize, f: impl FnOnce() -> R) -> R {
+        if let Some(tracer) = self.workers[w].take() {
+            obs::install(tracer);
         }
-        drop(cur);
         let r = f();
-        self.cur.lock().unwrap().0 += 1;
-        self.cv.notify_all();
+        self.workers[w] = obs::uninstall();
         r
     }
-
-    fn poison(&self) {
-        if let Ok(mut cur) = self.cur.lock() {
-            cur.1 = true;
-        }
-        self.cv.notify_all();
-    }
 }
 
-/// A reusable rendezvous like [`std::sync::Barrier`], but poisonable so a
-/// panicking worker releases (and fails) the others instead of hanging
-/// them.
-struct SyncPoint {
-    state: Mutex<(usize, u64, bool)>,
-    cv: Condvar,
-    n: usize,
-}
-
-impl SyncPoint {
-    fn new(n: usize) -> Self {
-        SyncPoint {
-            state: Mutex::new((0, 0, false)),
-            cv: Condvar::new(),
-            n,
-        }
-    }
-
-    fn wait(&self) {
-        let mut st = self.state.lock().unwrap();
-        assert!(!st.2, "sync point poisoned by a worker panic");
-        st.0 += 1;
-        if st.0 == self.n {
-            st.0 = 0;
-            st.1 += 1;
-            self.cv.notify_all();
-            return;
-        }
-        let generation = st.1;
-        while st.1 == generation {
-            assert!(!st.2, "sync point poisoned by a worker panic");
-            st = self.cv.wait(st).unwrap();
-        }
-    }
-
-    fn poison(&self) {
-        if let Ok(mut st) = self.state.lock() {
-            st.2 = true;
-        }
-        self.cv.notify_all();
-    }
-}
-
-/// Poisons the gate and sync point if the owning worker thread unwinds.
-struct PanicFence<'a> {
-    gate: &'a TurnGate,
-    barrier: &'a SyncPoint,
-}
-
-impl Drop for PanicFence<'_> {
+impl Drop for TracerSlots {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.gate.poison();
-            self.barrier.poison();
+        obs::uninstall();
+        if let Some(tracer) = self.caller.take() {
+            obs::install(tracer);
         }
     }
 }
 
-/// Run a multi-worker experiment with one OS thread per worker. `make(w)`
-/// builds worker `w`'s step closure on the calling thread; each closure is
-/// then moved to its worker thread and invoked once per transaction with a
-/// globally unique transaction number. Worker `w`'s simulated activity
-/// must land on `cores[w]`.
+/// Run a multi-worker experiment on the calling thread. `make(w)` builds
+/// worker `w`'s step closure, which is then invoked once per transaction
+/// with a globally unique transaction number; worker `w`'s simulated
+/// activity must land on `cores[w]`. `pacing` names the one interleaving
+/// there is, [`Pacing::Lockstep`].
 ///
-/// Building a closure (and the engine session inside it, which holds its
-/// core's exclusive `uarch_sim::CorePort`) on this thread and moving it to
-/// the worker is the supported pattern: the port's core is claimed by
-/// whichever thread issues the first access, and re-claimed after a move.
-/// The thread-safety contract is only that one thread at a time drives a
-/// given core — which the one-worker-per-core layout guarantees.
+/// Each worker keeps its own thread-local tracer slot (see
+/// [`obs::install`]): a tracer a step installs is in place for that
+/// worker's turns, attach and sample only, and the caller's tracer is
+/// hidden for the window. The step closures, and the sessions inside them,
+/// are dropped before the caller's tracer comes back.
 ///
-/// The measured windows are barrier-delimited: all workers finish warm-up,
-/// then every repetition attaches per-worker profilers, runs
-/// `spec.measured` transactions per worker, and samples — so each window
-/// covers exactly the same transactions on every run. The result averages
-/// the per-worker measurements, as the paper does ("we filter hardware
-/// counter results for each worker thread separately and report their
-/// average").
+/// The warm-up runs first; then every repetition attaches one profiler per
+/// worker, runs `spec.measured` transactions per worker, and samples — so
+/// each window covers exactly the same transactions on every run. The
+/// result averages the per-worker measurements, as the paper does ("we
+/// filter hardware counter results for each worker thread separately and
+/// report their average").
 pub fn measure_workers<F, G>(
     sim: &Sim,
     cores: &[usize],
     spec: WindowSpec,
-    pacing: Pacing,
-    mut make: G,
+    _pacing: Pacing,
+    make: G,
 ) -> Measurement
 where
-    F: FnMut(u64) + Send,
+    F: FnMut(u64),
     G: FnMut(usize) -> F,
 {
     assert!(!cores.is_empty());
-    let n = cores.len() as u64;
+    let n = cores.len();
     let cfg = sim.config();
     let reps = spec.reps.max(1);
-    let steps: Vec<F> = (0..cores.len()).map(&mut make).collect();
-    let gate = TurnGate::new();
-    let barrier = SyncPoint::new(cores.len());
+    // Declared first, dropped last: the steps go before the caller's
+    // tracer is restored.
+    let mut slots = TracerSlots::new(n);
+    let mut steps: Vec<F> = (0..n).map(make).collect();
+    let mut t = 0u64;
+    let mut turns = |slots: &mut TracerSlots, per_worker: u64| {
+        for _ in 0..per_worker * n as u64 {
+            let w = (t % n as u64) as usize;
+            slots.as_worker(w, || steps[w](t));
+            t += 1;
+        }
+    };
 
-    let per_worker: Vec<Vec<Sample>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = steps
-            .into_iter()
+    turns(&mut slots, spec.warmup);
+    let mut runs = Vec::with_capacity(reps as usize);
+    for _ in 0..reps {
+        let profilers: Vec<Profiler> = (0..n)
+            .map(|w| slots.as_worker(w, || Profiler::attach(sim, cores[w])))
+            .collect();
+        turns(&mut slots, spec.measured);
+        let per_worker: Vec<Measurement> = profilers
+            .iter()
             .enumerate()
-            .map(|(w, mut step)| {
-                let (gate, barrier) = (&gate, &barrier);
-                let core = cores[w];
-                scope.spawn(move || {
-                    let _fence = PanicFence { gate, barrier };
-                    let run_segment = |step: &mut F, base: u64, count: u64| match pacing {
-                        Pacing::Lockstep => {
-                            for i in 0..count {
-                                let t = base + i * n + w as u64;
-                                gate.run(t, || step(t));
-                            }
-                        }
-                        Pacing::Free => {
-                            for i in 0..count {
-                                step(base + i * n + w as u64);
-                            }
-                        }
-                    };
-                    run_segment(&mut step, 0, spec.warmup);
-                    barrier.wait();
-                    let mut samples = Vec::with_capacity(reps as usize);
-                    for rep in 0..reps as u64 {
-                        let profiler = Profiler::attach(sim, core);
-                        barrier.wait(); // all attached before anyone steps
-                        let base = (spec.warmup + rep * spec.measured) * n;
-                        run_segment(&mut step, base, spec.measured);
-                        barrier.wait(); // all done before anyone samples
-                        samples.push(profiler.sample());
-                        barrier.wait();
-                    }
-                    samples
-                })
+            .map(|(w, p)| {
+                let sample = slots.as_worker(w, || p.sample());
+                Measurement::from_sample(&cfg, &sample, spec.measured)
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    let mut runs = Vec::with_capacity(reps as usize);
-    for rep in 0..reps as usize {
-        let per_rep: Vec<Measurement> = per_worker
-            .iter()
-            .map(|samples| Measurement::from_sample(&cfg, &samples[rep], spec.measured))
-            .collect();
-        runs.push(Measurement::average(&per_rep));
+        runs.push(Measurement::average(&per_worker));
     }
     Measurement::average(&runs)
 }
 
 /// Run a multi-worker experiment from a single shared step function:
 /// `step(t, w)` executes global transaction `t` on worker `w` (whose
-/// activity lands on core `cores[w]`). Workers run on their own OS
-/// threads, interleaved in deterministic lockstep; the shared closure is
-/// serialized behind a lock, which the lockstep order makes contention-free.
-pub fn measure_multi<F: FnMut(u64, usize) + Send>(
+/// activity lands on core `cores[w]`), in the lockstep order of
+/// [`measure_workers`].
+pub fn measure_multi<F: FnMut(u64, usize)>(
     sim: &Sim,
     cores: &[usize],
     spec: WindowSpec,
     step: F,
 ) -> Measurement {
-    let step = &Mutex::new(step);
+    let step = &RefCell::new(step);
     measure_workers(sim, cores, spec, Pacing::Lockstep, |w| {
-        move |t| (step.lock().unwrap())(t, w)
+        move |t| (step.borrow_mut())(t, w)
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
+    use obs::sink::VecSink;
+    use obs::Phase;
     use uarch_sim::{MachineConfig, ModuleSpec};
 
     #[test]
@@ -377,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn measure_workers_runs_threads_with_own_state() {
+    fn measure_workers_keeps_per_worker_state() {
         let sim = Sim::new(MachineConfig::ivy_bridge(4));
         let m = sim.register_module(ModuleSpec::new("txn", 4096));
         let spec = WindowSpec {
@@ -387,7 +278,7 @@ mod tests {
         };
         let result = measure_workers(&sim, &[0, 1, 2, 3], spec, Pacing::Lockstep, |w| {
             let mem = sim.mem(w).with_module(m);
-            let mut local = 0u64; // per-worker state lives on its thread
+            let mut local = 0u64; // per-worker state lives in its closure
             move |_t| {
                 local += 1;
                 mem.exec(500);
@@ -423,22 +314,88 @@ mod tests {
     }
 
     #[test]
-    fn free_pacing_completes_all_transactions() {
+    fn lockstep_runs_every_turn_on_the_calling_thread() {
+        let sim = Sim::new(MachineConfig::ivy_bridge(3));
+        let spec = WindowSpec {
+            warmup: 2,
+            measured: 3,
+            reps: 2,
+        };
+        let seen = Mutex::new(Vec::new());
+        measure_workers(&sim, &[0, 1, 2], spec, Pacing::Lockstep, |_| {
+            let seen = &seen;
+            move |_| seen.lock().unwrap().push(std::thread::current().id())
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 3 * (2 + 2 * 3));
+        let caller = std::thread::current().id();
+        assert!(seen.iter().all(|&id| id == caller));
+    }
+
+    /// A tracer that sends every span it closes to `sink`.
+    fn tracer_into(sim: &Sim, sink: &VecSink) -> Tracer {
+        let tracer = Tracer::new(sim);
+        tracer.add_sink(Box::new(sink.clone()));
+        tracer
+    }
+
+    #[test]
+    fn each_worker_keeps_its_own_tracer_and_the_callers_comes_back() {
         let sim = Sim::new(MachineConfig::ivy_bridge(2));
-        let m = sim.register_module(ModuleSpec::new("txn", 4096));
+        let caller = VecSink::new();
+        obs::install(tracer_into(&sim, &caller));
+        let sinks = [VecSink::new(), VecSink::new()];
+        let spec = WindowSpec {
+            warmup: 1,
+            measured: 4,
+            reps: 2,
+        };
+        let m = measure_workers(&sim, &[0, 1], spec, Pacing::Lockstep, |w| {
+            let (sim, sink) = (&sim, &sinks[w]);
+            move |_| {
+                obs::install_with(|| tracer_into(sim, sink));
+                let _t = obs::span("X", Phase::Txn, w);
+                sim.mem(w).exec(10);
+            }
+        });
+        for (w, sink) in sinks.iter().enumerate() {
+            let spans = sink.take();
+            assert_eq!(spans.len(), 1 + 2 * 4, "worker {w}");
+            assert!(spans.iter().all(|r| r.core == w), "worker {w}");
+        }
+        assert_eq!(caller.len(), 0, "the caller's tracer saw a worker's span");
+        assert!(!m.phases.is_empty());
+        drop(obs::span("X", Phase::Txn, 0));
+        assert_eq!(caller.len(), 1, "the caller's tracer is back");
+        obs::uninstall();
+    }
+
+    #[test]
+    fn a_panicking_step_puts_the_callers_tracer_back() {
+        let sim = Sim::new(MachineConfig::ivy_bridge(2));
+        let (caller, worker) = (VecSink::new(), VecSink::new());
+        obs::install(tracer_into(&sim, &caller));
         let spec = WindowSpec {
             warmup: 0,
-            measured: 50,
+            measured: 5,
             reps: 1,
         };
-        let result = measure_workers(&sim, &[0, 1], spec, Pacing::Free, |w| {
-            let mem = sim.mem(w).with_module(m);
-            move |_t| mem.exec(100)
-        });
-        assert_eq!(result.counts.instructions, 2 * 50 * 100); // summed across workers
-        for c in 0..2 {
-            assert_eq!(sim.counters(c).instructions, 50 * 100);
-        }
+        let window = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            measure_workers(&sim, &[0, 1], spec, Pacing::Lockstep, |w| {
+                let (sim, worker) = (&sim, &worker);
+                move |t| {
+                    obs::install_with(|| tracer_into(sim, worker));
+                    if w == 1 && t == 3 {
+                        panic!("worker 1 fails at turn 3");
+                    }
+                }
+            })
+        }));
+        assert!(window.is_err());
+        drop(obs::span("X", Phase::Txn, 0));
+        assert_eq!(caller.len(), 1, "the caller's tracer is back");
+        assert_eq!(worker.len(), 0, "no worker's tracer is left installed");
+        obs::uninstall();
     }
 
     #[test]

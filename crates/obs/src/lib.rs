@@ -301,10 +301,10 @@ impl Tracer {
         }
     }
 
-    /// Ingest a span record that was closed on another thread's tracer:
+    /// Ingest a span record that was closed on another tracer:
     /// folds it into this tracer's per-core aggregates/histograms and
     /// forwards it to the sinks, exactly as if the span had closed here.
-    /// The multi-worker harness uses this to merge per-worker-thread span
+    /// The multi-worker harness uses this to merge per-worker span
     /// streams (pre-sorted with [`merge_span_streams`]) into one exported
     /// stream.
     pub fn ingest(&self, rec: &SpanRecord) {
@@ -415,10 +415,9 @@ pub fn uninstall() -> Option<Tracer> {
 }
 
 /// Install `make()` for the current thread unless it already has a
-/// tracer. Tracers are thread-local, so a worker's tracer has to be
-/// installed on the worker's own thread: step closures built on a
-/// coordinator thread call this at the top of every turn, and only the
-/// first call on each thread builds anything.
+/// tracer. The lockstep harness gives each worker its own tracer slot, so
+/// step closures call this at the top of every turn and only each
+/// worker's first call builds anything.
 pub fn install_with(make: impl FnOnce() -> Tracer) {
     TRACER.with(|t| {
         t.borrow_mut().get_or_insert_with(make);
@@ -460,12 +459,11 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Merge per-worker-thread span streams into one stream ordered by
-/// simulated time: `(start_cycles, core, seq)`. Each worker thread traces
-/// into its own [`Tracer`] (tracers are thread-local), collects its
-/// records through a [`sink::RingBufferSink`], and the harness merges the
-/// streams after joining the threads — sequence numbers are per-tracer, so
-/// the deterministic cycle timestamps are the primary sort key.
+/// Merge per-worker span streams into one stream ordered by simulated
+/// time: `(start_cycles, core, seq)`. Each worker traces into its own
+/// [`Tracer`], collects its records through a sink, and the harness
+/// merges the streams after the window — sequence numbers are per-tracer,
+/// so the deterministic cycle timestamps are the primary sort key.
 pub fn merge_span_streams(streams: Vec<Vec<SpanRecord>>) -> Vec<SpanRecord> {
     let mut all: Vec<SpanRecord> = streams.into_iter().flatten().collect();
     all.sort_by(|a, b| {

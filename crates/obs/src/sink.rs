@@ -217,9 +217,9 @@ impl TraceSink for PerfettoSink {
 }
 
 /// Unbounded thread-safe record buffer — the [`RingBufferSink`]'s `Send`
-/// counterpart for per-worker tracers running on their own OS threads.
-/// Box one clone into the worker's tracer, keep another on the harness
-/// thread, and drain the records after the workers join.
+/// counterpart, used for per-worker tracers. Box one clone into the
+/// worker's tracer, keep another in the harness, and drain the records
+/// after the window.
 #[derive(Clone, Default)]
 pub struct VecSink {
     buf: std::sync::Arc<std::sync::Mutex<Vec<SpanRecord>>>,

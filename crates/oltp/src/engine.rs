@@ -154,9 +154,9 @@ pub type OltpResult<T> = Result<T, OltpError>;
 /// with [`Db::session`].
 ///
 /// `Db` is `Send + Sync`: engines keep all mutable state behind interior
-/// synchronization, so a worker thread may call [`Db::session`] through a
-/// shared reference — the chaos harness re-opens sessions from worker
-/// threads after a poison fault.
+/// synchronization, so any worker may call [`Db::session`] through a
+/// shared reference — the chaos harness re-opens a session mid-window
+/// after a poison fault.
 pub trait Db: Send + Sync {
     /// Engine display name (as used in the paper's figures).
     fn name(&self) -> &'static str;

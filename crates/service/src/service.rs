@@ -300,7 +300,8 @@ struct Ticket {
     conn: usize,
 }
 
-/// Per-core dispatch state, shared with the worker thread.
+/// Per-core dispatch state, shared between that core's step closure and
+/// the report that folds the outcomes.
 struct CoreState {
     conns: Vec<ClientConn>,
     rr: usize,

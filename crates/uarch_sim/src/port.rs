@@ -10,9 +10,10 @@
 //! # Ownership and threads
 //!
 //! A `CorePort` is `Send` but not `Sync`: a session (and the port inside
-//! it) may migrate between threads — the experiment harness builds worker
-//! sessions on the coordinator thread and moves them onto worker threads —
-//! but only **one thread at a time** may drive a ported core. The machine
+//! it) may migrate between threads — the threaded stress tests open
+//! sessions on one thread and drive them from others — but only **one
+//! thread at a time** may drive a ported core. (The experiment harness
+//! drives every worker's session from the calling thread.) The machine
 //! tracks the *claiming thread* with a lightweight token: the first access
 //! after checkout (or after a cross-thread move) re-claims the core for
 //! the calling thread. Migration is safe because moving the session

@@ -12,10 +12,11 @@ use oltp::{Db, OltpResult, Session};
 /// partitions and ensure that all transactions access only a single
 /// partition", §3).
 ///
-/// Execution is session-based: each worker thread owns a [`Session`] and
-/// passes it to [`Workload::exec`] together with its worker index (which
-/// selects the worker's request stream / RNG). Workloads are `Send` so the
-/// multi-worker harness can share one behind a lock across worker threads.
+/// Execution is session-based: each worker owns a [`Session`] and passes
+/// it to [`Workload::exec`] together with its worker index (which selects
+/// the worker's request stream / RNG). Workloads are `Send` so a driver
+/// that runs workers on threads of their own (the threaded stress tests)
+/// can share one behind a lock.
 pub trait Workload: Send {
     /// Display name.
     fn name(&self) -> &'static str;

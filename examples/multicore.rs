@@ -1,7 +1,7 @@
 //! The §7 multi-threading experiment in miniature: run the read-only
-//! micro-benchmark with several workers — one data partition per worker,
-//! single-site transactions, one OS thread and one engine session per
-//! worker — and compare against single-threaded.
+//! micro-benchmark with several workers — one data partition, one
+//! simulated core and one engine session per worker, single-site
+//! transactions — and compare against single-threaded.
 //!
 //! ```text
 //! cargo run --release --example multicore
@@ -25,8 +25,8 @@ fn run(kind: SystemKind, workers: usize) -> (f64, f64, u64) {
         measured: 2000,
         reps: 2,
     };
-    // One session per worker core; one core runs on this thread, more run
-    // on their own OS threads in deterministic lockstep.
+    // One session per worker core, the workers taking turns in
+    // deterministic lockstep on this thread.
     let cores: Vec<usize> = (0..workers).collect();
     let m = drive(&sim, &*db, &mut w, &cores, spec, |_| {});
     (m.ipc, m.spki.iter().sum(), m.counts.invalidations)

@@ -19,6 +19,10 @@
 #    `Box<dyn DurableDb>` cannot express.
 # 6. The oracle tables come from `oracle::Counters`: `recover.rs` and
 #    `chaos.rs` name no `TableDef::new`.
+# 7. Lockstep is a loop: crates/core/src names no `Condvar`,
+#    `thread::scope` or `thread::spawn` (every measured window runs on the
+#    calling thread), and nothing under crates, src, tests or examples
+#    names `Pacing::Free`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
@@ -55,6 +59,15 @@ fi
 
 if grep -n 'TableDef::new' crates/bench/src/recover.rs crates/bench/src/chaos.rs; then
     echo "structure: recover.rs or chaos.rs hand-rolls an oracle table again" >&2
+    bad=1
+fi
+
+if grep -rnE 'Condvar|thread::(scope|spawn)' crates/core/src; then
+    echo "structure: the experiment harness runs workers on threads again" >&2
+    bad=1
+fi
+if grep -rn 'Pacing::Free' crates src tests examples; then
+    echo "structure: Pacing::Free is back" >&2
     bad=1
 fi
 

@@ -1,5 +1,8 @@
-//! Free-running concurrency stress: worker sessions on real OS threads,
-//! no lockstep pacing, hammering the engines' shared state. The invariants
+//! Free-running concurrency stress: worker sessions on real OS threads
+//! (`std::thread::scope`), no lockstep pacing, hammering the engines'
+//! shared state. With the experiment harness running every window on one
+//! thread, these tests are what drives the engines from two host threads
+//! at once. The invariants
 //! the session API must uphold under true parallelism: no lost updates
 //! (every committed increment is visible), row counts preserved, and
 //! concurrency-control losers surfacing as retryable errors
@@ -8,7 +11,6 @@
 
 use std::sync::Mutex;
 
-use imoltp::analysis::{measure_workers, Pacing, WindowSpec};
 use imoltp::bench::{DbSize, MicroBench, Workload};
 use imoltp::db::{Column, DataType, Db, OltpError, Schema, Session, TableDef, Value};
 use imoltp::sim::{MachineConfig, Sim};
@@ -149,11 +151,11 @@ fn occ_validation_losers_retry_without_losing_updates() {
 }
 
 /// The read-write micro-benchmark under free-running (unpaced) workers:
-/// the measured window completes, every worker's transactions commit, and
-/// the table's row population is untouched (updates in place, no
-/// insert/delete leakage).
+/// every worker's transactions commit, and the table's row population is
+/// untouched (updates in place, no insert/delete leakage).
 #[test]
 fn free_running_micro_benchmark_preserves_row_counts() {
+    const MICRO_TXNS_PER_WORKER: u64 = 500;
     let sim = Sim::new(MachineConfig::ivy_bridge(WORKERS));
     let mut db = build_system(SystemKind::ShoreMt, &sim, 1);
     let mut w = MicroBench::new(DbSize::Mb1).with_rows(8_000).read_write();
@@ -162,29 +164,30 @@ fn free_running_micro_benchmark_preserves_row_counts() {
     let rows_before = db.row_count(imoltp::db::TableId(0));
     assert_eq!(rows_before, 8_000);
 
-    let spec = WindowSpec {
-        warmup: 100,
-        measured: 400,
-        reps: 1,
-    };
-    let cores: Vec<usize> = (0..WORKERS).collect();
-    let w = Mutex::new(w);
-    let m = {
-        let db = &*db;
-        let w = &w;
-        measure_workers(&sim, &cores, spec, Pacing::Free, |worker| {
-            let mut s = db.session(worker);
-            move |_| {
-                // Striped keys: each worker updates its own slice, so no
-                // conflicts even free-running — every transaction commits.
-                w.lock()
-                    .unwrap()
-                    .exec(s.as_mut(), worker)
-                    .expect("striped read-write txn must commit");
-            }
-        })
-    };
-    assert_eq!(m.txns, WORKERS as u64 * 400);
+    let w = &Mutex::new(w);
+    let sessions: Vec<_> = (0..WORKERS).map(|worker| db.session(worker)).collect();
+    let committed: u64 = std::thread::scope(|scope| {
+        let handles: Vec<_> = sessions
+            .into_iter()
+            .enumerate()
+            .map(|(worker, mut s)| {
+                scope.spawn(move || {
+                    for _ in 0..MICRO_TXNS_PER_WORKER {
+                        // Striped keys: each worker updates its own slice, so
+                        // no conflicts even free-running — every transaction
+                        // commits.
+                        w.lock()
+                            .unwrap()
+                            .exec(s.as_mut(), worker)
+                            .expect("striped read-write txn must commit");
+                    }
+                    MICRO_TXNS_PER_WORKER
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(committed, 1_000);
     assert_eq!(
         db.row_count(imoltp::db::TableId(0)),
         rows_before,
