@@ -33,7 +33,7 @@ const SLOT_BYTES: u64 = 24; // inline bucket entry: key + payload + overflow ptr
 /// why DBMS M switches to its B-tree for TPC-C.
 pub struct HashIndex {
     dir: Vec<Option<Box<Entry>>>,
-    /// Simulated base address of the directory (8 bytes per slot).
+    /// Simulated base address of the directory (`SLOT_BYTES` per slot).
     dir_addr: u64,
     /// Fibonacci hashing extracts the *high* bits: `hash >> shift`.
     /// (Low bits would alias all keys sharing low-order zeros.)
@@ -83,7 +83,7 @@ impl HashIndex {
     fn grow(&mut self, mem: &Mem) {
         let new_slots = (self.dir.len() * 4).next_power_of_two();
         let mut new_dir: Vec<Option<Box<Entry>>> = (0..new_slots).map(|_| None).collect();
-        let new_addr = mem.alloc(new_slots as u64 * 8, 64);
+        let new_addr = mem.alloc(new_slots as u64 * SLOT_BYTES, 64);
         let new_shift = 64 - (new_slots as u64).trailing_zeros();
         mem.exec(self.len * 8 + 500);
         for head in self.dir.drain(..) {
@@ -92,7 +92,7 @@ impl HashIndex {
                 cur = e.next.take();
                 mem.read(e.addr, 24);
                 let slot = (hash(e.key) >> new_shift) as usize;
-                mem.write(new_addr + slot as u64 * 8, 8);
+                mem.write(new_addr + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
                 e.next = new_dir[slot].take();
                 new_dir[slot] = Some(e);
             }
@@ -100,7 +100,7 @@ impl HashIndex {
         self.dir = new_dir;
         self.dir_addr = new_addr;
         self.shift = new_shift;
-        self.bytes += new_slots as u64 * 8;
+        self.bytes += new_slots as u64 * SLOT_BYTES;
     }
 
     fn longest_chain(&self) -> u32 {
@@ -315,6 +315,31 @@ mod tests {
         }
         // Load factor stays bounded.
         assert!(h.dir.len() as u64 * 3 / 4 >= h.len());
+    }
+
+    /// A grown directory keeps 24-byte slots: every slot `touch_slot`
+    /// reaches lies inside the directory's allocation, which ends where
+    /// the next allocation begins.
+    #[test]
+    fn grown_directory_slots_stay_inside_its_allocation() {
+        let mem = mem();
+        let mut h = HashIndex::with_capacity(&mem, 16);
+        let slots = h.dir.len() as u64;
+        for k in 0..=slots * 3 / 4 {
+            h.insert(&mem, k, k);
+        }
+        let grown = h.dir.len() as u64;
+        assert_eq!(grown, slots * 4);
+        let end = mem.alloc(1, 1);
+        let last_slot = h.dir_addr + (grown - 1) * SLOT_BYTES;
+        assert!(
+            last_slot + SLOT_BYTES <= end,
+            "slot ends past the directory"
+        );
+        assert_eq!(
+            h.stats().bytes,
+            (slots + grown) * SLOT_BYTES + h.len() * ENTRY_BYTES
+        );
     }
 
     #[test]

@@ -436,6 +436,7 @@ pub fn snapshot_installed_core(core: usize) -> Option<AggSnapshot> {
 /// this). With no tracer installed, the guard is inert and the call costs
 /// one TLS read.
 #[must_use = "the span closes when the guard drops"]
+#[inline]
 pub fn span(engine: &'static str, phase: Phase, core: usize) -> SpanGuard {
     let open = TRACER.with(|t| {
         t.borrow()
@@ -452,6 +453,7 @@ pub struct SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline]
     fn drop(&mut self) {
         if let Some((tracer, seq)) = self.open.take() {
             tracer.close(self.core, seq);

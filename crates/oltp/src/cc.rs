@@ -33,10 +33,10 @@
 //! lock managers are. Per-protocol abort/validation/lock-wait counters are
 //! published through `obs::metrics` under a `protocol` label.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use uarch_sim::rng::Fnv;
+use uarch_sim::rng::{Fnv, IntMap};
 use uarch_sim::Mem;
 
 use crate::engine::OltpError;
@@ -202,8 +202,8 @@ impl CcMetrics {
     fn new(label: &'static str) -> &'static CcMetrics {
         // One static slot per protocol: protocol objects may be built per
         // run, but registry handles are process-wide.
-        static SLOTS: OnceLock<Mutex<HashMap<&'static str, &'static CcMetrics>>> = OnceLock::new();
-        let slots = SLOTS.get_or_init(|| Mutex::new(HashMap::new()));
+        static SLOTS: OnceLock<Mutex<BTreeMap<&'static str, &'static CcMetrics>>> = OnceLock::new();
+        let slots = SLOTS.get_or_init(|| Mutex::new(BTreeMap::new()));
         let mut slots = slots.lock().unwrap();
         slots.entry(label).or_insert_with(|| {
             let r = obs::metrics::registry();
@@ -244,9 +244,9 @@ struct LockEntry {
 
 #[derive(Default)]
 struct LockState {
-    locks: HashMap<Key, LockEntry>,
+    locks: IntMap<Key, LockEntry>,
     /// Keys each live transaction holds (for release at commit/abort).
-    held: HashMap<u64, Vec<Key>>,
+    held: IntMap<u64, Vec<Key>>,
 }
 
 /// Two-phase locking over a shared hash lock table. `wait_die` selects
@@ -501,11 +501,11 @@ struct OccTxn {
 #[derive(Default)]
 struct OccState {
     /// Committed version counter per key (absent = 0).
-    versions: HashMap<Key, u64>,
+    versions: IntMap<Key, u64>,
     /// No-wait exclusive write locks.
-    wlocks: HashMap<Key, u64>,
+    wlocks: IntMap<Key, u64>,
     /// Live transactions.
-    txns: HashMap<u64, OccTxn>,
+    txns: IntMap<u64, OccTxn>,
 }
 
 /// Silo-style OCC: version-stamped reads, write locks at write time (so a
@@ -631,9 +631,9 @@ struct KeyTs {
 
 #[derive(Default)]
 struct ToState {
-    ts: HashMap<Key, KeyTs>,
+    ts: IntMap<Key, KeyTs>,
     /// Keys written (pending) per live transaction.
-    pending: HashMap<u64, Vec<Key>>,
+    pending: IntMap<u64, Vec<Key>>,
 }
 
 /// Basic timestamp ordering keyed by the monotone transaction id (the

@@ -14,6 +14,8 @@
 //! paper studies (50-byte `String`s give better spatial locality than
 //! 8-byte `Long`s during comparisons).
 
+use std::cell::RefCell;
+
 use bytes::{Buf, BufMut, Bytes};
 
 /// The buffer [`encode_into`] appends to, for callers that reuse one.
@@ -31,10 +33,16 @@ pub fn encoded_len(row: &[Value]) -> usize {
 
 /// Encode a row. Panics on rows with more than 65 535 columns or strings
 /// longer than 64 KB (neither occurs in any benchmark schema).
+///
+/// The row is staged in a per-thread buffer and copied out once, so each
+/// row costs one allocation (freezing a fresh `BytesMut` costs two).
 pub fn encode(row: &[Value]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len(row));
-    encode_into(row, &mut buf);
-    buf.freeze()
+    thread_local!(static STAGE: RefCell<BytesMut> = RefCell::new(BytesMut::new()));
+    STAGE.with_borrow_mut(|buf| {
+        buf.clear();
+        encode_into(row, buf);
+        Bytes::copy_from_slice(buf)
+    })
 }
 
 /// Encode a row into an existing buffer (appends).

@@ -13,8 +13,7 @@
 //! I/O on the critical path); eviction is nevertheless fully implemented
 //! and tested.
 
-use std::collections::HashMap;
-
+use uarch_sim::rng::IntMap;
 use uarch_sim::Mem;
 
 use crate::page::{Page, PageId, PAGE_SIZE};
@@ -34,13 +33,13 @@ struct Frame {
 pub struct BufferPool {
     frames: Vec<Frame>,
     /// page id -> frame index.
-    table: HashMap<PageId, usize>,
+    table: IntMap<PageId, usize>,
     /// Simulated base of the hashed page-table directory.
     table_addr: u64,
     table_slots: u64,
     clock: usize,
     /// Pages currently on "disk" (evicted or never loaded).
-    disk: HashMap<PageId, Page>,
+    disk: IntMap<PageId, Page>,
     next_page: u64,
     /// Statistics: pool hits / misses (disk fetches) / evictions.
     pub hits: u64,
@@ -68,11 +67,11 @@ impl BufferPool {
             .collect();
         BufferPool {
             frames,
-            table: HashMap::new(),
+            table: IntMap::default(),
             table_addr,
             table_slots,
             clock: 0,
-            disk: HashMap::new(),
+            disk: IntMap::default(),
             next_page: 1,
             hits: 0,
             fetches: 0,

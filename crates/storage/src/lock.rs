@@ -12,8 +12,7 @@
 //! transaction granularity), so conflicts surface as immediate
 //! [`LockOutcome::Conflict`] rather than blocking queues.
 
-use std::collections::HashMap;
-
+use uarch_sim::rng::IntMap;
 use uarch_sim::Mem;
 
 use crate::txn::TxnId;
@@ -72,9 +71,13 @@ struct Entry {
 
 /// The lock manager.
 pub struct LockManager {
-    table: HashMap<LockTarget, Entry>,
+    table: IntMap<LockTarget, Entry>,
     /// Per-transaction held locks (for release-at-commit).
-    held: HashMap<TxnId, Vec<LockTarget>>,
+    held: IntMap<TxnId, Vec<LockTarget>>,
+    /// Emptied `held` and `holders` vectors, reused so that a lock and
+    /// its release allocate nothing on the host.
+    spare_held: Vec<Vec<LockTarget>>,
+    spare_holders: Vec<Vec<(TxnId, LockMode)>>,
     /// Simulated base address of the hashed bucket directory.
     dir_addr: u64,
     dir_slots: u64,
@@ -89,8 +92,10 @@ impl LockManager {
     pub fn new(mem: &Mem, slots: u64) -> Self {
         let dir_slots = slots.max(64).next_power_of_two();
         LockManager {
-            table: HashMap::new(),
-            held: HashMap::new(),
+            table: IntMap::default(),
+            held: IntMap::default(),
+            spare_held: Vec::new(),
+            spare_holders: Vec::new(),
             dir_addr: mem.alloc(dir_slots * 8, 64),
             dir_slots,
             acquisitions: 0,
@@ -119,7 +124,10 @@ impl LockManager {
         mem.exec(55); // hash, bucket latch, compatibility checks
         self.touch_bucket(mem, target);
         let entry = self.table.entry(target).or_insert_with(|| Entry {
-            holders: Vec::with_capacity(2),
+            holders: self
+                .spare_holders
+                .pop()
+                .unwrap_or_else(|| Vec::with_capacity(2)),
             addr: mem.alloc(48, 8),
         });
         mem.write(entry.addr, 24);
@@ -149,27 +157,33 @@ impl LockManager {
             return LockOutcome::Conflict;
         }
         entry.holders.push((txn, mode));
-        self.held.entry(txn).or_default().push(target);
+        self.held
+            .entry(txn)
+            .or_insert_with(|| self.spare_held.pop().unwrap_or_default())
+            .push(target);
         self.acquisitions += 1;
         LockOutcome::Granted
     }
 
     /// Release everything `txn` holds (commit/abort).
     pub fn release_all(&mut self, mem: &Mem, txn: TxnId) {
-        let Some(targets) = self.held.remove(&txn) else {
+        let Some(mut targets) = self.held.remove(&txn) else {
             return;
         };
         mem.exec(20 + 12 * targets.len() as u64);
-        for target in targets {
+        for &target in &targets {
             self.touch_bucket(mem, target);
             if let Some(entry) = self.table.get_mut(&target) {
                 mem.write(entry.addr, 24);
                 entry.holders.retain(|&(t, _)| t != txn);
                 if entry.holders.is_empty() {
-                    self.table.remove(&target);
+                    let entry = self.table.remove(&target).expect("just found");
+                    self.spare_holders.push(entry.holders);
                 }
             }
         }
+        targets.clear();
+        self.spare_held.push(targets);
     }
 
     /// Locks currently held by `txn` (diagnostics/tests).
@@ -287,6 +301,18 @@ mod tests {
             lm.lock(&mem, TxnId(3), tbl, LockMode::X),
             LockOutcome::Conflict
         );
+    }
+
+    /// Row keys strided by `KEY_STRIDE` (2048) spread over the low bits
+    /// of the lock table's hash, which hashbrown picks buckets from.
+    #[test]
+    fn strided_row_targets_fill_the_low_bits() {
+        use std::hash::BuildHasher;
+        let lm = LockManager::new(&mem(), 64);
+        let buckets: std::collections::BTreeSet<u64> = (0..4096u64)
+            .map(|k| lm.table.hasher().hash_one(LockTarget::Row(1, k * 2048)) & 4095)
+            .collect();
+        assert!(buckets.len() >= 2048, "{} of 4096 buckets", buckets.len());
     }
 
     #[test]

@@ -297,6 +297,7 @@ impl Machine {
     }
 
     /// Whether the machine is in offline (bulk-load) mode.
+    #[inline]
     pub fn offline(&self) -> bool {
         self.offline.load(Ordering::Relaxed)
     }
@@ -316,7 +317,7 @@ impl Machine {
 
     /// Whether traffic on `core` is currently suppressed (machine-wide
     /// bulk-load mode or an individual core-offline fault).
-    #[inline]
+    #[inline(always)]
     fn suppressed(&self, core: usize) -> bool {
         self.offline() || self.core_offline[core].load(Ordering::Relaxed)
     }
@@ -521,11 +522,20 @@ impl Machine {
 
     /// [`Machine::fetch_code`] with the module descriptor supplied by the
     /// caller ([`crate::Mem`] caches it at bind time).
-    #[inline]
+    ///
+    /// This and the other two access entry points are inlined shells: a
+    /// suppressed access (a bulk load, an offline core) returns at the
+    /// call site, and only a live one calls the walk.
+    #[inline(always)]
     pub(crate) fn fetch_code_desc(&self, core: usize, module: ModuleId, n: u64, d: &CodeDesc) {
         if n == 0 || self.suppressed(core) {
             return;
         }
+        self.fetch_code_online(core, module, n, d);
+    }
+
+    #[inline]
+    fn fetch_code_online(&self, core: usize, module: ModuleId, n: u64, d: &CodeDesc) {
         let mut g = self.core_enter(core, true);
         let c = g.core();
         c.ensure_module(module, || self.descs.len());
@@ -534,11 +544,16 @@ impl Machine {
 
     /// Perform a data access of `len` bytes at byte address `addr`
     /// (load when `store == false`), touching every spanned line.
-    #[inline]
+    #[inline(always)]
     pub fn data_access(&self, core: usize, module: ModuleId, addr: u64, len: u32, store: bool) {
         if self.suppressed(core) {
             return;
         }
+        self.data_access_online(core, module, addr, len, store);
+    }
+
+    #[inline]
+    fn data_access_online(&self, core: usize, module: ModuleId, addr: u64, len: u32, store: bool) {
         let mut g = self.core_enter(core, true);
         let c = g.core();
         c.ensure_module(module, || self.descs.len());
@@ -549,10 +564,15 @@ impl Machine {
     /// Run a batched op sequence under a single core acquisition: one
     /// state check and one queue drain amortized over the whole batch,
     /// with per-op semantics identical to issuing the ops separately.
+    #[inline(always)]
     pub(crate) fn run_batch(&self, core: usize, module: ModuleId, d: &CodeDesc, ops: &[BatchOp]) {
         if ops.is_empty() || self.suppressed(core) {
             return;
         }
+        self.run_batch_online(core, module, d, ops);
+    }
+
+    fn run_batch_online(&self, core: usize, module: ModuleId, d: &CodeDesc, ops: &[BatchOp]) {
         let mut g = self.core_enter(core, true);
         let c = g.core();
         c.ensure_module(module, || self.descs.len());
@@ -627,6 +647,53 @@ mod tests {
         m.fetch_code(0, id, 2_000);
         let d0 = m.counters(0).delta(&c0);
         assert_eq!(d0.instructions, 2_000, "traffic resumes once back online");
+    }
+
+    /// Each `Mem` entry point is a no-op while suppressed, machine-wide
+    /// (`Sim::offline`) or on its core alone (`set_core_offline`): no
+    /// counter moves, and the core stays inactive, so a later store from
+    /// another core publishes nothing to it.
+    #[test]
+    fn suppressed_accesses_leave_no_trace() {
+        use crate::{Mem, Sim};
+        type Access = fn(&Mem, u64);
+        let accesses: [(&str, Access); 4] = [
+            ("exec", |m, _| m.exec(5_000)),
+            ("read", |m, a| m.read(a, 64)),
+            ("write", |m, a| m.write(a, 64)),
+            ("run_ops", |m, a| {
+                m.run_ops(&[
+                    BatchOp::Exec(100),
+                    BatchOp::Read { addr: a, len: 8 },
+                    BatchOp::Write { addr: a, len: 8 },
+                ])
+            }),
+        ];
+        for (name, access) in accesses {
+            for per_core in [false, true] {
+                let sim = Sim::new(MachineConfig::ivy_bridge(2));
+                let id = sim.register_module(ModuleSpec::new("work", 4096));
+                let buf = sim.alloc(4096, 64);
+                let mem = sim.mem(0).with_module(id);
+                let (counts, modules) = (sim.counters(0), sim.module_counters(0));
+                if per_core {
+                    sim.set_core_offline(0, true);
+                    access(&mem, buf);
+                    sim.set_core_offline(0, false);
+                } else {
+                    sim.offline(|| access(&mem, buf));
+                }
+                assert_eq!(sim.counters(0), counts, "{name}");
+                assert_eq!(sim.module_counters(0), modules, "{name}");
+                sim.mem(1).write(buf, 64);
+                assert_eq!(sim.coherence_totals().0, 0, "{name}: core 0 is active");
+                // Online, the same access activates core 0 and the store
+                // reaches it.
+                access(&mem, buf);
+                sim.mem(1).write(buf, 64);
+                assert!(sim.coherence_totals().0 > 0, "{name}");
+            }
+        }
     }
 
     #[test]

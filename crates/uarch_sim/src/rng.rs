@@ -7,7 +7,11 @@
 //!
 //! Beside it, the two stateless mixers every crate above the simulator
 //! shares: FNV-1a ([`Fnv`]) — the digest manifests, stripes and name keys
-//! are pinned to — and the [`splitmix64`] finaliser.
+//! are pinned to — and the [`splitmix64`] finaliser; and [`IntHasher`],
+//! the hasher of every integer-keyed host map ([`IntMap`]).
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// xorshift64* — fast, small-state, good enough for address scrambling.
 #[derive(Clone, Debug)]
@@ -103,6 +107,51 @@ impl Fnv {
     }
 }
 
+/// The hasher of integer-keyed host maps: each word is folded in
+/// Fx-style (rotate, xor, multiply), and `finish` folds the 128-bit
+/// product of the state and a second constant into 64 bits. The fold makes
+/// the low bits, which hashbrown picks buckets from, depend on every key
+/// bit; a multiply alone leaves the low bits of `k · 2048` keys constant.
+/// It has no random state, so equal keys hash equally in every process.
+/// Every key comes from a seeded in-process generator, so SipHash's
+/// flooding defence buys nothing here.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IntHasher(u64);
+
+/// A `HashMap` hashed by [`IntHasher`]; build with `IntMap::default()`.
+pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+
+impl Hasher for IntHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(x.into());
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        p as u64 ^ (p >> 64) as u64
+    }
+}
+
 /// The splitmix64 step: add the golden-ratio increment, then finalise. One
 /// round decorrelates packed or consecutive inputs.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -128,6 +177,28 @@ mod tests {
         assert_eq!(Fnv::default().word(word).0, fnv1a(b"foobar\0\0"));
         assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
         assert_eq!(splitmix64(0x9E37_79B9_7F4A_7C15), 0x6e78_9e6a_a1b9_65f4);
+    }
+
+    fn int_hash(key: impl std::hash::Hash) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<IntHasher>::default().hash_one(key)
+    }
+
+    /// hashbrown picks a bucket from the low bits of the hash, and lock
+    /// and index keys are often strided by `KEY_STRIDE` (2048).
+    #[test]
+    fn strided_keys_fill_the_low_bits() {
+        let buckets: std::collections::BTreeSet<u64> =
+            (0..4096u64).map(|k| int_hash(k * 2048) & 4095).collect();
+        assert!(buckets.len() >= 2048, "{} of 4096 buckets", buckets.len());
+    }
+
+    /// No random state: these values hold in every process and build.
+    #[test]
+    fn int_hasher_has_no_random_state() {
+        assert_eq!(int_hash(42u64), 0x2516_b956_d7a4_72af);
+        assert_eq!(int_hash((7u64, 2048u64)), 0xa418_ca53_464e_e473);
+        assert_eq!(int_hash("cc"), 0xc0a5_ebcc_0d3d_61cb);
     }
 
     #[test]

@@ -23,6 +23,9 @@
 #    `thread::scope` or `thread::spawn` (every measured window runs on the
 #    calling thread), and nothing under crates, src, tests or examples
 #    names `Pacing::Free`.
+# 8. Integer-keyed host maps use the one deterministic hasher
+#    (`uarch_sim::rng::IntMap`): the lock manager, the buffer pool and the
+#    CC protocols name no std `HashMap` or `HashSet`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
@@ -68,6 +71,11 @@ if grep -rnE 'Condvar|thread::(scope|spawn)' crates/core/src; then
 fi
 if grep -rn 'Pacing::Free' crates src tests examples; then
     echo "structure: Pacing::Free is back" >&2
+    bad=1
+fi
+
+if grep -nE '\bHash(Map|Set)\b' crates/storage/src/lock.rs crates/storage/src/bufferpool.rs crates/oltp/src/cc.rs; then
+    echo "structure: a lock, buffer-pool or CC map is keyed through SipHash again" >&2
     bad=1
 fi
 

@@ -31,6 +31,13 @@ impl Bytes {
         }
     }
 
+    /// Buffer holding a copy of `data`: one allocation, one copy.
+    pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes {
+            data: Arc::from(data),
+        }
+    }
+
     /// Copy of the contents as an owned `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
         self.data.to_vec()
@@ -55,7 +62,7 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
-        Bytes { data: Arc::from(v) }
+        Bytes::copy_from_slice(v)
     }
 }
 
