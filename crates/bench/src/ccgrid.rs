@@ -12,7 +12,7 @@
 //! per-protocol abort taxonomy (lock conflicts vs validation failures vs
 //! deadlock victims) is reported per cell.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use engines::{SystemBuilder, SystemKind};
 use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
@@ -270,9 +270,9 @@ pub fn run_cell(
         });
 
     let retry_policy = RetryPolicy::default();
-    let wl = Mutex::new(w);
-    let per_worker: Vec<Mutex<CellStats>> = (0..workers)
-        .map(|_| Mutex::new(CellStats::default()))
+    let wl = RefCell::new(w);
+    let per_worker: Vec<RefCell<CellStats>> = (0..workers)
+        .map(|_| RefCell::new(CellStats::default()))
         .collect();
     let cores: Vec<usize> = (0..workers).collect();
     let warmup_turns = cfg.window.warmup * workers as u64;
@@ -304,7 +304,7 @@ pub fn run_cell(
             }
             if !slot.active {
                 if slot.plan.is_empty() {
-                    slot.plan = wl.lock().unwrap().plan_txn(worker);
+                    slot.plan = wl.borrow_mut().plan_txn(worker);
                 }
                 slot.session.begin();
                 slot.active = true;
@@ -312,7 +312,7 @@ pub fn run_cell(
             }
             if slot.next_op < slot.plan.len() {
                 let op = slot.plan[slot.next_op];
-                let r = wl.lock().unwrap().apply(slot.session.as_mut(), &op);
+                let r = wl.borrow_mut().apply(slot.session.as_mut(), &op);
                 match r {
                     Ok(()) => slot.next_op += 1,
                     Err(e) => slot.fail(&e, retry_policy, in_window),
@@ -332,13 +332,13 @@ pub fn run_cell(
                 }
             }
             // Publish after every turn: the closure is never handed back.
-            *per_worker[worker].lock().unwrap() = slot.stats;
+            *per_worker[worker].borrow_mut() = slot.stats;
         }
     });
 
     let mut stats = CellStats::default();
     for s in per_worker {
-        stats.merge(&s.lock().unwrap());
+        stats.merge(&s.borrow());
     }
     finish_row(system, policy, cell, workers, &m, stats)
 }

@@ -39,10 +39,10 @@
 //! 0 the run is byte-identical to a fault-free run of the same schedule
 //! (the per-core counter digests are reproduced exactly).
 
+use std::cell::RefCell;
 use std::fs;
 use std::io::BufWriter;
 use std::path::Path;
-use std::sync::Mutex;
 
 use engines::{CcPolicy, SystemBuilder, SystemKind};
 use faults::FaultPlan;
@@ -222,13 +222,13 @@ fn core_digest(sim: &Sim, core: usize) -> u64 {
     h.0
 }
 
-/// Per-worker chaos state, kept in a `Mutex` slot so the step closure and
-/// the post-run verifier can both reach it. Uncontended: only the owning
-/// worker locks it during the run.
+/// Per-worker chaos state, kept in a `RefCell` slot so the step closure
+/// and the post-run verifier can both reach it. Only the owning worker
+/// borrows it during the run.
 struct ChaosWorker {
     worker: usize,
-    /// `None` only while a wedged or finished session has been dropped to
-    /// return its core port before a fresh one opens.
+    /// `None` only between closing a wedged or finished session and
+    /// opening a fresh one.
     session: Option<Box<dyn Session>>,
     keys: Vec<u64>,
     /// Confirmed committed increments per key.
@@ -290,9 +290,9 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     let installed = quiesced.install(plan.clone());
 
     let engine: &'static str = db.name();
-    let slots: Vec<Mutex<ChaosWorker>> = (0..workers)
+    let slots: Vec<RefCell<ChaosWorker>> = (0..workers)
         .map(|worker| {
-            Mutex::new(ChaosWorker {
+            RefCell::new(ChaosWorker {
                 worker,
                 session: Some(db.session(worker)),
                 keys: counters.keys(worker),
@@ -311,7 +311,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     let span_sinks: Vec<VecSink> = (0..workers).map(|_| VecSink::new()).collect();
 
     let cores: Vec<usize> = (0..workers).collect();
-    let wl = Mutex::new(w);
+    let wl = RefCell::new(w);
     let measurement = {
         let db = &*db;
         let wl = &wl;
@@ -328,7 +328,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
                     tracer.add_sink(Box::new(sink.clone()));
                     tracer
                 });
-                let slot = &mut *slots[worker].lock().unwrap();
+                let slot = &mut *slots[worker].borrow_mut();
 
                 // Core-offline window in force: the worker idles this slot.
                 if let Some(until) = slot.offline_until {
@@ -361,8 +361,8 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
                         ..
                     }
                 ) {
-                    // Recovery: drop the wedged session (returns its core
-                    // port), open a fresh one, heal, and run the txn again.
+                    // Recovery: close the wedged session, open a fresh one,
+                    // heal, and run the txn again.
                     // The poison give-up was session loss, not txn loss —
                     // take it back out of the gave_up count.
                     slot.stats.gave_up -= 1;
@@ -398,9 +398,9 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
     let mut backoff_hist = Histogram::new();
     let mut table_fnv = Fnv::default();
     for slot in &slots {
-        let mut slot = slot.lock().unwrap();
+        let mut slot = slot.borrow_mut();
         sim.set_core_offline(slot.worker, false);
-        slot.session = None; // return the port before re-opening
+        slot.session = None; // close before re-opening
         let mut s = db.session(slot.worker);
         for ki in 0..KEYS_PER_WORKER as usize {
             let key = slot.keys[ki];
@@ -452,7 +452,7 @@ pub fn run(cfg: &ChaosCfg) -> ChaosReport {
 /// instructions on the worker's core so recovery cost is observable.
 fn run_one(
     slot: &mut ChaosWorker,
-    wl: &Mutex<Box<dyn Workload>>,
+    wl: &RefCell<Box<dyn Workload>>,
     counters: &Counters,
     engine: &'static str,
     policy: &RetryPolicy,
@@ -517,7 +517,7 @@ fn run_one(
                 }
             }
         } else {
-            let r = wl.lock().unwrap().exec(s, worker);
+            let r = wl.borrow_mut().exec(s, worker);
             if r.is_err() {
                 // The workload propagates mid-txn errors without cleanup.
                 s.abort();

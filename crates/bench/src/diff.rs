@@ -25,14 +25,11 @@ use std::path::Path;
 use engines::SystemKind;
 use obs::counts_json;
 use obs::json::{self, Json};
+use uarch_sim::config::STORE_MISS_PENALTY;
 use uarch_sim::counters::{EventCounts, StallEvent};
 use uarch_sim::MachineConfig;
 
 use crate::WorkloadCfg;
-
-/// Store-buffer pressure penalty of the cycle model (cycles per store
-/// miss) — mirrored from [`MachineConfig::cycles`], which hard-codes it.
-const STORE_MISS_PENALTY: f64 = 12.0;
 
 /// Phase name of the synthetic bucket holding window activity outside
 /// every span (driver glue).

@@ -4,7 +4,7 @@
 //! retires simulated accesses, so this benchmark times the simulator's own
 //! hot paths (not any engine): pure L1-hit loads on one core, a mixed
 //! transaction-like shape (instruction fetch + reads + a store), the same
-//! mixed shape on every core concurrently, and an instruction-fetch sweep
+//! mixed shape on four cores taking turns, and an instruction-fetch sweep
 //! over a Shore-MT-sized code footprint. Results go to
 //! `results/perf.json`; `--check <baseline.json>` fails the process when
 //! throughput regresses more than 30% against a recorded baseline, which
@@ -21,7 +21,7 @@ use std::time::Instant;
 use obs::json::{self, Json};
 use uarch_sim::code::INSTRS_PER_LINE;
 use uarch_sim::rng::XorShift64;
-use uarch_sim::{BatchOp, MachineConfig, ModuleSpec, Sim};
+use uarch_sim::{BatchOp, MachineConfig, Mem, ModuleSpec, Sim};
 
 /// Cores exercised by the multi-core section.
 const MULTI_CORES: usize = 4;
@@ -119,9 +119,6 @@ fn time_section(name: &'static str, accesses: u64, instructions: u64, f: impl Fn
 /// read one line at a time. This is the simulator's absolute fast path.
 fn l1_hit_loads(iters: u64) -> Section {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    // Hold the core's port, as engine sessions do: the timed loop runs on
-    // the lock-free ported path.
-    let _port = sim.checkout(0);
     let buf = sim.alloc(16 << 10, 64);
     let mem = sim.mem(0);
     // Warm the buffer so the timed loop only ever hits.
@@ -141,117 +138,100 @@ fn l1_hit_loads(iters: u64) -> Section {
     })
 }
 
-/// Transaction-like mix on one core: per iteration, one `exec` burst on a
+/// Data accesses and instructions of one [`Mixed::step`].
+const MIXED_ACCESSES: u64 = 5;
+const MIXED_INSTRUCTIONS: u64 = 60;
+
+/// A transaction-like mix on one core: per step, one `exec` burst on a
 /// 24 KB module, four random reads over 1 MB, and one store over 64 KB.
-fn mixed_shape(sim: &Sim, core: usize, iters: u64, seed: u64) -> (u64, u64) {
-    // Engine sessions hold their core's port; measure the same path.
-    let _port = sim.try_checkout(core);
-    let module = sim.register_module(
-        ModuleSpec::new(format!("perf/mix-{core}"), 24 << 10)
-            .reuse(2.5)
-            .branchiness(0.1),
-    );
-    let read_region = sim.alloc(1 << 20, 64);
-    let write_region = sim.alloc(64 << 10, 64);
-    let mem = sim.mem(core).with_module(module);
-    let mut rng = XorShift64::new(seed);
-    for _ in 0..iters {
-        // One transaction = one batched commit: a single core acquisition
-        // (and coherence-queue drain) covers all six ops, the way engine
-        // hot loops are expected to use the simulator. Event accounting is
-        // identical to issuing the ops separately.
-        let r = |rng: &mut XorShift64| read_region + rng.next_below((1 << 20) / 64) * 64;
+struct Mixed {
+    mem: Mem,
+    read_region: u64,
+    write_region: u64,
+    rng: XorShift64,
+}
+
+impl Mixed {
+    fn new(sim: &Sim, core: usize, seed: u64) -> Self {
+        let module = sim.register_module(
+            ModuleSpec::new(format!("perf/mix-{core}"), 24 << 10)
+                .reuse(2.5)
+                .branchiness(0.1),
+        );
+        Mixed {
+            read_region: sim.alloc(1 << 20, 64),
+            write_region: sim.alloc(64 << 10, 64),
+            mem: sim.mem(core).with_module(module),
+            rng: XorShift64::new(seed),
+        }
+    }
+
+    /// One transaction = one batched commit: a single borrow of the core
+    /// covers all six ops, the way engine hot loops are expected to use
+    /// the simulator. Event accounting is identical to issuing the ops
+    /// separately.
+    fn step(&mut self) {
+        let (rng, reads) = (&mut self.rng, self.read_region);
+        let mut r = || BatchOp::Read {
+            addr: reads + rng.next_below((1 << 20) / 64) * 64,
+            len: 8,
+        };
         let ops = [
-            BatchOp::Exec(60),
-            BatchOp::Read {
-                addr: r(&mut rng),
-                len: 8,
-            },
-            BatchOp::Read {
-                addr: r(&mut rng),
-                len: 8,
-            },
-            BatchOp::Read {
-                addr: r(&mut rng),
-                len: 8,
-            },
-            BatchOp::Read {
-                addr: r(&mut rng),
-                len: 8,
-            },
+            BatchOp::Exec(MIXED_INSTRUCTIONS),
+            r(),
+            r(),
+            r(),
+            r(),
             BatchOp::Write {
-                addr: write_region + rng.next_below((64 << 10) / 64) * 64,
+                addr: self.write_region + self.rng.next_below((64 << 10) / 64) * 64,
                 len: 8,
             },
         ];
-        mem.run_ops(&ops);
+        self.mem.run_ops(&ops);
     }
-    (iters * 5, iters * 60)
+}
+
+/// `iters` mixed steps on each of `sim`'s cores, taking turns round-robin
+/// on the calling thread as lockstep workers do.
+fn mixed(name: &'static str, sim: &Sim, iters: u64) -> Section {
+    let mut cores: Vec<Mixed> = (0..sim.cores())
+        .map(|core| Mixed::new(sim, core, 0x5EED + core as u64))
+        .collect();
+    let steps = iters * cores.len() as u64;
+    time_section(
+        name,
+        steps * MIXED_ACCESSES,
+        steps * MIXED_INSTRUCTIONS,
+        || {
+            for _ in 0..iters {
+                cores.iter_mut().for_each(Mixed::step);
+            }
+        },
+    )
 }
 
 fn mixed_single(iters: u64) -> Section {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let mut work = (0, 0);
-    let mut run = || work = mixed_shape(&sim, 0, iters, 0x5EED);
-    let t0 = Instant::now();
-    run();
-    Section {
-        name: "mixed_1core",
-        accesses: work.0,
-        instructions: work.1,
-        wall_secs: t0.elapsed().as_secs_f64().max(1e-9),
-    }
+    mixed("mixed_1core", &sim, iters)
 }
 
-/// The mixed shape on [`MULTI_CORES`] cores concurrently, sharing one
-/// machine: exercises LLC sharing and store-driven coherence.
+/// The mixed shape on [`MULTI_CORES`] cores of one machine: exercises LLC
+/// sharing and store-driven coherence.
 fn mixed_multi(iters_per_core: u64) -> Section {
     let sim = Sim::new(MachineConfig::ivy_bridge(MULTI_CORES));
-    let t0 = Instant::now();
-    let per_core: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..MULTI_CORES)
-            .map(|core| {
-                let sim = sim.clone();
-                scope.spawn(move || mixed_shape(&sim, core, iters_per_core, 0x5EED + core as u64))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    Section {
-        name: "mixed_multicore",
-        accesses: per_core.iter().map(|w| w.0).sum(),
-        instructions: per_core.iter().map(|w| w.1).sum(),
-        wall_secs: wall,
-    }
+    mixed("mixed_multicore", &sim, iters_per_core)
 }
 
 /// The mixed shape on a two-socket machine ([`MULTI_CORES`] cores split
 /// across two LLCs), with every allocation homed on socket 0 so socket 1's
 /// cores take the cross-socket fill path on each LLC miss: times the NUMA
 /// home classification and remote-access charging on top of the coherence
-/// machinery `mixed_multicore` already covers.
+/// `mixed_multicore` already covers.
 fn mixed_numa(iters_per_core: u64) -> Section {
     let sim = Sim::new(MachineConfig::numa(2, MULTI_CORES / 2));
     // First-touch everything on socket 0 (the worst half-remote case).
     sim.set_default_home(Some(0));
-    let t0 = Instant::now();
-    let per_core: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..MULTI_CORES)
-            .map(|core| {
-                let sim = sim.clone();
-                scope.spawn(move || mixed_shape(&sim, core, iters_per_core, 0x5EED + core as u64))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    Section {
-        name: "mixed_numa",
-        accesses: per_core.iter().map(|w| w.0).sum(),
-        instructions: per_core.iter().map(|w| w.1).sum(),
-        wall_secs: wall,
-    }
+    mixed("mixed_numa", &sim, iters_per_core)
 }
 
 /// Shore-MT's code footprint (`engines::shore_mt`'s module table: bytes,
@@ -267,14 +247,13 @@ const SWEEP_MODULES: [(u32, f64, f64, u64); 7] = [
 ];
 
 /// Instruction fetch the way a disk-based engine drives it: seven modules,
-/// 176 KB of code, rotating through the 32 KB L1I on one ported core. Four
+/// 176 KB of code, rotating through the 32 KB L1I on one core. Four
 /// fetched lines in five miss L1I and hit L2 — the regime the engines
 /// spend most of their host time in, which no other section reaches (the
 /// mixed shape's one 24 KB module stays L1I-resident). `accesses` counts
 /// unique instruction lines fetched, two cache probes each on an L1I miss.
 fn fetch_sweep(turns: u64) -> Section {
     let sim = Sim::new(MachineConfig::ivy_bridge(1));
-    let _port = sim.checkout(0);
     // Unique lines per burst, as `Machine::fetch_code` derives them.
     let lines_per_turn: u64 = SWEEP_MODULES
         .iter()

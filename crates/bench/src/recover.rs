@@ -43,11 +43,11 @@
 //! manifest: `bench recover --plan <manifest.json>` replays it and
 //! cross-checks the recorded digests.
 
+use std::cell::RefCell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 use engines::{DurabilityCfg, SystemBuilder, SystemKind};
 use faults::FaultPlan;
@@ -343,8 +343,8 @@ impl Session for ApplyDb {
     }
 }
 
-/// Per-worker harness state (a `Mutex` slot, uncontended during the run —
-/// only the owning worker locks it until the post-crash harvest).
+/// Per-worker harness state (a `RefCell` slot — only the owning worker
+/// borrows it until the post-crash harvest).
 struct RecoverWorker {
     worker: usize,
     /// Dropped (`None`) at the harvest, with the engine.
@@ -453,9 +453,9 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
 
     let engine: &'static str = db.name();
     let system = cfg.system;
-    let slots_mx: Vec<Mutex<RecoverWorker>> = (0..workers)
+    let slots_mx: Vec<RefCell<RecoverWorker>> = (0..workers)
         .map(|worker| {
-            Mutex::new(RecoverWorker {
+            RefCell::new(RecoverWorker {
                 worker,
                 session: Some(db.session(worker)),
                 keys: counters.keys(worker),
@@ -474,10 +474,10 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         .collect();
 
     let crashed = AtomicBool::new(false);
-    let crash: Mutex<Option<CrashInfo>> = Mutex::new(None);
+    let crash: RefCell<Option<CrashInfo>> = RefCell::new(None);
 
     let cores: Vec<usize> = (0..workers).collect();
-    let wl = Mutex::new(w);
+    let wl = RefCell::new(w);
     let measurement = {
         let db = &*db;
         let wl = &wl;
@@ -490,7 +490,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                 if crashed.load(Ordering::SeqCst) {
                     return; // power is off: idle out the window
                 }
-                let slot = &mut *slots_mx[worker].lock().unwrap();
+                let slot = &mut *slots_mx[worker].borrow_mut();
                 let n = slot.txn_no;
                 slot.txn_no += 1;
                 if faults::fire(KILL_SITE, worker) {
@@ -498,7 +498,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                     // before doing any work this slot — the crash lands
                     // exactly at the slot boundary. First one in records
                     // the durable coordinates.
-                    let mut c = crash.lock().unwrap();
+                    let mut c = crash.borrow_mut();
                     if c.is_none() {
                         *c = Some(CrashInfo {
                             slot: n,
@@ -549,7 +549,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                     // Realistic traffic; a 2PL conflict aborts and moves
                     // on (the durability oracle only tracks oracle rows).
                     let _t = obs::span(engine, Phase::Txn, worker);
-                    let r = wl.lock().unwrap().exec(s, worker);
+                    let r = wl.borrow_mut().exec(s, worker);
                     if r.is_err() {
                         s.abort();
                     }
@@ -582,7 +582,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
 
     let fired = installed.fired_count();
     drop(installed); // disarm before harvesting
-    let crash_info = crash.into_inner().unwrap();
+    let crash_info = crash.into_inner();
     let crashed = crash_info.is_some();
     let status = match crash_info {
         Some(c) => {
@@ -613,7 +613,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let mut ckpts: Vec<Option<Checkpoint>> = (0..streams.len()).map(|_| None).collect();
     let mut capture_done: Vec<bool> = vec![true; streams.len()];
     for slot in &slots_mx {
-        let mut slot = slot.lock().unwrap();
+        let mut slot = slot.borrow_mut();
         slot.session = None;
         let stream = stream_of(system, slot.worker);
         if !slot.cp_started {
@@ -697,7 +697,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let mut phantom = 0u64;
     let mut aborted_effects = 0u64;
     for slot in &slots_mx {
-        let slot = slot.lock().unwrap();
+        let slot = slot.borrow();
         let f = status[stream_of(system, slot.worker)].flushed;
         for ki in 0..KEYS_PER_WORKER as usize {
             let acked = slot.horizons[ki].iter().filter(|&&h| h <= f).count() as u64;

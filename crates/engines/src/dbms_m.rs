@@ -16,11 +16,13 @@
 //!   code" (§8) — its frontend modules are sized and shaped accordingly.
 //!
 //! Concurrency model: the version store, indexes, and timestamp counter
-//! sit behind one engine mutex; each worker's [`Session`] buffers its
-//! write set privately and only takes the mutex per operation. Losing the
-//! first-writer-wins race surfaces as [`OltpError::Conflict`] at commit.
+//! sit in one engine `RefCell`; each worker's [`Session`] buffers its
+//! write set privately and borrows the engine state per operation. Losing
+//! the first-writer-wins race surfaces as [`OltpError::Conflict`] at
+//! commit.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use indexes::{CcBTree, HashIndex, Index};
@@ -144,7 +146,7 @@ struct WriteOp {
 }
 
 /// Transaction-local state: the snapshot and the private write set. Lives
-/// in the session, NOT behind the engine mutex — buffering writes is the
+/// in the session, NOT in the engine state — buffering writes is the
 /// whole point of OCC.
 struct ActiveTxn {
     id: TxnId,
@@ -165,17 +167,17 @@ struct Shared {
     core: EngineCore,
     opts: DbmsMOptions,
     latches: LatchModel,
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
 }
 
 /// The DBMS M engine. See the module docs.
 pub struct DbmsM {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 /// One worker's connection to a [`DbmsM`] engine.
 struct DbmsMSession {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     ports: Ports,
     cur: Option<ActiveTxn>,
     ops_in_txn: u32,
@@ -199,42 +201,42 @@ impl DbmsM {
             validation_aborts: 0,
         };
         DbmsM {
-            shared: Arc::new(Shared {
+            shared: Rc::new(Shared {
                 latches: LatchModel::new(cost::LATCH_SPIN, &core),
                 core,
                 opts,
-                inner: Mutex::new(inner),
+                inner: RefCell::new(inner),
             }),
         }
     }
 
     /// Transactions aborted by commit-time validation (diagnostics).
     pub fn validation_aborts(&self) -> u64 {
-        self.shared.inner.lock().unwrap().validation_aborts
+        self.shared.inner.borrow().validation_aborts
     }
 }
 
 impl crate::durability::DurableDb for DbmsM {
     fn enable_durability(&mut self, cfg: &DurabilityCfg) {
         let mem = self.shared.core.mem(0, LOG);
-        configure_wal(&mut self.shared.inner.lock().unwrap().wal, &mem, cfg);
+        configure_wal(&mut self.shared.inner.borrow_mut().wal, &mem, cfg);
     }
 
     fn log_streams(&self) -> Vec<Vec<LogRecord>> {
-        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
+        vec![self.shared.inner.borrow().wal.records().to_vec()]
     }
 
     fn log_status(&self) -> Vec<LogStatus> {
-        vec![wal_status(0, &self.shared.inner.lock().unwrap().wal)]
+        vec![wal_status(0, &self.shared.inner.borrow().wal)]
     }
 
     fn flush_all(&mut self) {
         let mem = self.shared.core.mem(0, LOG);
-        flush_behind(&mut self.shared.inner.lock().unwrap().wal, &mem);
+        flush_behind(&mut self.shared.inner.borrow_mut().wal, &mem);
     }
 
     fn take_commit_latencies(&mut self) -> Vec<f64> {
-        let inner = &mut *self.shared.inner.lock().unwrap();
+        let inner = &mut *self.shared.inner.borrow_mut();
         inner.wal.take_commit_latencies()
     }
 }
@@ -367,7 +369,7 @@ impl Db for DbmsM {
 
     fn create_table(&mut self, def: TableDef) -> TableId {
         let mem = self.shared.core.mem(0, INDEX);
-        let inner = &mut *self.shared.inner.lock().unwrap();
+        let inner = &mut *self.shared.inner.borrow_mut();
         let id = TableId(inner.tables.len() as u32);
         let index = match self.shared.opts.index {
             // Range-scanned tables get the tree even in the hash
@@ -387,7 +389,7 @@ impl Db for DbmsM {
     }
 
     fn row_count(&self, t: TableId) -> u64 {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.borrow();
         let table = inner.tables.get(t.0 as usize);
         table.map_or(0, |tb| tb.versions.live())
     }
@@ -396,7 +398,7 @@ impl Db for DbmsM {
         let ports = Ports::open(&self.shared.core, core);
         self.shared.latches.session_opened();
         Box::new(DbmsMSession {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             ports,
             cur: None,
             ops_in_txn: 0,
@@ -415,12 +417,12 @@ impl Session for DbmsMSession {
 
     fn begin(&mut self) {
         assert!(self.cur.is_none(), "transaction already active");
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let _d = self.ports.span(Phase::Dispatch);
         self.ports.mem(NET).exec(cost::NET);
         self.ports.mem(SESSION).exec(cost::SESSION);
         self.ports.mem(TXN).exec(cost::TXN_BEGIN);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let inner = &mut *shared.inner.borrow_mut();
         let (id, snapshot) = inner.tm.begin();
         shared
             .latches
@@ -441,8 +443,8 @@ impl Session for DbmsMSession {
 
     fn commit(&mut self) -> OltpResult<()> {
         let txn = self.cur.take().ok_or(OltpError::NoActiveTxn)?;
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let core = self.ports.core;
         let mem_txn = self.ports.mem(TXN);
         let _c = self.ports.span(Phase::Commit);
@@ -559,8 +561,8 @@ impl Session for DbmsMSession {
     }
 
     fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         self.active()?;
         debug_assert!(
@@ -613,8 +615,8 @@ impl Session for DbmsMSession {
     }
 
     fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let snapshot = self.active()?.snapshot;
         self.op_overhead();
@@ -665,8 +667,8 @@ impl Session for DbmsMSession {
     }
 
     fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let snapshot = self.active()?.snapshot;
         self.op_overhead();
@@ -742,8 +744,8 @@ impl Session for DbmsMSession {
         hi: u64,
         f: &mut dyn FnMut(u64, &[Value]) -> bool,
     ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let snapshot = self.active()?.snapshot;
         self.op_overhead();
@@ -794,8 +796,8 @@ impl Session for DbmsMSession {
     }
 
     fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let snapshot = self.active()?.snapshot;
         self.op_overhead();

@@ -13,13 +13,14 @@
 //! the frontend work charged around the storage manager.
 //!
 //! Shared-everything concurrency: the storage structures (buffer pool,
-//! lock table, WAL, heap/index) live behind one engine-wide mutex inside
-//! an `Arc`; every worker opens a [`Session`] bound to its core. Each
-//! operation holds the engine lock only for its own duration, while 2PL
-//! row/table locks persist across operations — so concurrent sessions
-//! conflict exactly where the lock manager says they do.
+//! lock table, WAL, heap/index) live in one engine-wide `RefCell` inside
+//! an `Rc`; every worker opens a [`Session`] bound to its core. Each
+//! operation borrows the engine state only for its own duration, while
+//! 2PL row/table locks persist across operations — so interleaved
+//! sessions conflict exactly where the lock manager says they do.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use indexes::Index;
 use obs::Phase;
@@ -68,7 +69,7 @@ pub struct DiskRoles {
 /// where the difference is data; statically dispatched hooks where the
 /// instruction stream itself differs (each hook charges through the
 /// session's [`Ports`], indexed like [`DiskProfile::MODULES`]).
-pub trait DiskProfile: Send + Sync + 'static {
+pub trait DiskProfile: 'static {
     /// Display name, span and metrics label.
     const LABEL: &'static str;
     /// Fault site probed on every lock-manager entry.
@@ -80,7 +81,7 @@ pub trait DiskProfile: Send + Sync + 'static {
     const ROLES: DiskRoles;
     const COST: DiskCost;
     /// The 8 KB-page B+tree variant.
-    type Index: Index + Send;
+    type Index: Index;
 
     fn new_index(mem: &Mem) -> Self::Index;
     /// Frontend work before the storage manager sees a new transaction.
@@ -108,21 +109,21 @@ struct Inner<I> {
     tables: Vec<Table<I>>,
 }
 
-/// Immutable handle state + the engine-wide mutex.
+/// Immutable handle state + the engine-wide state.
 struct Shared<P: DiskProfile> {
     core: EngineCore,
     latches: LatchModel,
-    inner: Mutex<Inner<P::Index>>,
+    inner: RefCell<Inner<P::Index>>,
 }
 
 /// A disk-based engine; see the module docs and the profile's.
 pub struct DiskEngine<P: DiskProfile> {
-    shared: Arc<Shared<P>>,
+    shared: Rc<Shared<P>>,
 }
 
 /// One worker's connection to a [`DiskEngine`].
 struct DiskSession<P: DiskProfile> {
-    shared: Arc<Shared<P>>,
+    shared: Rc<Shared<P>>,
     ports: Ports,
     cur: Option<TxnId>,
     ops_in_txn: u32,
@@ -152,41 +153,41 @@ impl<P: DiskProfile> DiskEngine<P> {
             tables: Vec::new(),
         };
         DiskEngine {
-            shared: Arc::new(Shared {
+            shared: Rc::new(Shared {
                 latches: LatchModel::new(P::COST.latch_spin, &core),
                 core,
-                inner: Mutex::new(inner),
+                inner: RefCell::new(inner),
             }),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn lock_entries(&self) -> usize {
-        self.shared.inner.lock().unwrap().locks.entries()
+        self.shared.inner.borrow().locks.entries()
     }
 }
 
 impl<P: DiskProfile> crate::durability::DurableDb for DiskEngine<P> {
     fn enable_durability(&mut self, cfg: &DurabilityCfg) {
         let mem = self.shared.core.mem(0, P::ROLES.log);
-        configure_wal(&mut self.shared.inner.lock().unwrap().wal, &mem, cfg);
+        configure_wal(&mut self.shared.inner.borrow_mut().wal, &mem, cfg);
     }
 
     fn log_streams(&self) -> Vec<Vec<LogRecord>> {
-        vec![self.shared.inner.lock().unwrap().wal.records().to_vec()]
+        vec![self.shared.inner.borrow().wal.records().to_vec()]
     }
 
     fn log_status(&self) -> Vec<LogStatus> {
-        vec![wal_status(0, &self.shared.inner.lock().unwrap().wal)]
+        vec![wal_status(0, &self.shared.inner.borrow().wal)]
     }
 
     fn flush_all(&mut self) {
         let mem = self.shared.core.mem(0, P::ROLES.log);
-        flush_behind(&mut self.shared.inner.lock().unwrap().wal, &mem);
+        flush_behind(&mut self.shared.inner.borrow_mut().wal, &mem);
     }
 
     fn take_commit_latencies(&mut self) -> Vec<f64> {
-        let inner = &mut *self.shared.inner.lock().unwrap();
+        let inner = &mut *self.shared.inner.borrow_mut();
         inner.wal.take_commit_latencies()
     }
 }
@@ -198,7 +199,7 @@ impl<P: DiskProfile> Db for DiskEngine<P> {
 
     fn create_table(&mut self, def: TableDef) -> TableId {
         let mem = self.shared.core.mem(0, P::ROLES.btree);
-        let inner = &mut *self.shared.inner.lock().unwrap();
+        let inner = &mut *self.shared.inner.borrow_mut();
         let id = TableId(inner.tables.len() as u32);
         inner.tables.push(Table {
             def,
@@ -209,7 +210,7 @@ impl<P: DiskProfile> Db for DiskEngine<P> {
     }
 
     fn row_count(&self, t: TableId) -> u64 {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.borrow();
         inner
             .tables
             .get(t.0 as usize)
@@ -220,7 +221,7 @@ impl<P: DiskProfile> Db for DiskEngine<P> {
         let ports = Ports::open(&self.shared.core, core);
         self.shared.latches.session_opened();
         Box::new(DiskSession {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             ports,
             cur: None,
             ops_in_txn: 0,
@@ -335,8 +336,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
 
     fn begin(&mut self) {
         assert!(self.cur.is_none(), "transaction already active");
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let core = self.ports.core;
         let _d = self.ports.span(Phase::Dispatch);
         let (txn, _) = inner.tm.begin();
@@ -357,8 +358,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
 
     fn commit(&mut self) -> OltpResult<()> {
         let txn = self.txn()?;
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let core = self.ports.core;
         let _c = self.ports.span(Phase::Commit);
         self.ports.mem(P::ROLES.txn).exec(P::COST.commit);
@@ -385,8 +386,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
 
     fn abort(&mut self) {
         if let Some(txn) = self.cur.take() {
-            let shared = Arc::clone(&self.shared);
-            let inner = &mut *shared.inner.lock().unwrap();
+            let shared = Rc::clone(&self.shared);
+            let inner = &mut *shared.inner.borrow_mut();
             let _c = self.ports.span(Phase::Commit);
             self.ports.mem(P::ROLES.txn).exec(P::COST.abort);
             {
@@ -401,8 +402,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
     }
 
     fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let txn = self.txn()?;
         debug_assert!(
@@ -444,8 +445,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
     }
 
     fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         self.exec_op();
         self.lock_pair(inner, t, key, false)?;
@@ -471,8 +472,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
     }
 
     fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let txn = self.txn()?;
         self.exec_op();
@@ -535,8 +536,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         hi: u64,
         f: &mut dyn FnMut(u64, &[Value]) -> bool,
     ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         self.exec_op();
         // Range scans take a table-level S lock (no next-key locking).
@@ -573,8 +574,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
     }
 
     fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
-        let inner = &mut *shared.inner.lock().unwrap();
+        let shared = Rc::clone(&self.shared);
+        let inner = &mut *shared.inner.borrow_mut();
         let ti = table_index(inner.tables.len(), t)?;
         let txn = self.txn()?;
         self.exec_op();

@@ -51,7 +51,7 @@
 //!     ]),
 //!     100,
 //! ));
-//! let mut s = db.session(0); // one per worker thread
+//! let mut s = db.session(0); // one per worker
 //! s.begin();
 //! s.insert(t, 1, &[Value::Long(1), Value::Long(500)]).unwrap();
 //! s.update(t, 1, &mut |row| row[1] = Value::Long(600)).unwrap();

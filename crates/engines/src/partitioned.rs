@@ -12,15 +12,16 @@
 //! homing, the multi-partition path and durability.
 //!
 //! Concurrency model: each [`Session`] maps its core onto one data
-//! partition (`core % partitions`). Partitions are independent
-//! `Mutex`-guarded islands — in the paper's deployment (one worker per
-//! partition) the mutexes are uncontended and workers proceed fully in
-//! parallel. If more workers than partitions are opened, a no-wait
-//! owner-claim scheme makes the serial-execution rule visible: the first
-//! transaction to touch a partition owns it until commit/abort, and any
-//! other transaction's operation fails with [`OltpError::Conflict`].
+//! partition (`core % partitions`). Partitions are independent islands,
+//! each in its own `RefCell` — in the paper's deployment (one worker per
+//! partition) no two workers share one. If more workers than partitions
+//! are opened, a no-wait owner-claim scheme makes the serial-execution
+//! rule visible: the first transaction to touch a partition owns it until
+//! commit/abort, and any other transaction's operation fails with
+//! [`OltpError::Conflict`].
 
-use std::sync::{Arc, Mutex, RwLock};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use indexes::Index;
@@ -77,7 +78,7 @@ pub struct PTable<I> {
 /// session's [`Ports`] (indexed like [`PartitionProfile::MODULES`]); a hook
 /// documented as owning its spans opens them itself, because the two
 /// systems order those steps differently.
-pub trait PartitionProfile: Send + Sync + 'static {
+pub trait PartitionProfile: 'static {
     /// Display name, span and metrics label.
     const LABEL: &'static str;
     /// Fault site probed on every partition claim.
@@ -91,9 +92,9 @@ pub trait PartitionProfile: Send + Sync + 'static {
     /// Whether the commit's log span stays open across a pluggable
     /// protocol's commit-time release (attributing it to the log phase).
     const LOG_SPAN_COVERS_CC_RELEASE: bool;
-    type Index: Index + Send;
+    type Index: Index;
     /// Engine-wide profile state.
-    type State: Default + Send + Sync;
+    type State: Default;
 
     fn new_index(mem: &Mem) -> Self::Index;
     /// Request intake, inside the kernel's dispatch span.
@@ -130,9 +131,9 @@ struct PartState<I> {
 struct Shared<P: PartitionProfile> {
     core: EngineCore,
     state: P::State,
-    defs: RwLock<Vec<TableDef>>,
-    parts: Vec<Mutex<PartState<P::Index>>>,
-    tm: Mutex<TxnManager>,
+    defs: RefCell<Vec<TableDef>>,
+    parts: Vec<RefCell<PartState<P::Index>>>,
+    tm: RefCell<TxnManager>,
     /// NUMA placement: decides which home tag each partition's
     /// allocations carry (no effect on single-socket machines).
     placement: Placement,
@@ -149,13 +150,13 @@ fn home_guard(sim: &Sim, placement: Placement, p: usize) -> Option<AllocHomeGuar
 
 /// A partitioned engine; see the module docs and the profile's.
 pub struct PartitionedEngine<P: PartitionProfile> {
-    shared: Arc<Shared<P>>,
+    shared: Rc<Shared<P>>,
 }
 
 /// One worker's connection to a [`PartitionedEngine`], pinned to the
 /// partition `core % partitions`.
 struct PartitionSession<P: PartitionProfile> {
-    shared: Arc<Shared<P>>,
+    shared: Rc<Shared<P>>,
     ports: Ports,
     cur: Option<TxnId>,
     ops_in_txn: u32,
@@ -187,7 +188,7 @@ impl<P: PartitionProfile> PartitionedEngine<P> {
             .map(|p| {
                 // Home each partition's log with its data.
                 let _h = home_guard(sim, placement, p);
-                Mutex::new(PartState {
+                RefCell::new(PartState {
                     tables: Vec::new(),
                     wal: Wal::new(&mem, 1 << 20, P::COST.wal_group),
                     owner: None,
@@ -195,12 +196,12 @@ impl<P: PartitionProfile> PartitionedEngine<P> {
             })
             .collect();
         PartitionedEngine {
-            shared: Arc::new(Shared {
+            shared: Rc::new(Shared {
                 core,
                 state: P::State::default(),
-                defs: RwLock::new(Vec::new()),
+                defs: RefCell::new(Vec::new()),
                 parts,
-                tm: Mutex::new(TxnManager::new()),
+                tm: RefCell::new(TxnManager::new()),
                 placement,
             }),
         }
@@ -218,7 +219,7 @@ impl<P: PartitionProfile> PartitionedEngine<P> {
         parts
             .map(|(p, part)| {
                 let mem = core.mem(p % core.sim.cores(), P::ROLES.log);
-                f(p, &mut part.lock().unwrap().wal, &mem)
+                f(p, &mut part.borrow_mut().wal, &mem)
             })
             .collect()
     }
@@ -258,14 +259,14 @@ impl<P: PartitionProfile> Db for PartitionedEngine<P> {
 
     fn create_table(&mut self, def: TableDef) -> TableId {
         let shared = &self.shared;
-        let defs = &mut *shared.defs.write().unwrap();
+        let defs = &mut *shared.defs.borrow_mut();
         let id = TableId(defs.len() as u32);
         let str_key = str_key(&def);
         defs.push(def);
         for (p, part) in shared.parts.iter().enumerate() {
             let _h = home_guard(&shared.core.sim, shared.placement, p);
             let mem = shared.core.mem(p % shared.core.sim.cores(), P::ROLES.index);
-            part.lock().unwrap().tables.push(PTable {
+            part.borrow_mut().tables.push(PTable {
                 store: MemStore::new(),
                 index: P::new_index(&mem),
                 str_key,
@@ -275,8 +276,8 @@ impl<P: PartitionProfile> Db for PartitionedEngine<P> {
     }
 
     fn row_count(&self, t: TableId) -> u64 {
-        let live = |p: &Mutex<PartState<P::Index>>| {
-            let part = p.lock().unwrap();
+        let live = |p: &RefCell<PartState<P::Index>>| {
+            let part = p.borrow();
             part.tables
                 .get(t.0 as usize)
                 .map_or(0, |tb| tb.store.live())
@@ -286,7 +287,7 @@ impl<P: PartitionProfile> Db for PartitionedEngine<P> {
 
     fn session(&self, core: usize) -> Box<dyn Session> {
         Box::new(PartitionSession {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             ports: Ports::open(&self.shared.core, core),
             cur: None,
             ops_in_txn: 0,
@@ -304,7 +305,7 @@ impl<P: PartitionProfile> PartitionSession<P> {
     }
 
     fn table(&self, t: TableId) -> OltpResult<usize> {
-        table_index(self.shared.defs.read().unwrap().len(), t)
+        table_index(self.shared.defs.borrow().len(), t)
     }
 
     fn exec_op(&mut self) {
@@ -399,7 +400,7 @@ impl<P: PartitionProfile> PartitionSession<P> {
         let undo = keep_undo.then(|| tuple::encode(&row));
         f(&mut row);
         debug_assert!(
-            self.shared.defs.read().unwrap()[ti].schema.check(&row),
+            self.shared.defs.borrow()[ti].schema.check(&row),
             "row/schema mismatch"
         );
         let encoded = tuple::encode(&row);
@@ -433,7 +434,7 @@ impl<P: PartitionProfile> PartitionSession<P> {
             self.ports.mem(P::ROLES.mp_coord).exec(P::COST.mp_coord);
         }
         for q in (0..shared.parts.len()).filter(|&q| q != skip) {
-            let part = &mut *shared.parts[q].lock().unwrap();
+            let part = &mut *shared.parts[q].borrow_mut();
             self.ports.mem(P::ROLES.mp_probe).exec(P::COST.mp_probe);
             let table = &mut part.tables[ti];
             if let Some(payload) = self.probe(table, key) {
@@ -456,7 +457,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
     fn begin(&mut self) {
         assert!(self.cur.is_none(), "transaction already active");
         let _d = self.ports.span(Phase::Dispatch);
-        let (txn, _) = self.shared.tm.lock().unwrap().begin();
+        let (txn, _) = self.shared.tm.borrow_mut().begin();
         self.cur = Some(txn);
         self.ops_in_txn = 0;
         P::charge_begin(&self.ports, &self.shared.state);
@@ -468,7 +469,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
 
     fn commit(&mut self) -> OltpResult<()> {
         let txn = self.txn()?;
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let core = self.ports.core;
         let _c = self.ports.span(Phase::Commit);
         P::charge_commit(&self.ports, &shared.state);
@@ -487,7 +488,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             return Err(OltpError::LogWriteFailed(P::LOG_SITE));
         }
         {
-            let part = &mut *shared.parts[self.part()].lock().unwrap();
+            let part = &mut *shared.parts[self.part()].borrow_mut();
             part.wal
                 .append(mem, txn, LogKind::Commit, P::COST.commit_record);
             if part.owner == Some(txn) {
@@ -509,7 +510,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             let core = self.ports.core;
             let _c = self.ports.span(Phase::Commit);
             P::charge_abort(&self.ports);
-            let part = &mut *self.shared.parts[self.part()].lock().unwrap();
+            let part = &mut *self.shared.parts[self.part()].borrow_mut();
             if part.owner == Some(txn) {
                 part.owner = None;
             }
@@ -527,18 +528,18 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
     }
 
     fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> OltpResult<()> {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let ti = self.table(t)?;
         let txn = self.txn()?;
         debug_assert!(
-            shared.defs.read().unwrap()[ti].schema.check(row),
+            shared.defs.borrow()[ti].schema.check(row),
             "row/schema mismatch"
         );
         self.exec_op();
         let p = self.part();
         // Rows and index nodes land in the partition's home-tag arena.
         let _h = home_guard(&shared.core.sim, shared.placement, p);
-        let part = &mut *shared.parts[p].lock().unwrap();
+        let part = &mut *shared.parts[p].borrow_mut();
         self.claim(part, t, key, true)?;
         let encoded = tuple::encode(row);
         // Durable mode: the log carries data records too (the default
@@ -567,12 +568,12 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
     }
 
     fn read_with(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&[Value])) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let ti = self.table(t)?;
         self.exec_op();
         let p = self.part();
         {
-            let part = &mut *shared.parts[p].lock().unwrap();
+            let part = &mut *shared.parts[p].borrow_mut();
             self.claim(part, t, key, false)?;
             let table = &mut part.tables[ti];
             P::key_work(&self.ports, table);
@@ -587,13 +588,13 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
     }
 
     fn update(&mut self, t: TableId, key: u64, f: &mut dyn FnMut(&mut Row)) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let ti = self.table(t)?;
         let txn = self.txn()?;
         self.exec_op();
         let p = self.part();
         {
-            let part = &mut *shared.parts[p].lock().unwrap();
+            let part = &mut *shared.parts[p].borrow_mut();
             self.claim(part, t, key, true)?;
             // Durable mode logs the update with its before-image.
             let durable = part.wal.retaining();
@@ -634,10 +635,10 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
         hi: u64,
         f: &mut dyn FnMut(u64, &[Value]) -> bool,
     ) -> OltpResult<u64> {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let ti = self.table(t)?;
         self.exec_op();
-        let part = &mut *shared.parts[self.part()].lock().unwrap();
+        let part = &mut *shared.parts[self.part()].borrow_mut();
         self.claim(part, t, lo, false)?;
         let table = &mut part.tables[ti];
         let mut pairs: Vec<(u64, u64)> = Vec::new();
@@ -664,11 +665,11 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
     }
 
     fn delete(&mut self, t: TableId, key: u64) -> OltpResult<bool> {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let ti = self.table(t)?;
         let txn = self.txn()?;
         self.exec_op();
-        let part = &mut *shared.parts[self.part()].lock().unwrap();
+        let part = &mut *shared.parts[self.part()].borrow_mut();
         self.claim(part, t, key, true)?;
         let table = &mut part.tables[ti];
         let removed = {

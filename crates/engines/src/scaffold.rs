@@ -8,21 +8,20 @@
 //! * [`EngineCore`] — simulator handle, module ids, metrics, and the
 //!   pluggable-CC hook-up (`on_read`/`on_write`, validation and its
 //!   `cc/validate` fault site).
-//! * [`Ports`] — one session's core, its exclusive [`CorePort`], and a
-//!   [`Mem`] per module.
+//! * [`Ports`] — one session's core and a [`Mem`] per module.
 //! * [`LatchModel`] — the `open_sessions` contention tax of the
 //!   shared-everything engines.
 //!
 //! The module is private and its items `pub`: profiles name them in trait
 //! signatures, code outside the crate cannot.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use obs::metrics::{Counter, EngineMetrics};
 use obs::{Phase, SpanGuard};
 use oltp::{CcPolicy, ConcurrencyControl, OltpError, OltpResult, TableDef, TableId};
-use uarch_sim::{CorePort, Mem, ModuleId, ModuleSpec, Sim};
+use uarch_sim::{Mem, ModuleId, ModuleSpec, Sim};
 
 /// One code module of an engine: footprint / reuse / branchiness per the
 /// paper's §2.1 characterization. `engine_side` marks storage-manager code
@@ -66,7 +65,7 @@ pub struct EngineCore {
     pub metrics: EngineMetrics,
     /// Pluggable protocol; `None` = the engine's own historical path
     /// (bit-identical to pre-CC-layer builds).
-    pub cc: Option<Arc<dyn ConcurrencyControl>>,
+    pub cc: Option<Rc<dyn ConcurrencyControl>>,
 }
 
 impl EngineCore {
@@ -166,10 +165,6 @@ pub struct Ports {
     label: &'static str,
     /// One port per engine module, indexed like the profile's table.
     mems: Vec<Mem>,
-    /// Exclusive port to this session's simulated core: enables the
-    /// simulator's lock-free access path. `None` if another session on
-    /// the same core already holds it (accesses then use the fallback).
-    _port: Option<CorePort>,
 }
 
 impl Ports {
@@ -180,7 +175,6 @@ impl Ports {
             core,
             label: engine.label,
             mems: engine.mods.iter().map(|&m| mem.with_module(m)).collect(),
-            _port: engine.sim.try_checkout(core),
         }
     }
 
@@ -202,7 +196,7 @@ impl Ports {
 /// own their data outright and have no such tax.
 pub struct LatchModel {
     /// Open sessions; >1 means the internal latches are contended.
-    open_sessions: AtomicUsize,
+    open_sessions: Cell<usize>,
     /// Spin instructions per *other* open session.
     spin: u64,
     waits: Counter,
@@ -211,24 +205,24 @@ pub struct LatchModel {
 impl LatchModel {
     pub fn new(spin: u64, engine: &EngineCore) -> Self {
         LatchModel {
-            open_sessions: AtomicUsize::new(0),
+            open_sessions: Cell::new(0),
             spin,
             waits: engine.metrics.latch_waits.clone(),
         }
     }
 
     pub fn session_opened(&self) {
-        self.open_sessions.fetch_add(1, Ordering::Relaxed);
+        self.open_sessions.set(self.open_sessions.get() + 1);
     }
 
     pub fn session_closed(&self) {
-        self.open_sessions.fetch_sub(1, Ordering::Relaxed);
+        self.open_sessions.set(self.open_sessions.get() - 1);
     }
 
     /// Spin on a contended latch. Free with a single session open, so
     /// single-worker runs are bit-identical to the pre-concurrency engines.
     pub fn latch_contention(&self, core: usize, mem: &Mem) {
-        let others = self.open_sessions.load(Ordering::Relaxed).saturating_sub(1);
+        let others = self.open_sessions.get().saturating_sub(1);
         if others > 0 {
             mem.exec(self.spin * others as u64);
             self.waits.inc(core);

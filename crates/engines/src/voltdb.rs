@@ -16,7 +16,7 @@
 //! loops and per-level string compares, and the multi-partition
 //! coordinator that idles while the single-site guarantee holds.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::Cell;
 
 use bytes::Bytes;
 use indexes::{CcBTree, Index};
@@ -70,15 +70,11 @@ mod cost {
     pub const STR_CMP_PER_LEVEL: u64 = 700;
 }
 
-/// Whether every transaction is guaranteed single-sited (the paper's
-/// configuration, and the default).
-pub struct SingleSited(AtomicBool);
-
-impl Default for SingleSited {
-    fn default() -> Self {
-        SingleSited(AtomicBool::new(true))
-    }
-}
+/// Whether the single-site guarantee is dropped, so every transaction
+/// takes the multi-partition path. Off by default: the paper's
+/// configuration is single-sited.
+#[derive(Default)]
+pub struct MultiSited(Cell<bool>);
 
 impl VoltDb {
     /// Drop the single-site guarantee: every transaction goes through the
@@ -86,7 +82,7 @@ impl VoltDb {
     /// costing VoltDB ~60% more instruction stalls; `figures
     /// ablation-voltdb-mp` reproduces it.
     pub fn set_single_sited(&mut self, yes: bool) {
-        self.state().0.store(yes, Ordering::Relaxed);
+        self.state().0.set(!yes);
     }
 }
 
@@ -124,17 +120,17 @@ impl PartitionProfile for VoltDbProfile {
     // The command-log span has always run to the end of commit.
     const LOG_SPAN_COVERS_CC_RELEASE: bool = true;
     type Index = CcBTree;
-    type State = SingleSited;
+    type State = MultiSited;
 
     fn new_index(mem: &Mem) -> CcBTree {
         CcBTree::new(mem)
     }
 
-    fn charge_begin(ports: &Ports, single_sited: &SingleSited) {
+    fn charge_begin(ports: &Ports, multi_sited: &MultiSited) {
         ports.mem(NET).exec(cost::NET_RECV);
         ports.mem(JAVA_RT).exec(cost::RT_BEGIN);
         ports.mem(DISPATCH).exec(cost::DISPATCH);
-        if !single_sited.0.load(Ordering::Relaxed) {
+        if multi_sited.0.get() {
             ports.mem(MP_COORD).exec(cost::MP_COORD);
         }
     }
@@ -151,9 +147,9 @@ impl PartitionProfile for VoltDbProfile {
         ports.mem(EE).exec(cost::EE_OP);
     }
 
-    fn charge_commit(ports: &Ports, single_sited: &SingleSited) {
+    fn charge_commit(ports: &Ports, multi_sited: &MultiSited) {
         ports.mem(JAVA_RT).exec(cost::COMMIT);
-        if !single_sited.0.load(Ordering::Relaxed) {
+        if multi_sited.0.get() {
             ports.mem(MP_COORD).exec(cost::MP_COMMIT);
         }
     }

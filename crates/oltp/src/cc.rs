@@ -33,8 +33,10 @@
 //! lock managers are. Per-protocol abort/validation/lock-wait counters are
 //! published through `obs::metrics` under a `protocol` label.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
+use std::sync::{Mutex, OnceLock};
 
 use uarch_sim::rng::{Fnv, IntMap};
 use uarch_sim::Mem;
@@ -142,7 +144,7 @@ pub type CcResult = Result<(), CcViolation>;
 /// A pluggable concurrency-control protocol.
 ///
 /// One instance is shared by every session of an engine; implementations
-/// keep their state behind interior synchronization. Transaction ids come
+/// keep their state in `RefCell`s. Transaction ids come
 /// from the engine's `TxnManager` and are monotone across sessions, so
 /// they double as begin timestamps (smaller = older).
 ///
@@ -153,7 +155,7 @@ pub type CcResult = Result<(), CcViolation>;
 ///   on refusal the engine calls `abort` and surfaces the mapped error.
 /// * Exactly one of `commit`/`abort` ends every transaction that called
 ///   `begin`.
-pub trait ConcurrencyControl: Send + Sync {
+pub trait ConcurrencyControl {
     /// Metrics/CLI label of the protocol.
     fn label(&self) -> &'static str;
 
@@ -180,14 +182,14 @@ pub trait ConcurrencyControl: Send + Sync {
 /// [`CcPolicy::EngineDefault`] (the engine keeps its inline path).
 /// `partitions` seeds the stripe count of
 /// [`CcPolicy::PartitionSerial`].
-pub fn build(policy: CcPolicy, partitions: usize) -> Option<Arc<dyn ConcurrencyControl>> {
+pub fn build(policy: CcPolicy, partitions: usize) -> Option<Rc<dyn ConcurrencyControl>> {
     match policy {
         CcPolicy::EngineDefault => None,
-        CcPolicy::TwoPlNoWait => Some(Arc::new(LockCc::new(false))),
-        CcPolicy::TwoPlWaitDie => Some(Arc::new(LockCc::new(true))),
-        CcPolicy::PartitionSerial => Some(Arc::new(PartitionSerialCc::new(partitions.max(1)))),
-        CcPolicy::Occ => Some(Arc::new(OccCc::new())),
-        CcPolicy::Mvto => Some(Arc::new(MvtoCc::new())),
+        CcPolicy::TwoPlNoWait => Some(Rc::new(LockCc::new(false))),
+        CcPolicy::TwoPlWaitDie => Some(Rc::new(LockCc::new(true))),
+        CcPolicy::PartitionSerial => Some(Rc::new(PartitionSerialCc::new(partitions.max(1)))),
+        CcPolicy::Occ => Some(Rc::new(OccCc::new())),
+        CcPolicy::Mvto => Some(Rc::new(MvtoCc::new())),
     }
 }
 
@@ -254,14 +256,14 @@ struct LockState {
 /// wait-die (older requester retries as a "wait", younger dies).
 struct LockCc {
     wait_die: bool,
-    state: Mutex<LockState>,
+    state: RefCell<LockState>,
 }
 
 impl LockCc {
     fn new(wait_die: bool) -> Self {
         LockCc {
             wait_die,
-            state: Mutex::new(LockState::default()),
+            state: RefCell::new(LockState::default()),
         }
     }
 
@@ -308,7 +310,7 @@ impl LockCc {
     ) -> CcResult {
         mem.exec(cost::HOOK);
         let k = key_of(table, key);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         let e = st.locks.entry(k).or_default();
         let already_x = e.xowner == Some(txn);
@@ -344,7 +346,7 @@ impl LockCc {
     }
 
     fn release_all(&self, txn: u64, mem: &Mem) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         if let Some(keys) = st.held.remove(&txn) {
             mem.exec(cost::RELEASE_ENTRY * keys.len() as u64);
@@ -408,14 +410,14 @@ impl ConcurrencyControl for LockCc {
 /// single-site VoltDB discipline expressed as a protocol.
 struct PartitionSerialCc {
     parts: usize,
-    owners: Mutex<Vec<Option<u64>>>,
+    owners: RefCell<Vec<Option<u64>>>,
 }
 
 impl PartitionSerialCc {
     fn new(parts: usize) -> Self {
         PartitionSerialCc {
             parts,
-            owners: Mutex::new(vec![None; parts]),
+            owners: RefCell::new(vec![None; parts]),
         }
     }
 
@@ -428,7 +430,7 @@ impl PartitionSerialCc {
     fn claim(&self, txn: u64, table: TableId, key: u64, core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::HOOK);
         let stripe = self.stripe(table, key);
-        let mut owners = self.owners.lock().unwrap();
+        let mut owners = self.owners.borrow_mut();
         match owners[stripe] {
             None => {
                 mem.exec(cost::ACQUIRE);
@@ -445,7 +447,7 @@ impl PartitionSerialCc {
     }
 
     fn release(&self, txn: u64, mem: &Mem) {
-        let mut owners = self.owners.lock().unwrap();
+        let mut owners = self.owners.borrow_mut();
         for o in owners.iter_mut() {
             if *o == Some(txn) {
                 mem.exec(cost::RELEASE_ENTRY);
@@ -512,13 +514,13 @@ struct OccState {
 /// refused write never dirties an in-place engine), and commit-time
 /// read-set validation.
 struct OccCc {
-    state: Mutex<OccState>,
+    state: RefCell<OccState>,
 }
 
 impl OccCc {
     fn new() -> Self {
         OccCc {
-            state: Mutex::new(OccState::default()),
+            state: RefCell::new(OccState::default()),
         }
     }
 }
@@ -530,17 +532,13 @@ impl ConcurrencyControl for OccCc {
 
     fn begin(&self, txn: u64, _core: usize, mem: &Mem) {
         mem.exec(cost::HOOK);
-        self.state
-            .lock()
-            .unwrap()
-            .txns
-            .insert(txn, OccTxn::default());
+        self.state.borrow_mut().txns.insert(txn, OccTxn::default());
     }
 
     fn on_read(&self, txn: u64, table: TableId, key: u64, _core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::HOOK);
         let k = key_of(table, key);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         let v = st.versions.get(&k).copied().unwrap_or(0);
         let t = st.txns.entry(txn).or_default();
@@ -553,7 +551,7 @@ impl ConcurrencyControl for OccCc {
     fn on_write(&self, txn: u64, table: TableId, key: u64, core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::HOOK);
         let k = key_of(table, key);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         match st.wlocks.get(&k) {
             Some(&o) if o != txn => {
@@ -573,7 +571,7 @@ impl ConcurrencyControl for OccCc {
 
     fn validate(&self, txn: u64, core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::VALIDATE_BASE);
-        let st = self.state.lock().unwrap();
+        let st = self.state.borrow();
         let Some(t) = st.txns.get(&txn) else {
             return Ok(());
         };
@@ -594,7 +592,7 @@ impl ConcurrencyControl for OccCc {
     }
 
     fn commit(&self, txn: u64, _core: usize, mem: &Mem) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         if let Some(t) = st.txns.remove(&txn) {
             mem.exec(cost::RELEASE_ENTRY * t.writes.len() as u64);
@@ -606,7 +604,7 @@ impl ConcurrencyControl for OccCc {
     }
 
     fn abort(&self, txn: u64, _core: usize, mem: &Mem) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         if let Some(t) = st.txns.remove(&txn) {
             mem.exec(cost::RELEASE_ENTRY * t.writes.len() as u64);
@@ -642,13 +640,13 @@ struct ToState {
 /// [`OltpError::ValidationFailed`]; pending write timestamps install at
 /// commit, MVTO-style.
 struct MvtoCc {
-    state: Mutex<ToState>,
+    state: RefCell<ToState>,
 }
 
 impl MvtoCc {
     fn new() -> Self {
         MvtoCc {
-            state: Mutex::new(ToState::default()),
+            state: RefCell::new(ToState::default()),
         }
     }
 
@@ -670,7 +668,7 @@ impl ConcurrencyControl for MvtoCc {
 
     fn on_read(&self, txn: u64, table: TableId, key: u64, core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::HOOK);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let e = st.ts.entry(key_of(table, key)).or_default();
         if e.last_write > txn {
             return Err(self.refuse(table, key, core));
@@ -682,7 +680,7 @@ impl ConcurrencyControl for MvtoCc {
     fn on_write(&self, txn: u64, table: TableId, key: u64, core: usize, mem: &Mem) -> CcResult {
         mem.exec(cost::HOOK);
         let k = key_of(table, key);
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         let e = st.ts.entry(k).or_default();
         if e.max_read > txn || e.last_write > txn {
@@ -699,7 +697,7 @@ impl ConcurrencyControl for MvtoCc {
     }
 
     fn commit(&self, txn: u64, _core: usize, mem: &Mem) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         let st = &mut *st;
         if let Some(keys) = st.pending.remove(&txn) {
             mem.exec(cost::RELEASE_ENTRY * keys.len() as u64);
@@ -711,7 +709,7 @@ impl ConcurrencyControl for MvtoCc {
     }
 
     fn abort(&self, txn: u64, _core: usize, mem: &Mem) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.borrow_mut();
         if let Some(keys) = st.pending.remove(&txn) {
             mem.exec(cost::RELEASE_ENTRY * keys.len() as u64);
         }
@@ -771,7 +769,7 @@ mod tests {
         assert!(cc.on_write(2, T, 7, 0, &m).is_ok());
         assert!(cc.on_write(2, T, 9, 0, &m).is_ok());
         cc.abort(2, 0, &m);
-        assert!(cc.state.lock().unwrap().locks.is_empty());
+        assert!(cc.state.borrow().locks.is_empty());
     }
 
     #[test]

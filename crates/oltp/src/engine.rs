@@ -10,12 +10,12 @@
 //! (one worker thread per core/partition, §2.2):
 //!
 //! * [`Db`] — the shared engine: schema definition and bulk loading
-//!   (`&mut self`, single-threaded setup phase), plus [`Db::session`] to
-//!   open per-worker handles.
+//!   (`&mut self`, setup phase), plus [`Db::session`] to open per-worker
+//!   handles.
 //! * [`Session`] — a per-worker connection bound to one simulated core.
-//!   Sessions are `Send`: each worker thread owns one and drives
-//!   begin/commit and all data operations through it concurrently with
-//!   the other workers.
+//!   Each worker owns one and drives begin/commit and all data operations
+//!   through it; the harness interleaves the workers' operations on one
+//!   host thread, as the simulated cores take turns.
 
 use crate::schema::TableDef;
 use crate::value::Value;
@@ -149,15 +149,14 @@ pub type OltpResult<T> = Result<T, OltpError>;
 
 /// The shared database engine: schema and loading.
 ///
-/// `Db` methods run during the single-threaded setup phase; all
-/// transactional work goes through per-worker [`Session`] handles opened
-/// with [`Db::session`].
+/// `Db` methods run during the setup phase; all transactional work goes
+/// through per-worker [`Session`] handles opened with [`Db::session`].
 ///
-/// `Db` is `Send + Sync`: engines keep all mutable state behind interior
-/// synchronization, so any worker may call [`Db::session`] through a
-/// shared reference — the chaos harness re-opens a session mid-window
-/// after a poison fault.
-pub trait Db: Send + Sync {
+/// A database lives on the thread that built it, with its simulator.
+/// Engines keep their mutable state behind `RefCell`s, so [`Db::session`]
+/// works through a shared reference — the chaos harness re-opens a session
+/// mid-window after a poison fault.
+pub trait Db {
     /// Engine display name (as used in the paper's figures).
     fn name(&self) -> &'static str;
 
@@ -182,25 +181,16 @@ pub trait Db: Send + Sync {
     /// Open a worker connection bound to simulated core `core`.
     /// Partitioned engines (VoltDB, HyPer) additionally map the core to a
     /// data partition, matching the paper's one-worker-per-partition
-    /// deployment. Any number of sessions may be open concurrently, each
-    /// owned by one thread.
-    ///
-    /// The first session opened on a core checks out that core's exclusive
-    /// simulator port (`uarch_sim::CorePort`) and holds it for its
-    /// lifetime, enabling the simulator's lock-free access path; a second
-    /// session on the same core runs through the fallback path instead.
+    /// deployment. Any number of sessions may be open at once; the caller
+    /// interleaves their operations.
     fn session(&self, core: usize) -> Box<dyn Session>;
 }
 
 /// A per-worker connection: transaction control and data operations, bound
-/// to one simulated core for its whole lifetime.
-///
-/// Sessions are `Send` but must be driven by one thread at a time: a
-/// session (with the core port inside it) may be built on a coordinator
-/// thread and moved onto its worker, but two threads must never issue
-/// operations on the same session — or on two sessions bound to the same
-/// core — concurrently.
-pub trait Session: Send {
+/// to one simulated core for its whole lifetime. Sessions of one database
+/// run on its thread; a harness drives several by interleaving their
+/// operations.
+pub trait Session {
     /// Engine display name (for error messages and span attribution).
     fn name(&self) -> &'static str;
 

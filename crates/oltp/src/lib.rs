@@ -11,7 +11,7 @@
 //!   (TPC-C's multi-column primary keys);
 //! * [`engine::Db`] / [`engine::Session`] — the engine interface the
 //!   workloads drive: `Db` covers schema and bulk loading, and each worker
-//!   thread opens a [`engine::Session`] (bound to one simulated core) for
+//!   opens a [`engine::Session`] (bound to one simulated core) for
 //!   explicit transaction boundaries plus key-based
 //!   insert/read/update/scan/delete, i.e. the operation set of the paper's
 //!   stored procedures.

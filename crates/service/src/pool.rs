@@ -1,9 +1,9 @@
 //! Connection pool: the bounded set of engine sessions clients share.
 //!
-//! One slot per simulated core, matching the engine deployment model
-//! (a session holds its core's exclusive `CorePort`, so there can never
-//! be more live sessions than cores — the pool makes that bound an
-//! explicit checkout/checkin discipline instead of an accident).
+//! One slot per simulated core, matching the engine deployment model (one
+//! worker session per core, so there are never more live sessions than
+//! cores — the pool makes that bound an explicit checkout/checkin
+//! discipline instead of an accident).
 //!
 //! * **Checkout is non-blocking.** If the slot is already out,
 //!   [`SessionPool::try_checkout`] returns `None` and the caller sheds
@@ -15,7 +15,7 @@
 //!   and the next checkout opens a fresh one via [`oltp::Db::session`] —
 //!   the same re-open the chaos harness's retry layer performs.
 
-use std::sync::Mutex;
+use std::cell::RefCell;
 
 use oltp::{Db, Session};
 
@@ -39,11 +39,10 @@ struct Slot {
     poisoned: bool,
 }
 
-/// Fixed-size per-core session pool. `Sync`: slots are individually
-/// locked, and `Box<dyn Session>` is `Send`.
+/// Fixed-size per-core session pool.
 pub struct SessionPool {
-    slots: Vec<Mutex<Slot>>,
-    stats: Mutex<PoolStats>,
+    slots: Vec<RefCell<Slot>>,
+    stats: RefCell<PoolStats>,
 }
 
 impl SessionPool {
@@ -53,13 +52,13 @@ impl SessionPool {
         SessionPool {
             slots: (0..cores)
                 .map(|core| {
-                    Mutex::new(Slot {
+                    RefCell::new(Slot {
                         session: Some(db.session(core)),
                         poisoned: false,
                     })
                 })
                 .collect(),
-            stats: Mutex::new(PoolStats::default()),
+            stats: RefCell::new(PoolStats::default()),
         }
     }
 
@@ -72,18 +71,18 @@ impl SessionPool {
     /// slot is already out — shed, don't wait. A slot whose last holder
     /// poisoned it is re-opened here (counted in [`PoolStats::reopens`]).
     pub fn try_checkout<'a>(&'a self, db: &dyn Db, core: usize) -> Option<PooledSession<'a>> {
-        let mut slot = self.slots[core].lock().unwrap();
+        let mut slot = self.slots[core].borrow_mut();
         if slot.poisoned {
-            // Drop the wedged session and open a fresh one on the same
-            // core — it re-acquires the core's port.
+            // Drop the wedged session, then open a fresh one on the same
+            // core.
             slot.session = None;
             slot.poisoned = false;
             slot.session = Some(db.session(core));
-            self.stats.lock().unwrap().reopens += 1;
+            self.stats.borrow_mut().reopens += 1;
         }
         match slot.session.take() {
             Some(session) => {
-                self.stats.lock().unwrap().checkouts += 1;
+                self.stats.borrow_mut().checkouts += 1;
                 Some(PooledSession {
                     pool: self,
                     core,
@@ -92,7 +91,7 @@ impl SessionPool {
                 })
             }
             None => {
-                self.stats.lock().unwrap().busy += 1;
+                self.stats.borrow_mut().busy += 1;
                 None
             }
         }
@@ -100,11 +99,11 @@ impl SessionPool {
 
     /// Snapshot the pool counters.
     pub fn stats(&self) -> PoolStats {
-        *self.stats.lock().unwrap()
+        *self.stats.borrow()
     }
 
     fn checkin(&self, core: usize, session: Box<dyn Session>, poisoned: bool) {
-        let mut slot = self.slots[core].lock().unwrap();
+        let mut slot = self.slots[core].borrow_mut();
         debug_assert!(slot.session.is_none(), "double checkin on core {core}");
         slot.session = Some(session);
         slot.poisoned = poisoned;

@@ -23,7 +23,7 @@
 //! exactly to the measured window, the same invariant the flamegraph
 //! residuals rely on.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
 
 use engines::{DurableDb, SystemBuilder, SystemKind};
 use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
@@ -346,13 +346,13 @@ impl Service {
         // Connection state: core affinity is id % cores; each connection
         // owns a small simulated wire buffer, so ten thousand connections
         // are a real (cold) data footprint for the front end.
-        let states: Vec<Arc<Mutex<CoreState>>> = (0..cores)
+        let states: Vec<RefCell<CoreState>> = (0..cores)
             .map(|core| {
                 let conns: Vec<ClientConn> = (0..cfg.connections as u64)
                     .filter(|id| (*id as usize) % cores == core)
                     .map(|id| ClientConn::new(id, sim.alloc(192, 64), cfg.seed))
                     .collect();
-                Arc::new(Mutex::new(CoreState {
+                RefCell::new(CoreState {
                     conns,
                     rr: 0,
                     turn: 0,
@@ -361,12 +361,12 @@ impl Service {
                     committed: 0,
                     exec_errors: 0,
                     executed_per_turn: Vec::new(),
-                }))
+                })
             })
             .collect();
 
         let pool = SessionPool::new(db.as_ref(), cores);
-        let wl = Mutex::new(w);
+        let wl = RefCell::new(w);
 
         let reg = registry();
         let requests_total = reg.counter("service_requests_total", &[]);
@@ -394,7 +394,7 @@ impl Service {
             let commits_total = &commits_total;
             let depth_gauges = &depth_gauges;
             measure_workers(&sim, &core_list, cfg.window, Pacing::Lockstep, |core| {
-                let state = Arc::clone(&states[core]);
+                let state = &states[core];
                 let mem_parse = sim.mem(core).with_module(m_parse);
                 let mem_dispatch = sim.mem(core).with_module(m_dispatch);
                 let mem_respond = sim.mem(core).with_module(m_respond);
@@ -402,7 +402,7 @@ impl Service {
                     // No sinks: only the profiler's span aggregates are
                     // needed.
                     obs::install_with(|| Tracer::new(mem_parse.sim()));
-                    let st = &mut *state.lock().unwrap();
+                    let st = &mut *state.borrow_mut();
                     let turn = st.turn;
                     st.turn += 1;
 
@@ -513,7 +513,7 @@ impl Service {
                             let Some(ticket) = st.queue.pop() else { break };
                             let r = {
                                 let _t = obs::span(engine, Phase::Txn, core);
-                                wl.lock().unwrap().exec(sess.session(), core)
+                                wl.borrow_mut().exec(sess.session(), core)
                             };
                             ran += 1;
                             st.executed += 1;
@@ -583,7 +583,7 @@ impl Service {
         let mut digest = Fnv::default().0;
         let measured_turns = (cfg.window.measured * cfg.window.reps.max(1) as u64) as usize;
         for state in &states {
-            let st = state.lock().unwrap();
+            let st = state.borrow();
             admitted += st.queue.admitted();
             shed += st.queue.shed();
             queue_high_water = queue_high_water.max(st.queue.high_water());
@@ -654,15 +654,14 @@ impl Service {
         let cfg = &self.cfg;
         let cores = cfg.pool;
         let (sim, db, w) = self.load();
-        let wl = Mutex::new(w);
+        let wl = RefCell::new(w);
         let core_list: Vec<usize> = (0..cores).collect();
         let db = &*db;
         let wl = &wl;
         measure_workers(&sim, &core_list, cfg.window, Pacing::Lockstep, |core| {
             let mut s = db.session(core);
             move |_| {
-                wl.lock()
-                    .unwrap()
+                wl.borrow_mut()
                     .exec(s.as_mut(), core)
                     .expect("direct transaction failed");
             }

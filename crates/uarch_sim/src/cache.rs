@@ -80,10 +80,8 @@ impl Cache {
         Self::with_sets(geom.sets(), geom.ways as usize)
     }
 
-    /// Build an empty cache with an explicit set count — used for LLC lock
-    /// stripes, where each stripe holds `total_sets / stripes` sets and the
-    /// caller routes lines to (stripe, set) itself via [`Cache::access_at`].
-    pub fn with_sets(sets: u64, ways: usize) -> Self {
+    /// Build an empty cache of `sets` × `ways` lines (any set count).
+    fn with_sets(sets: u64, ways: usize) -> Self {
         assert!(sets >= 1 && ways >= 1);
         Cache {
             sets,
@@ -115,15 +113,8 @@ impl Cache {
     /// returned through `evicted`.
     #[inline(always)]
     pub fn access(&mut self, line: u64) -> AccessOutcome {
-        self.access_at(self.set_of(line), line)
-    }
-
-    /// [`Cache::access`] with the set index chosen by the caller (LLC
-    /// stripes map the global set index onto (stripe, local set)).
-    #[inline(always)]
-    pub fn access_at(&mut self, set: usize, line: u64) -> AccessOutcome {
         debug_assert_ne!(line, EMPTY);
-        debug_assert!((set as u64) < self.sets);
+        let set = self.set_of(line);
         let t = &mut self.tags[set * self.ways..][..self.ways];
         // Monomorphised on the Table-1 associativities so the probe and the
         // shift unroll; any other width takes the same algorithm as a loop.
@@ -250,9 +241,7 @@ mod tests {
         }
 
         impl Cache {
-            /// Build an empty cache with an explicit set count — used for LLC lock
-            /// stripes, where each stripe holds `total_sets / stripes` sets and the
-            /// caller routes lines to (stripe, set) itself via [`Cache::access_at`].
+            /// Build an empty cache of `sets` × `ways` lines.
             pub fn with_sets(sets: u64, ways: usize) -> Self {
                 assert!(sets >= 1 && ways >= 1);
                 Cache {
@@ -292,15 +281,8 @@ mod tests {
             /// returned through `evicted`.
             #[inline]
             pub fn access(&mut self, line: u64) -> AccessOutcome {
-                self.access_at(self.set_of(line), line)
-            }
-
-            /// [`Cache::access`] with the set index chosen by the caller (LLC
-            /// stripes map the global set index onto (stripe, local set)).
-            #[inline]
-            pub fn access_at(&mut self, set: usize, line: u64) -> AccessOutcome {
                 debug_assert_ne!(line, EMPTY);
-                debug_assert!((set as u64) < self.sets);
+                let set = self.set_of(line);
                 self.clock += 1;
                 let clock = self.clock;
                 let base = set * self.ways;
@@ -406,10 +388,8 @@ mod tests {
         let universe = 3 * sets * ways as u64;
         for step in 0..ops {
             let line = rng.next_below(universe);
-            let set = (line % sets) as usize;
             let same = match rng.next_below(20) {
-                0..=8 => fast.access(line) == slow.access(line),
-                9..=13 => fast.access_at(set, line) == slow.access_at(set, line),
+                0..=13 => fast.access(line) == slow.access(line),
                 14..=16 => fast.invalidate(line) == slow.invalidate(line),
                 _ => fast.contains(line) == slow.contains(line),
             };

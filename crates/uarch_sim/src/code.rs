@@ -104,9 +104,8 @@ pub struct Module {
     pub base_line: u64,
 }
 
-/// Immutable fetch parameters of one code module, cached outside the
-/// registry lock. [`crate::Mem`] snapshots this at bind time so `exec`
-/// never touches the registry's `RwLock`.
+/// Immutable fetch parameters of one code module. [`crate::Mem`] snapshots
+/// this at bind time so `exec` never looks the module up.
 #[derive(Clone, Copy, Debug)]
 pub struct CodeDesc {
     pub base_line: u64,
@@ -180,14 +179,6 @@ impl ModuleRegistry {
     /// Names in id order.
     pub fn names(&self) -> Vec<String> {
         self.modules.iter().map(|m| m.spec.name.clone()).collect()
-    }
-
-    /// Iterate (id, module).
-    pub fn iter(&self) -> impl Iterator<Item = (ModuleId, &Module)> {
-        self.modules
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (ModuleId(i as u16), m))
     }
 }
 

@@ -5,6 +5,11 @@ use serde::{Deserialize, Serialize};
 
 use crate::counters::{EventCounts, StallEvent};
 
+/// Cycles the cycle model charges per store miss: store-buffer pressure. A
+/// deep-missing store occasionally backs retirement up; a small fraction
+/// of the DRAM latency on average.
+pub const STORE_MISS_PENALTY: f64 = 12.0;
+
 /// Geometry of one set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheGeometry {
@@ -235,9 +240,7 @@ impl MachineConfig {
     pub fn cycles(&self, c: &EventCounts) -> f64 {
         let mut cy = c.instructions as f64 / self.ideal_ipc;
         cy += c.mispredicts as f64 * self.mispredict_penalty;
-        // Store-buffer pressure: a deep-missing store occasionally backs
-        // retirement up; a small fraction of the DRAM latency on average.
-        cy += c.store_misses as f64 * 12.0;
+        cy += c.store_misses as f64 * STORE_MISS_PENALTY;
         for e in StallEvent::ALL {
             cy += c.misses[e as usize] as f64 * f64::from(self.penalty(e)) * self.overlap.get(e);
         }

@@ -12,12 +12,11 @@
 //! follows from their outcome — which counter is charged, write-allocate,
 //! inclusive back-invalidation, the remote-fill charge — is decided here.
 //!
-//! Nothing here knows how host threads take turns. A [`Core`] is plain
-//! `&mut` state; the two things a walk reads that the core does not own (an
-//! LLC set, a line's home socket) arrive through [`Uncore`]; and what the
-//! other cores must be told comes back as a [`Coherence`] event for the
-//! caller to deliver ([`crate::machine`] does, over its queues).
-#![forbid(unsafe_code)]
+//! A [`Core`] is plain `&mut` state; the two things a walk reads that the
+//! core does not own (an LLC set, a line's home socket) arrive through
+//! [`Uncore`]; and what the other cores must be told comes back as a
+//! [`Coherence`] event for the caller to deliver ([`crate::machine`] does,
+//! before the access returns).
 
 use crate::cache::{AccessOutcome, Cache};
 use crate::code::{CodeDesc, ModuleId, INSTRS_PER_LINE};
@@ -26,9 +25,9 @@ use crate::counters::{EventCounts, StallEvent};
 use crate::rng::XorShift64;
 use crate::LINE;
 
-/// The shared state a core's walk reads. The machine backs it with
-/// lock-striped LLC sets and its NUMA home tables; a test can back it with
-/// a plain `Vec<Cache>`.
+/// The shared state a core's walk reads. The machine backs it with its
+/// socket LLCs and NUMA home tables; a test can back it with a plain
+/// `Vec<Cache>`.
 pub(crate) trait Uncore {
     /// Access `line` in `socket`'s LLC, filling it on a miss.
     fn llc_access(&mut self, socket: usize, line: u64) -> AccessOutcome;
@@ -348,9 +347,8 @@ mod tests {
         }
     }
 
-    /// The seam: a bare `Core` over a `Vec<Cache>` — no machine, no port,
-    /// no queue, no thread — reports exactly what `Machine` reports for the
-    /// same single-core trace.
+    /// The seam: a bare `Core` over a `Vec<Cache>` — no machine — reports
+    /// exactly what `Machine` reports for the same single-core trace.
     fn bare_core_matches_machine(cfg: MachineConfig) {
         let m = Machine::new(cfg.clone());
         // Over L1I, within L2 / over L2, within the LLC.

@@ -9,9 +9,10 @@
 //! This crate simulates exactly that observable surface:
 //!
 //! * [`cache::Cache`] — set-associative, LRU, write-allocate caches;
-//! * [`machine::Machine`] — per-core L1I/L1D/L2 plus a shared LLC with
-//!   write-invalidation between cores, a 48-bit simulated address space, and
-//!   an instruction-fetch engine that walks per-module *code segments*;
+//! * [`machine::Machine`] — per-core L1I/L1D/L2 plus one LLC per socket,
+//!   with write-invalidation between cores applied before each store
+//!   returns, a 48-bit simulated address space, and an instruction-fetch
+//!   engine that walks per-module *code segments*;
 //! * [`counters::EventCounts`] — the VTune-like raw event set, attributable
 //!   per core and per code module;
 //! * [`config::MachineConfig`] — the Table 1 geometry, the miss penalties,
@@ -20,7 +21,9 @@
 //!
 //! Database engines built on top of this crate do *real* work on real data
 //! structures; the simulator only observes the memory traffic they generate,
-//! the same way VTune observes a real server process.
+//! the same way VTune observes a real server process. One host thread owns
+//! a machine and drives all of its cores, as the paper observes one server
+//! process through per-thread counters.
 //!
 //! ```
 //! use uarch_sim::{Sim, config::MachineConfig, code::ModuleSpec};
@@ -36,10 +39,11 @@
 //! assert!(c.misses.iter().sum::<u64>() > 0); // cold caches miss
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod cache;
 pub mod code;
-pub mod coherence;
 pub mod config;
 pub mod counters;
 mod hierarchy;
@@ -47,17 +51,15 @@ pub mod iodev;
 mod llc;
 pub mod machine;
 mod numa;
-pub mod port;
 pub mod rng;
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 pub use code::{CodeDesc, ModuleId, ModuleSpec};
 pub use config::MachineConfig;
 pub use counters::{EventCounts, StallEvent};
 pub use iodev::{DeviceStats, LogDevice, NvmeProfile};
 pub use machine::{BatchOp, Machine, MAX_HOME_TAGS};
-pub use port::CorePort;
 
 /// Cache-line size used throughout the simulator (bytes). Ivy Bridge uses
 /// 64-byte lines at every level.
@@ -65,17 +67,15 @@ pub const LINE: u64 = 64;
 
 /// Shared handle to a simulated machine.
 ///
-/// The machine is internally synchronized (owned core ports with a
-/// spinlock fallback, queued coherence invalidations and a lock-striped
-/// LLC — see [`machine`]), so `Sim` is `Send + Sync`: worker threads
-/// clone the handle and drive their own cores concurrently, sharing the
-/// LLC and coherence traffic exactly like threads of one server process.
+/// Engines, sessions and memory ports ([`Mem`]) each hold a clone, all on
+/// the one thread that built the machine and drives every core in turn
+/// (see [`machine`]).
 ///
 /// Everything a [`Machine`] offers through `&self` — registering modules,
 /// counter snapshots, offline switches, NUMA homes — is called on the
 /// handle directly.
 #[derive(Clone)]
-pub struct Sim(Arc<Machine>);
+pub struct Sim(Rc<Machine>);
 
 impl std::ops::Deref for Sim {
     type Target = Machine;
@@ -88,7 +88,7 @@ impl std::ops::Deref for Sim {
 impl Sim {
     /// Build a fresh machine with cold caches.
     pub fn new(cfg: MachineConfig) -> Self {
-        Sim(Arc::new(Machine::new(cfg)))
+        Sim(Rc::new(Machine::new(cfg)))
     }
 
     /// The underlying machine.
@@ -109,22 +109,6 @@ impl Sim {
             module: ModuleId::UNATTRIBUTED,
             desc: self.code_desc(ModuleId::UNATTRIBUTED),
         }
-    }
-
-    /// Check out the exclusive [`CorePort`] of `core`, enabling the
-    /// lock-free access path for it. Returns `None` if the port is already
-    /// out (e.g. a second session opened on the same core — accesses then
-    /// ride the existing port's claim, or the spinlock fallback).
-    pub fn try_checkout(&self, core: usize) -> Option<CorePort> {
-        self.0
-            .try_checkout(core)
-            .then(|| CorePort::new(self.clone(), core))
-    }
-
-    /// [`Sim::try_checkout`] that panics when the port is already out.
-    pub fn checkout(&self, core: usize) -> CorePort {
-        self.try_checkout(core)
-            .unwrap_or_else(|| panic!("core {core} port already checked out"))
     }
 
     /// Snapshot of every core's aggregate counters, in core order — the
@@ -165,9 +149,7 @@ impl Sim {
     /// Scope the ambient allocation home tag: until the guard drops,
     /// [`Sim::alloc`] places data in `tag`'s arena, whose home socket is
     /// set with [`Machine::set_tag_home`]. Placement code wraps a partition's
-    /// table creation / bulk load in one guard. Tags are machine-global, so
-    /// guards must not be nested across threads (engine loads are
-    /// single-threaded).
+    /// table creation / bulk load in one guard.
     pub fn alloc_home_guard(&self, tag: usize) -> AllocHomeGuard {
         let prev = self.set_alloc_home(Some(tag));
         AllocHomeGuard {
@@ -193,8 +175,8 @@ impl Drop for AllocHomeGuard {
 /// A memory/execution port: the handle engines use for every simulated
 /// instruction fetch and data access. Cheap to clone; carries the core it is
 /// bound to, the code module the activity is attributed to, and a snapshot
-/// of that module's immutable fetch descriptor — so `exec` never takes the
-/// module registry's `RwLock`.
+/// of that module's immutable fetch descriptor — so `exec` never looks the
+/// module up.
 #[derive(Clone)]
 pub struct Mem {
     sim: Sim,
@@ -258,10 +240,9 @@ impl Mem {
         self.sim.alloc(size, align)
     }
 
-    /// Run an op slice (exec/read/write mixed) under a single core
-    /// acquisition — one port-state check and one coherence-queue drain
-    /// amortized over the whole slice. Semantically identical to issuing
-    /// the ops one by one; hot loops stage the ops in a stack array.
+    /// Run an op slice (exec/read/write mixed) under one borrow of the
+    /// core. Semantically identical to issuing the ops one by one; hot
+    /// loops stage the ops in a stack array.
     #[inline]
     pub fn run_ops(&self, ops: &[BatchOp]) {
         self.sim.run_batch(self.core, self.module, &self.desc, ops);

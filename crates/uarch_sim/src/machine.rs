@@ -1,197 +1,28 @@
-//! The shell around [`crate::hierarchy`]: who may touch a core's state
-//! when, and how one core's stores and evictions reach the others.
+//! The shell around [`crate::hierarchy`]: it holds every core, hands one
+//! to the walk, and delivers what the walk says the other cores must do.
 //!
 //! The simulator splits along one line. What the model *decides* — the
 //! L1 → L2 → LLC descents, which counter a miss charges, write-allocate,
 //! inclusive back-invalidation, the remote-fill charge — is
-//! [`crate::hierarchy`]: plain `&mut` state, no atomics, no `unsafe`. This
-//! module only moves ownership and messages: it acquires a core, applies
-//! the invalidations queued for it, hands the `&mut Core` to the hierarchy,
-//! and publishes the [`Coherence`] event that comes back. The two shared
-//! structures the hierarchy reads through [`Uncore`] live next door: the
-//! lock-striped LLC in [`crate::llc`], the allocation arenas and home-socket
-//! tables in [`crate::numa`]. No cache is accessed from this file.
+//! [`crate::hierarchy`]. This module only routes: it borrows a core, hands
+//! the `&mut Core` to the hierarchy with the socket LLCs and home tables
+//! behind [`Uncore`], and applies the [`Coherence`] event that comes back
+//! to the other cores before the access returns. The LLC is in
+//! [`crate::llc`], the allocation arenas and home-socket tables in
+//! [`crate::numa`]. No cache is accessed from this file.
 //!
-//! # Synchronization: the lock-free fast path
-//!
-//! The common case — an access on the calling core that hits L1 — touches
-//! no lock. Each core lives in a [`CoreSlot`] with a tiny state machine:
-//!
-//! * **Ported** — the core's [`crate::CorePort`] is checked out (sessions
-//!   hold one). Accesses from the claiming thread go straight to the core
-//!   state through an `UnsafeCell`; the only per-access synchronization is
-//!   one state load, one owner-token load, and an emptiness probe of the
-//!   core's coherence queue. Exactly one thread at a time may drive a
-//!   ported core (see [`crate::port`] for the migration contract).
-//! * **Free** — no port outstanding. Accesses serialize on a transient
-//!   per-core spinlock (`Free -> Locked -> Free`), which keeps every
-//!   legacy call pattern working: machine-level tests, cross-core setup
-//!   traffic, and a second session opened on an already-ported core.
-//!
-//! Cross-core effects never touch another core's state directly. A store
-//! *publishes* invalidations onto the other active cores' bounded MPSC
-//! queues ([`crate::coherence`]), and each core applies its pending
-//! invalidations at its next access boundary (access, counter snapshot, or
-//! flush). Cores that have never issued an access have empty caches, so
-//! stores skip their queues entirely — which is also what keeps 1-worker
-//! counter streams bit-identical to the pre-queue implementation.
+//! One thread owns a machine: [`crate::Sim`] is an `Rc`, and each core is
+//! a `RefCell`, borrowed for one access (or one batch) at a time.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{OnceLock, RwLock};
+use std::cell::{Cell, RefCell, RefMut};
 
 use crate::cache::AccessOutcome;
 use crate::code::{CodeDesc, Module, ModuleId, ModuleRegistry, ModuleSpec};
-use crate::coherence::{InvalQueue, BACK_INVALIDATE};
 use crate::config::MachineConfig;
 use crate::counters::EventCounts;
 use crate::hierarchy::{Coherence, Core, Uncore};
-use crate::llc::StripedLlc;
+use crate::llc::Llc;
 use crate::numa::Homes;
-use crate::port::{thread_token, UNCLAIMED};
-
-/// Core slot states (see the module docs).
-const FREE: u8 = 0;
-const LOCKED: u8 = 1;
-const PORTED: u8 = 2;
-
-/// One core's slot: the state machine, the owner token, the inbound
-/// coherence queue, and the core state itself.
-struct CoreSlot {
-    id: usize,
-    state: AtomicU8,
-    /// Thread token of the claiming thread while ported; [`UNCLAIMED`]
-    /// between checkout and the first access.
-    owner: AtomicU64,
-    /// Set on the core's first simulated access. Stores skip publishing
-    /// invalidations to inactive cores — their caches are empty, so the
-    /// invalidation would be a no-op anyway.
-    active: AtomicBool,
-    queue: InvalQueue,
-    cell: UnsafeCell<Core>,
-    /// Debug-build detector for the one forbidden pattern: two threads
-    /// driving the same ported core concurrently.
-    #[cfg(debug_assertions)]
-    busy: AtomicBool,
-}
-
-impl CoreSlot {
-    fn new(cfg: &MachineConfig, id: usize, modules: usize) -> Self {
-        CoreSlot {
-            id,
-            state: AtomicU8::new(FREE),
-            owner: AtomicU64::new(UNCLAIMED),
-            active: AtomicBool::new(false),
-            queue: InvalQueue::new(),
-            cell: UnsafeCell::new(Core::new(cfg, id, modules)),
-            #[cfg(debug_assertions)]
-            busy: AtomicBool::new(false),
-        }
-    }
-}
-
-/// RAII access to one core's state, acquired via [`Machine::core_enter`].
-struct CoreRef<'a> {
-    slot: &'a CoreSlot,
-    /// Whether we hold the transient spinlock (free path) and must release
-    /// it; ported-path access releases nothing.
-    locked: bool,
-}
-
-impl<'a> CoreRef<'a> {
-    fn new(slot: &'a CoreSlot, locked: bool) -> Self {
-        #[cfg(debug_assertions)]
-        assert!(
-            !slot.busy.swap(true, Ordering::Acquire),
-            "core {}: concurrent access to a ported core from two threads \
-             (a ported core may be driven by one thread at a time)",
-            slot.id
-        );
-        CoreRef { slot, locked }
-    }
-
-    /// The core state, at an access boundary: any invalidations queued for
-    /// the core are applied before the caller sees it (see
-    /// [`crate::coherence`]).
-    #[inline]
-    fn core(&mut self) -> &mut Core {
-        let slot = self.slot;
-        // SAFETY: `self` holds the slot's access rights (ported-and-claimed
-        // or spin-locked), so we have the core state to ourselves and are
-        // the sole consumer of its queue; the returned borrow is tied to
-        // `&mut self`.
-        let c = unsafe { &mut *slot.cell.get() };
-        if unsafe { slot.queue.has_pending() } {
-            unsafe {
-                slot.queue.drain(|v| {
-                    let line = v & !(BACK_INVALIDATE | ORIGIN_MASK);
-                    if v & BACK_INVALIDATE != 0 {
-                        c.back_invalidate(line);
-                    } else {
-                        c.invalidate(line, ((v & ORIGIN_MASK) >> ORIGIN_SHIFT) as usize);
-                    }
-                });
-            }
-        }
-        c
-    }
-}
-
-impl Drop for CoreRef<'_> {
-    fn drop(&mut self) {
-        #[cfg(debug_assertions)]
-        self.slot.busy.store(false, Ordering::Release);
-        if self.locked {
-            self.slot.state.store(FREE, Ordering::Release);
-        }
-    }
-}
-
-/// Modules a machine can hold descriptors for. Engines register a few
-/// dozen; the registry itself supports 65k.
-const MAX_MODULES: usize = 4096;
-
-/// Append-only, lock-free descriptor table: slots are published exactly
-/// once (under the registry write lock) and then immutable.
-struct DescTable {
-    slots: Box<[OnceLock<CodeDesc>]>,
-    len: AtomicUsize,
-}
-
-impl DescTable {
-    fn new() -> Self {
-        DescTable {
-            slots: (0..MAX_MODULES).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    fn publish(&self, id: ModuleId, d: CodeDesc) {
-        let i = id.0 as usize;
-        assert!(i < MAX_MODULES, "too many modules (raise MAX_MODULES)");
-        self.slots[i]
-            .set(d)
-            .expect("module descriptor published twice");
-        // Serialized by the registry write lock, so a plain store is a
-        // monotone append.
-        self.len.store(i + 1, Ordering::Release);
-    }
-
-    #[inline]
-    fn get(&self, id: ModuleId) -> Option<CodeDesc> {
-        let i = id.0 as usize;
-        if i < self.len.load(Ordering::Acquire) {
-            self.slots[i].get().copied()
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-}
 
 /// Base byte address of the simulated data region (code lives far below).
 pub const DATA_REGION_BASE: u64 = 0x0100_0000_0000;
@@ -205,13 +36,6 @@ pub const DATA_REGION_SIZE: u64 = 0x0F00_0000_0000;
 /// tag (`partition % MAX_HOME_TAGS`).
 pub const MAX_HOME_TAGS: usize = 64;
 
-/// Origin-socket bits packed into queued invalidation entries (below the
-/// [`BACK_INVALIDATE`] flag; simulated line numbers stay < 2^44). Zero for
-/// socket 0, so single-socket queue entries are bit-identical to the
-/// pre-NUMA encoding.
-const ORIGIN_SHIFT: u32 = 56;
-const ORIGIN_MASK: u64 = 0x7F << ORIGIN_SHIFT;
-
 /// One operation of a batched access sequence (see [`crate::Mem::run_ops`]).
 #[derive(Clone, Copy, Debug)]
 pub enum BatchOp {
@@ -223,31 +47,28 @@ pub enum BatchOp {
     Write { addr: u64, len: u32 },
 }
 
-/// The full simulated machine. See the module docs for the model and the
-/// synchronization scheme.
+/// The full simulated machine. See the module docs.
 pub struct Machine {
     cfg: MachineConfig,
-    cores: Vec<CoreSlot>,
-    llc: StripedLlc,
+    cores: Vec<RefCell<Core>>,
+    llc: RefCell<Llc>,
     pub(crate) homes: Homes,
-    modules: RwLock<ModuleRegistry>,
-    descs: DescTable,
-    offline: AtomicBool,
+    modules: RefCell<ModuleRegistry>,
+    offline: Cell<bool>,
     /// Per-core offline flags (simulated core failure / parked core):
     /// suppresses that core's traffic only, unlike the machine-wide
     /// bulk-load `offline` switch.
-    core_offline: Vec<AtomicBool>,
+    core_offline: Vec<Cell<bool>>,
 }
 
-// SAFETY: the `UnsafeCell<Core>`s are guarded by the slot state machine —
-// ported-and-claimed access is exclusive per the port contract, and free
-// slots serialize on the transient spinlock. Everything else is atomics,
-// mutexes, immutable-after-publish data, or `Sync` in its own right.
-unsafe impl Sync for Machine {}
+/// What a core's walk reads of the machine: the socket LLCs and the home
+/// tables.
+struct Shared<'a> {
+    llc: RefMut<'a, Llc>,
+    homes: &'a Homes,
+}
 
-/// What a core's walk reads of the machine: the striped LLC and the home
-/// tables, each synchronised on its own.
-impl Uncore for &Machine {
+impl Uncore for Shared<'_> {
     #[inline(always)]
     fn llc_access(&mut self, socket: usize, line: u64) -> AccessOutcome {
         self.llc.touch(socket, line)
@@ -270,20 +91,15 @@ impl Machine {
             cfg.sockets
         );
         let modules = ModuleRegistry::new();
-        let descs = DescTable::new();
-        for (id, m) in modules.iter() {
-            descs.publish(id, CodeDesc::of(m));
-        }
         Machine {
             cores: (0..cfg.cores)
-                .map(|i| CoreSlot::new(&cfg, i, modules.len()))
+                .map(|i| RefCell::new(Core::new(&cfg, i, modules.len())))
                 .collect(),
-            llc: StripedLlc::new(&cfg),
+            llc: RefCell::new(Llc::new(&cfg)),
             homes: Homes::new(cfg.sockets),
-            modules: RwLock::new(modules),
-            descs,
-            offline: AtomicBool::new(false),
-            core_offline: (0..cfg.cores).map(|_| AtomicBool::new(false)).collect(),
+            modules: RefCell::new(modules),
+            offline: Cell::new(false),
+            core_offline: (0..cfg.cores).map(|_| Cell::new(false)).collect(),
             cfg,
         }
     }
@@ -293,13 +109,13 @@ impl Machine {
     /// the paper populates databases before attaching the profiler, and a
     /// warm-up window re-establishes cache state afterwards.
     pub fn set_offline(&self, offline: bool) {
-        self.offline.store(offline, Ordering::Relaxed);
+        self.offline.set(offline);
     }
 
     /// Whether the machine is in offline (bulk-load) mode.
     #[inline]
     pub fn offline(&self) -> bool {
-        self.offline.load(Ordering::Relaxed)
+        self.offline.get()
     }
 
     /// Take one core offline (or back online). An offline core drops all
@@ -307,19 +123,19 @@ impl Machine {
     /// as if the core were parked or failed; the other cores are
     /// unaffected. Used by fault injection to model degraded placement.
     pub fn set_core_offline(&self, core: usize, offline: bool) {
-        self.core_offline[core].store(offline, Ordering::Relaxed);
+        self.core_offline[core].set(offline);
     }
 
     /// Whether `core` is individually offline.
     pub fn core_offline(&self, core: usize) -> bool {
-        self.core_offline[core].load(Ordering::Relaxed)
+        self.core_offline[core].get()
     }
 
     /// Whether traffic on `core` is currently suppressed (machine-wide
     /// bulk-load mode or an individual core-offline fault).
     #[inline(always)]
     fn suppressed(&self, core: usize) -> bool {
-        self.offline() || self.core_offline[core].load(Ordering::Relaxed)
+        self.offline() || self.core_offline[core].get()
     }
 
     /// Machine configuration.
@@ -333,28 +149,24 @@ impl Machine {
     }
 
     /// Register a code module; all cores see it. Does not touch any core's
-    /// state (per-core counter vectors grow lazily on first use), so
-    /// registration is safe while ports are checked out.
+    /// state (per-core counter vectors grow lazily on first use).
     pub fn register_module(&self, spec: ModuleSpec) -> ModuleId {
-        let mut reg = self.modules.write().unwrap();
-        let id = reg.register(spec);
-        self.descs.publish(id, CodeDesc::of(reg.get(id)));
-        id
+        self.modules.borrow_mut().register(spec)
     }
 
     /// Module names in id order.
     pub fn module_names(&self) -> Vec<String> {
-        self.modules.read().unwrap().names()
+        self.modules.borrow().names()
     }
 
-    /// Module lookup (cloned; specs are small and read-mostly).
+    /// Module lookup (cloned; specs are small).
     pub fn module(&self, id: ModuleId) -> Module {
-        self.modules.read().unwrap().get(id).clone()
+        self.modules.borrow().get(id).clone()
     }
 
-    /// Cached immutable fetch parameters of `id` (lock-free).
+    /// Fetch parameters of `id`.
     pub fn code_desc(&self, id: ModuleId) -> CodeDesc {
-        self.descs.get(id).expect("module not registered")
+        CodeDesc::of(self.modules.borrow().get(id))
     }
 
     /// Number of sockets.
@@ -368,148 +180,52 @@ impl Machine {
         self.cfg.socket_of(core)
     }
 
-    /// Check out core `core`'s port: flips the slot to ported with no
-    /// claiming thread yet. Returns false when the port is already out.
-    pub(crate) fn try_checkout(&self, core: usize) -> bool {
-        let slot = &self.cores[core];
-        loop {
-            match slot.state.load(Ordering::Acquire) {
-                FREE => {
-                    if slot
-                        .state
-                        .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        slot.owner.store(UNCLAIMED, Ordering::Relaxed);
-                        slot.state.store(PORTED, Ordering::Release);
-                        return true;
-                    }
-                }
-                // A transient free-path access holds the slot; wait for it.
-                LOCKED => std::hint::spin_loop(),
-                _ => return false,
-            }
-        }
-    }
-
-    /// Check a port back in (called from [`crate::CorePort::drop`]).
-    ///
-    /// The claiming-thread token is released *before* the slot goes FREE:
-    /// a port dropped during a worker's panic unwind would otherwise leave
-    /// the dead thread's token in the slot, and a later claimant racing
-    /// the state transition could adopt it while the slot is no longer
-    /// ported — an unstealable core. Clearing first means any observer of
-    /// the stale PORTED state sees an UNCLAIMED owner, which is always
-    /// safe to claim.
-    pub(crate) fn checkin(&self, core: usize) {
-        let slot = &self.cores[core];
-        slot.owner.store(UNCLAIMED, Ordering::Relaxed);
-        let prev = slot.state.swap(FREE, Ordering::Release);
-        debug_assert_eq!(prev, PORTED, "checkin without an outstanding port");
-    }
-
-    /// Current owner token of `core`'s slot (tests only).
-    #[cfg(test)]
-    pub(crate) fn port_owner(&self, core: usize) -> u64 {
-        self.cores[core].owner.load(Ordering::Relaxed)
-    }
-
-    /// Acquire access rights to `core` (see the module docs). `activate`
-    /// marks the core as a target for future store invalidations and is
-    /// set by real accesses, not by counter snapshots.
+    /// Borrow `core` for one access (or batch), with room for `module`.
     #[inline]
-    fn core_enter(&self, core: usize, activate: bool) -> CoreRef<'_> {
-        let slot = &self.cores[core];
-        if activate && !slot.active.load(Ordering::Relaxed) {
-            slot.active.store(true, Ordering::Release);
-        }
-        let me = thread_token();
-        let mut spins = 0u32;
-        loop {
-            match slot.state.load(Ordering::Acquire) {
-                PORTED => {
-                    let owner = slot.owner.load(Ordering::Relaxed);
-                    if owner == me {
-                        return CoreRef::new(slot, false);
-                    }
-                    // First access after checkout, or the owning session
-                    // migrated to this thread: claim (or re-claim) the core.
-                    if slot
-                        .owner
-                        .compare_exchange(owner, me, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        return CoreRef::new(slot, false);
-                    }
-                }
-                FREE => {
-                    if slot
-                        .state
-                        .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        return CoreRef::new(slot, true);
-                    }
-                }
-                _ => {
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
+    fn core(&self, core: usize, module: ModuleId) -> RefMut<'_, Core> {
+        let mut c = self.cores[core].borrow_mut();
+        c.ensure_module(module, || self.modules.borrow().len());
+        c
     }
 
-    /// Deliver what `from`'s access obliges the other cores to do: push it
-    /// onto every other *active* core's queue, to be applied at that core's
-    /// next access boundary. Store invalidations carry the writer's socket
-    /// (zero bits on a single-socket machine, so queue entries are
-    /// unchanged from the pre-NUMA encoding); back-invalidations carry the
-    /// [`BACK_INVALIDATE`] flag.
+    /// Deliver what `from`'s access obliges the other cores to do, before
+    /// the access returns.
     #[inline]
     fn publish(&self, from: usize, event: Coherence) {
-        let (first, last, flags) = match event {
-            Coherence::None => return,
-            _ if self.cores.len() == 1 => return,
-            Coherence::Invalidate(first, last, origin) => {
-                (first, last, (origin as u64) << ORIGIN_SHIFT)
+        if event == Coherence::None {
+            return;
+        }
+        for (i, core) in self.cores.iter().enumerate() {
+            if i == from {
+                continue;
             }
-            Coherence::BackInvalidate(line) => (line, line, BACK_INVALIDATE),
-        };
-        for line in first..=last {
-            for slot in &self.cores {
-                if slot.id != from && slot.active.load(Ordering::Acquire) {
-                    slot.queue.push(line | flags);
+            let mut core = core.borrow_mut();
+            match event {
+                Coherence::None => {}
+                Coherence::Invalidate(first, last, origin) => {
+                    for line in first..=last {
+                        core.invalidate(line, origin);
+                    }
                 }
+                Coherence::BackInvalidate(line) => core.back_invalidate(line),
             }
         }
     }
 
-    /// Aggregate counters of `core` (snapshot; applies pending queued
-    /// invalidations first so they are visible in the snapshot).
+    /// Aggregate counters of `core` (snapshot).
     pub fn counters(&self, core: usize) -> EventCounts {
-        self.core_enter(core, false).core().counts().clone()
+        self.cores[core].borrow().counts().clone()
     }
 
     /// Per-module counters of `core` (snapshot), padded to the full module
     /// registry length.
     pub fn module_counters(&self, core: usize) -> Vec<EventCounts> {
-        let mut v = self.core_enter(core, false).core().module_counts().to_vec();
-        v.resize_with(v.len().max(self.descs.len()), EventCounts::default);
+        let mut v = self.cores[core].borrow().module_counts().to_vec();
+        v.resize_with(
+            v.len().max(self.modules.borrow().len()),
+            EventCounts::default,
+        );
         v
-    }
-
-    /// Lifetime (published, applied) coherence-queue totals across all
-    /// cores. After quiescing (no stores in flight) and snapshotting every
-    /// core's counters, the two are equal — the queues are lossless.
-    pub fn coherence_totals(&self) -> (u64, u64) {
-        self.cores
-            .iter()
-            .map(|s| s.queue.totals())
-            .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
     }
 
     /// Retire `n` instructions of `module` on `core`, streaming the unique
@@ -536,10 +252,17 @@ impl Machine {
 
     #[inline]
     fn fetch_code_online(&self, core: usize, module: ModuleId, n: u64, d: &CodeDesc) {
-        let mut g = self.core_enter(core, true);
-        let c = g.core();
-        c.ensure_module(module, || self.descs.len());
-        c.fetch(&mut &*self, module, d, n);
+        let mut c = self.core(core, module);
+        c.fetch(&mut self.shared(), module, d, n);
+    }
+
+    /// The LLC and home tables, for one walk.
+    #[inline(always)]
+    fn shared(&self) -> Shared<'_> {
+        Shared {
+            llc: self.llc.borrow_mut(),
+            homes: &self.homes,
+        }
     }
 
     /// Perform a data access of `len` bytes at byte address `addr`
@@ -554,16 +277,13 @@ impl Machine {
 
     #[inline]
     fn data_access_online(&self, core: usize, module: ModuleId, addr: u64, len: u32, store: bool) {
-        let mut g = self.core_enter(core, true);
-        let c = g.core();
-        c.ensure_module(module, || self.descs.len());
-        let event = c.data_access(&mut &*self, module, addr, len, store);
+        let mut c = self.core(core, module);
+        let event = c.data_access(&mut self.shared(), module, addr, len, store);
         self.publish(core, event);
     }
 
-    /// Run a batched op sequence under a single core acquisition: one
-    /// state check and one queue drain amortized over the whole batch,
-    /// with per-op semantics identical to issuing the ops separately.
+    /// Run a batched op sequence under one borrow of the core, with per-op
+    /// semantics identical to issuing the ops separately.
     #[inline(always)]
     pub(crate) fn run_batch(&self, core: usize, module: ModuleId, d: &CodeDesc, ops: &[BatchOp]) {
         if ops.is_empty() || self.suppressed(core) {
@@ -573,19 +293,17 @@ impl Machine {
     }
 
     fn run_batch_online(&self, core: usize, module: ModuleId, d: &CodeDesc, ops: &[BatchOp]) {
-        let mut g = self.core_enter(core, true);
-        let c = g.core();
-        c.ensure_module(module, || self.descs.len());
-        let mut uncore = self;
+        let mut c = self.core(core, module);
+        let mut shared = self.shared();
         for op in ops {
             let event = match *op {
                 BatchOp::Exec(0) => continue,
                 BatchOp::Exec(n) => {
-                    c.fetch(&mut uncore, module, d, n);
+                    c.fetch(&mut shared, module, d, n);
                     continue;
                 }
-                BatchOp::Read { addr, len } => c.data_access(&mut uncore, module, addr, len, false),
-                BatchOp::Write { addr, len } => c.data_access(&mut uncore, module, addr, len, true),
+                BatchOp::Read { addr, len } => c.data_access(&mut shared, module, addr, len, false),
+                BatchOp::Write { addr, len } => c.data_access(&mut shared, module, addr, len, true),
             };
             self.publish(core, event);
         }
@@ -598,17 +316,17 @@ impl Machine {
     /// For working sets beyond LLC capacity only the most recently
     /// touched tail stays resident, as it would on real hardware.
     pub fn warm_data(&self) {
-        self.llc.warm_data(&self.homes.allocated_spans());
+        self.llc
+            .borrow_mut()
+            .warm_data(&self.homes.allocated_spans());
     }
 
-    /// Flush all caches (cold restart) without resetting counters. Pending
-    /// queued invalidations are applied first, preserving their
-    /// resident-at-arrival counting semantics.
+    /// Flush all caches (cold restart) without resetting counters.
     pub fn flush_caches(&self) {
-        for i in 0..self.cores.len() {
-            self.core_enter(i, false).core().flush();
+        for core in &self.cores {
+            core.borrow_mut().flush();
         }
-        self.llc.flush();
+        self.llc.borrow_mut().flush();
     }
 }
 
@@ -651,8 +369,8 @@ mod tests {
 
     /// Each `Mem` entry point is a no-op while suppressed, machine-wide
     /// (`Sim::offline`) or on its core alone (`set_core_offline`): no
-    /// counter moves, and the core stays inactive, so a later store from
-    /// another core publishes nothing to it.
+    /// counter moves, and no line reaches the core's caches, so a later
+    /// store from another core invalidates nothing there.
     #[test]
     fn suppressed_accesses_leave_no_trace() {
         use crate::{Mem, Sim};
@@ -683,15 +401,15 @@ mod tests {
                 } else {
                     sim.offline(|| access(&mem, buf));
                 }
+                sim.mem(1).write(buf, 64);
                 assert_eq!(sim.counters(0), counts, "{name}");
                 assert_eq!(sim.module_counters(0), modules, "{name}");
-                sim.mem(1).write(buf, 64);
-                assert_eq!(sim.coherence_totals().0, 0, "{name}: core 0 is active");
-                // Online, the same access activates core 0 and the store
-                // reaches it.
+                // Online, a data access caches the line and the store
+                // takes it back.
                 access(&mem, buf);
                 sim.mem(1).write(buf, 64);
-                assert!(sim.coherence_totals().0 > 0, "{name}");
+                let held = u64::from(name != "exec");
+                assert_eq!(sim.counters(0).invalidations, held, "{name}");
             }
         }
     }
@@ -845,8 +563,7 @@ mod tests {
         // Core 1 caches the line.
         m.data_access(1, ModuleId::UNATTRIBUTED, addr, 8, false);
         let before = m.counters(1);
-        // Core 0 writes it -> core 1 loses it (the queued invalidation is
-        // applied at core 1's next access boundary — here, the snapshot).
+        // Core 0 writes it -> core 1 loses it.
         m.data_access(0, ModuleId::UNATTRIBUTED, addr, 8, true);
         assert_eq!(m.counters(1).invalidations, before.invalidations + 1);
         // Core 1 re-reads: L1D miss again.
@@ -854,19 +571,6 @@ mod tests {
         m.data_access(1, ModuleId::UNATTRIBUTED, addr, 8, false);
         let d = m.counters(1).delta(&before);
         assert_eq!(d.miss(StallEvent::L1d), 1);
-    }
-
-    #[test]
-    fn stores_skip_inactive_cores_entirely() {
-        let m = machine(4);
-        let addr = m.alloc_data(64, 64);
-        // Only core 1 is active besides the writer.
-        m.data_access(1, ModuleId::UNATTRIBUTED, addr, 8, false);
-        m.data_access(0, ModuleId::UNATTRIBUTED, addr, 8, true);
-        let (pushed, _) = m.coherence_totals();
-        assert_eq!(pushed, 1, "cores 2 and 3 never ran: no queue traffic");
-        assert_eq!(m.counters(2).invalidations, 0);
-        assert_eq!(m.counters(3).invalidations, 0);
     }
 
     #[test]
@@ -935,33 +639,6 @@ mod tests {
             noisy_l2i > quiet_l2i + 100,
             "data pressure should evict code from L2: {noisy_l2i} vs {quiet_l2i}"
         );
-    }
-
-    #[test]
-    fn concurrent_cores_sum_like_serial_cores() {
-        // Thread-safety smoke: two threads hammering disjoint cores through
-        // a shared machine must retire exactly what they issued.
-        let m = std::sync::Arc::new(machine(2));
-        let id = m.register_module(ModuleSpec::new("par", 32 << 10));
-        let data = m.alloc_data(1 << 20, 64);
-        std::thread::scope(|s| {
-            for core in 0..2usize {
-                let m = std::sync::Arc::clone(&m);
-                s.spawn(move || {
-                    for i in 0..20_000u64 {
-                        m.fetch_code(core, id, 50);
-                        m.data_access(core, id, data + (i % 1000) * 64, 8, core == 1);
-                    }
-                });
-            }
-        });
-        for core in 0..2 {
-            let c = m.counters(core);
-            assert_eq!(c.instructions, 1_000_000, "core {core}");
-            assert_eq!(c.loads + c.stores, 20_000, "core {core}");
-        }
-        let (pushed, applied) = m.coherence_totals();
-        assert_eq!(pushed, applied, "queued invalidations were lost");
     }
 
     #[test]

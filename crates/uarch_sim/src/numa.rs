@@ -4,13 +4,12 @@
 //! On a multi-socket machine the data region is carved into one bump arena
 //! per home tag (plus a default arena), so a line's home socket is an O(1)
 //! address-range lookup on the LLC-miss path — no per-allocation table —
-//! and re-homing a tag is one atomic store. A single-socket machine keeps
+//! and re-homing a tag is one store. A single-socket machine keeps
 //! the whole region in one arena, so allocation addresses (and everything
 //! downstream — warm-up walks, counter streams, digests) are bit-identical
 //! to the pre-NUMA simulator.
 
-use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 use crate::addr::AddressSpace;
 use crate::machine::{Machine, DATA_REGION_BASE, DATA_REGION_SIZE, MAX_HOME_TAGS};
@@ -21,18 +20,18 @@ pub(crate) struct Homes {
     sockets: usize,
     /// One bump allocator on a single-socket machine, one per home tag
     /// (plus the untagged arena 0) on a NUMA machine.
-    arenas: Mutex<Vec<AddressSpace>>,
+    arenas: RefCell<Vec<AddressSpace>>,
     /// Bytes covered by each arena (`DATA_REGION_SIZE / arena count`).
     arena_size: u64,
-    /// Ambient home tag applied to allocations (-1 = untagged / arena 0).
-    alloc_home: AtomicI64,
-    /// Home socket for untagged data (-1 = 4 KB-chunk interleave).
-    default_home: AtomicI64,
+    /// Ambient home tag applied to allocations (`None` = untagged / arena 0).
+    alloc_home: Cell<Option<usize>>,
+    /// Home socket for untagged data (`None` = 4 KB-chunk interleave).
+    default_home: Cell<Option<usize>>,
     /// Home socket per tag (index = tag).
-    tag_home: Box<[AtomicU32]>,
+    tag_home: [Cell<usize>; MAX_HOME_TAGS],
     /// LLC-fill accesses per (tag, socket) — `tag * sockets + socket` —
     /// feeding [`Machine::rehome_hot_tags`].
-    tag_hits: Box<[AtomicU64]>,
+    tag_hits: Box<[Cell<u64>]>,
 }
 
 impl Homes {
@@ -44,18 +43,16 @@ impl Homes {
         let arena_size = (DATA_REGION_SIZE / arenas as u64) & !4095;
         Homes {
             sockets,
-            arenas: Mutex::new(
+            arenas: RefCell::new(
                 (0..arenas as u64)
                     .map(|i| AddressSpace::new(DATA_REGION_BASE + i * arena_size, arena_size))
                     .collect(),
             ),
             arena_size,
-            alloc_home: AtomicI64::new(-1),
-            default_home: AtomicI64::new(-1),
-            tag_home: (0..MAX_HOME_TAGS).map(|_| AtomicU32::new(0)).collect(),
-            tag_hits: (0..MAX_HOME_TAGS * sockets)
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            alloc_home: Cell::new(None),
+            default_home: Cell::new(None),
+            tag_home: std::array::from_fn(|_| Cell::new(0)),
+            tag_hits: (0..MAX_HOME_TAGS * sockets).map(|_| Cell::new(0)).collect(),
         }
     }
 
@@ -63,8 +60,7 @@ impl Homes {
     /// on a single-socket machine).
     pub(crate) fn allocated_spans(&self) -> Vec<(u64, u64)> {
         self.arenas
-            .lock()
-            .unwrap()
+            .borrow()
             .iter()
             .filter(|a| a.used() > 0)
             .map(|a| (a.base() / LINE, (a.base() + a.used()).div_ceil(LINE)))
@@ -81,17 +77,16 @@ impl Homes {
             let arena = ((addr - DATA_REGION_BASE) / self.arena_size) as usize;
             if (1..=MAX_HOME_TAGS).contains(&arena) {
                 let tag = arena - 1;
-                self.tag_hits[tag * self.sockets + socket].fetch_add(1, Ordering::Relaxed);
-                return self.tag_home[tag].load(Ordering::Relaxed) as usize;
+                let hits = &self.tag_hits[tag * self.sockets + socket];
+                hits.set(hits.get() + 1);
+                return self.tag_home[tag].get();
             }
         }
-        let d = self.default_home.load(Ordering::Relaxed);
-        if d >= 0 {
-            d as usize
-        } else {
+        match self.default_home.get() {
+            Some(socket) => socket,
             // Interleave by 4 KB chunk (64 lines), like an OS interleaved
             // page policy.
-            ((line >> 6) as usize) % self.sockets
+            None => ((line >> 6) as usize) % self.sockets,
         }
     }
 }
@@ -102,30 +97,23 @@ impl Machine {
     /// [`Machine::set_alloc_home`]), or the untagged arena when none is set.
     pub fn alloc_data(&self, size: u64, align: u64) -> u64 {
         let homes = &self.homes;
-        let tag = homes.alloc_home.load(Ordering::Relaxed);
-        let arena = if homes.sockets > 1 && tag >= 0 {
-            1 + tag as usize
-        } else {
-            0
+        let arena = match homes.alloc_home.get() {
+            Some(tag) if homes.sockets > 1 => 1 + tag,
+            _ => 0,
         };
-        homes.arenas.lock().unwrap()[arena].alloc(size, align)
+        homes.arenas.borrow_mut()[arena].alloc(size, align)
     }
 
     /// Set (or clear) the ambient home tag applied to subsequent
     /// [`Machine::alloc_data`] calls, returning the previous value so
     /// callers can scope it. No-op signal on a single-socket machine
     /// (allocations always go to the one arena). Tags are machine-global:
-    /// placement code sets one around a partition's bulk load, which is
-    /// single-threaded in every engine.
+    /// placement code sets one around a partition's bulk load.
     pub fn set_alloc_home(&self, tag: Option<usize>) -> Option<usize> {
         if let Some(t) = tag {
             assert!(t < MAX_HOME_TAGS, "home tag {t} out of range");
         }
-        let prev = self
-            .homes
-            .alloc_home
-            .swap(tag.map_or(-1, |t| t as i64), Ordering::Relaxed);
-        (prev >= 0).then_some(prev as usize)
+        self.homes.alloc_home.replace(tag)
     }
 
     /// Set the home socket of untagged data, or `None` to restore the
@@ -135,23 +123,21 @@ impl Machine {
         if let Some(s) = socket {
             assert!(s < self.homes.sockets, "socket {s} out of range");
         }
-        self.homes
-            .default_home
-            .store(socket.map_or(-1, |s| s as i64), Ordering::Relaxed);
+        self.homes.default_home.set(socket);
     }
 
     /// Re-home all data allocated under `tag` to `socket`. O(1): homes are
-    /// looked up per miss, so migration is an atomic store (the simulated
+    /// looked up per miss, so migration is one store (the simulated
     /// analogue of `move_pages` on a partition's arena).
     pub fn set_tag_home(&self, tag: usize, socket: usize) {
         assert!(tag < MAX_HOME_TAGS, "home tag {tag} out of range");
         assert!(socket < self.homes.sockets, "socket {socket} out of range");
-        self.homes.tag_home[tag].store(socket as u32, Ordering::Relaxed);
+        self.homes.tag_home[tag].set(socket);
     }
 
     /// Current home socket of `tag`.
     pub fn tag_home(&self, tag: usize) -> usize {
-        self.homes.tag_home[tag].load(Ordering::Relaxed) as usize
+        self.homes.tag_home[tag].get()
     }
 
     /// Migrate every tag whose observed LLC-fill traffic since the last
@@ -160,17 +146,17 @@ impl Machine {
     /// from the winning socket. Returns the number of tags moved and
     /// resets the observation window of every tag that reached `min_hits`.
     pub fn rehome_hot_tags(&self, min_hits: u64, margin: f64) -> usize {
-        let (sockets, tag_home) = (self.homes.sockets, &self.homes.tag_home);
-        if sockets == 1 {
+        let homes = &self.homes;
+        if homes.sockets == 1 {
             return 0;
         }
         let mut moved = 0;
-        for tag in 0..MAX_HOME_TAGS {
-            let row = &self.homes.tag_hits[tag * sockets..(tag + 1) * sockets];
+        let rows = homes.tag_hits.chunks(homes.sockets);
+        for (home, row) in homes.tag_home.iter().zip(rows) {
             let mut total = 0u64;
             let (mut best, mut best_hits) = (0usize, 0u64);
             for (s, h) in row.iter().enumerate() {
-                let v = h.load(Ordering::Relaxed);
+                let v = h.get();
                 total += v;
                 if v > best_hits {
                     best_hits = v;
@@ -180,13 +166,12 @@ impl Machine {
             if total < min_hits {
                 continue;
             }
-            let cur = tag_home[tag].load(Ordering::Relaxed) as usize;
-            if best != cur && best_hits as f64 >= margin * total as f64 {
-                tag_home[tag].store(best as u32, Ordering::Relaxed);
+            if best != home.get() && best_hits as f64 >= margin * total as f64 {
+                home.set(best);
                 moved += 1;
             }
             for h in row {
-                h.store(0, Ordering::Relaxed);
+                h.set(0);
             }
         }
         moved

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Structure gates that a line count cannot see.
 #
-# 1. The simulator's seam: `hierarchy.rs` decides and names no
-#    synchronisation primitive; `machine.rs` synchronises and accesses no
-#    cache.
+# 1. The simulator's seam: `hierarchy.rs` decides what an access does;
+#    `machine.rs` routes it to a core and its events to the others, and
+#    accesses no cache.
 # 2. The ART range scan collects no children: `art.rs` does not name
 #    `Vec<NodeRef>`, the per-node list the full-tree walk needed.
 # 3. The recovery harness borrows the harvested log: `recover.rs` names no
@@ -26,15 +26,14 @@
 # 8. Integer-keyed host maps use the one deterministic hasher
 #    (`uarch_sim::rng::IntMap`): the lock manager, the buffer pool and the
 #    CC protocols name no std `HashMap` or `HashSet`.
+# 9. One thread owns a simulator: under crates/ the word `unsafe` appears
+#    only in `forbid` lines, and crates/uarch_sim/src names no `Atomic`,
+#    `Mutex`, `RwLock`, `UnsafeCell`, `OnceLock` or `thread_local`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
 
 sim=crates/uarch_sim/src
-if grep -nE 'Atomic|Mutex|RwLock|thread_token' "$sim/hierarchy.rs"; then
-    echo "structure: hierarchy.rs names a synchronisation primitive" >&2
-    bad=1
-fi
 if grep -nE '\.access(_at)?\(' "$sim/machine.rs"; then
     echo "structure: machine.rs accesses a cache" >&2
     bad=1
@@ -76,6 +75,15 @@ fi
 
 if grep -nE '\bHash(Map|Set)\b' crates/storage/src/lock.rs crates/storage/src/bufferpool.rs crates/oltp/src/cc.rs; then
     echo "structure: a lock, buffer-pool or CC map is keyed through SipHash again" >&2
+    bad=1
+fi
+
+if grep -rn unsafe crates/ | grep -v 'forbid(unsafe_code)'; then
+    echo "structure: unsafe outside a forbid line" >&2
+    bad=1
+fi
+if grep -rnE 'Atomic|Mutex|RwLock|UnsafeCell|OnceLock|thread_local' "$sim"; then
+    echo "structure: the simulator synchronises between threads again" >&2
     bad=1
 fi
 
