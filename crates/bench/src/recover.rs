@@ -47,7 +47,6 @@ use std::cell::RefCell;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use engines::{DurabilityCfg, SystemBuilder, SystemKind};
 use faults::FaultPlan;
@@ -220,10 +219,37 @@ impl RecoverReport {
 /// trait. Recovery replays *into* this instead of a live engine so the
 /// recovered state can be digested per table and compared bit-for-bit
 /// against an independent reference re-execution.
+///
+/// A table keeps its rows encoded in one byte arena, indexed by key: an
+/// insert encodes the row once, an update appends the re-encoded row and
+/// leaves the old bytes dead, a delete drops the key. No row owns an
+/// allocation of its own: building and freeing a target costs the arena
+/// and the key index's nodes.
 #[derive(Default)]
 pub struct ApplyDb {
-    tables: BTreeMap<u32, BTreeMap<u64, Vec<Value>>>,
+    tables: BTreeMap<u32, Rows>,
     in_txn: bool,
+}
+
+/// One [`ApplyDb`] table.
+#[derive(Default)]
+struct Rows {
+    /// Encoded rows, live and dead, end to end.
+    arena: tuple::BytesMut,
+    /// Each live row's byte range in `arena`.
+    at: BTreeMap<u64, (usize, usize)>,
+}
+
+/// Encode `row` at the end of `arena`; its byte range there.
+fn append(arena: &mut tuple::BytesMut, row: &[Value]) -> (usize, usize) {
+    let start = arena.len();
+    tuple::encode_into(row, arena);
+    (start, arena.len())
+}
+
+/// Decode the row stored at `range` of `arena`.
+fn row_at(arena: &[u8], (start, end): (usize, usize)) -> oltp::Row {
+    tuple::decode(&arena[start..end]).expect("a stored row decodes")
 }
 
 impl ApplyDb {
@@ -233,23 +259,21 @@ impl ApplyDb {
     }
 
     /// The recovered row, if present.
-    pub fn value(&self, table: u32, key: u64) -> Option<&[Value]> {
-        self.tables.get(&table)?.get(&key).map(Vec::as_slice)
+    pub fn value(&self, table: u32, key: u64) -> Option<oltp::Row> {
+        let rows = self.tables.get(&table)?;
+        rows.at.get(&key).map(|&at| row_at(&rows.arena, at))
     }
 
     /// Per-table FNV digests over `(key, encoded row)` in key order.
     pub fn digests(&self) -> Vec<(u32, u64)> {
-        let mut encoded = tuple::BytesMut::new();
         self.tables
             .iter()
             .map(|(&t, rows)| {
                 let mut h = Fnv::default();
-                h.word(rows.len() as u64);
-                for (&k, row) in rows {
+                h.word(rows.at.len() as u64);
+                for (&k, &(start, end)) in &rows.at {
                     h.word(k);
-                    encoded.clear();
-                    tuple::encode_into(row, &mut encoded);
-                    h.bytes(&encoded);
+                    h.bytes(&rows.arena[start..end]);
                 }
                 (t, h.0)
             })
@@ -277,10 +301,11 @@ impl Session for ApplyDb {
         self.in_txn = false;
     }
     fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> oltp::OltpResult<()> {
-        match self.tables.entry(t.0).or_default().entry(key) {
+        let Rows { arena, at } = self.tables.entry(t.0).or_default();
+        match at.entry(key) {
             Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
             Entry::Vacant(slot) => {
-                slot.insert(row.to_vec());
+                slot.insert(append(arena, row));
                 Ok(())
             }
         }
@@ -291,13 +316,7 @@ impl Session for ApplyDb {
         key: u64,
         f: &mut dyn FnMut(&[Value]),
     ) -> oltp::OltpResult<bool> {
-        match self.tables.get(&t.0).and_then(|rows| rows.get(&key)) {
-            Some(r) => {
-                f(r);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        Ok(self.value(t.0, key).map(|row| f(&row)).is_some())
     }
     fn update(
         &mut self,
@@ -305,17 +324,16 @@ impl Session for ApplyDb {
         key: u64,
         f: &mut dyn FnMut(&mut oltp::Row),
     ) -> oltp::OltpResult<bool> {
-        match self
-            .tables
-            .get_mut(&t.0)
-            .and_then(|rows| rows.get_mut(&key))
-        {
-            Some(r) => {
-                f(r);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some(Rows { arena, at }) = self.tables.get_mut(&t.0) else {
+            return Ok(false);
+        };
+        let Some(range) = at.get_mut(&key) else {
+            return Ok(false);
+        };
+        let mut row = row_at(arena, *range);
+        f(&mut row);
+        *range = append(arena, &row);
+        Ok(true)
     }
     fn scan(
         &mut self,
@@ -326,9 +344,9 @@ impl Session for ApplyDb {
     ) -> oltp::OltpResult<u64> {
         let mut n = 0;
         if let Some(rows) = self.tables.get(&t.0) {
-            for (&k, r) in rows.range(lo..=hi) {
+            for (&k, &at) in rows.at.range(lo..=hi) {
                 n += 1;
-                if !f(k, r) {
+                if !f(k, &row_at(&rows.arena, at)) {
                     break;
                 }
             }
@@ -339,7 +357,7 @@ impl Session for ApplyDb {
         Ok(self
             .tables
             .get_mut(&t.0)
-            .is_some_and(|rows| rows.remove(&key).is_some()))
+            .is_some_and(|rows| rows.at.remove(&key).is_some()))
     }
 }
 
@@ -397,18 +415,18 @@ fn durable_prefix(recs: &[LogRecord], flushed: Lsn) -> &[LogRecord] {
 pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let workers = cfg.workers.max(1);
     let window = cfg.effective_window();
-    let slots = window.warmup + window.measured;
-    let kill_at = cfg.kill_at.unwrap_or(slots * 3 / 5);
-    let ckpt_start = cfg.ckpt_start.unwrap_or(slots / 4);
-    let schedule = ScheduleInfo {
-        slots,
-        kill_at,
-        ckpt_start,
+    let schedule = {
+        let slots = window.warmup + window.measured;
+        ScheduleInfo {
+            slots,
+            kill_at: cfg.kill_at.unwrap_or(slots * 3 / 5),
+            ckpt_start: cfg.ckpt_start.unwrap_or(slots / 4),
+        }
     };
     let plan = cfg
         .plan_override
         .clone()
-        .unwrap_or_else(|| FaultPlan::uniform(cfg.seed, 0.0).site_at(KILL_SITE, kill_at));
+        .unwrap_or_else(|| FaultPlan::uniform(cfg.seed, 0.0).site_at(KILL_SITE, schedule.kill_at));
 
     // Claim the process-global injector before loading (a concurrent
     // chaos/recover test must not see this plan early).
@@ -453,7 +471,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
 
     let engine: &'static str = db.name();
     let system = cfg.system;
-    let slots_mx: Vec<RefCell<RecoverWorker>> = (0..workers)
+    let slots: Vec<RefCell<RecoverWorker>> = (0..workers)
         .map(|worker| {
             RefCell::new(RecoverWorker {
                 worker,
@@ -473,7 +491,6 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         })
         .collect();
 
-    let crashed = AtomicBool::new(false);
     let crash: RefCell<Option<CrashInfo>> = RefCell::new(None);
 
     let cores: Vec<usize> = (0..workers).collect();
@@ -481,31 +498,26 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let measurement = {
         let db = &*db;
         let wl = &wl;
-        let slots_mx = &slots_mx;
-        let crashed = &crashed;
+        let slots = &slots;
         let crash = &crash;
         let (counters, scratch) = (&counters, &scratch);
         measure_workers(&sim, &cores, window, Pacing::Lockstep, |worker| {
             move |_| {
-                if crashed.load(Ordering::SeqCst) {
+                if crash.borrow().is_some() {
                     return; // power is off: idle out the window
                 }
-                let slot = &mut *slots_mx[worker].borrow_mut();
+                let slot = &mut *slots[worker].borrow_mut();
                 let n = slot.txn_no;
                 slot.txn_no += 1;
                 if faults::fire(KILL_SITE, worker) {
-                    // Lockstep: every worker fires at this same ordinal,
-                    // before doing any work this slot — the crash lands
-                    // exactly at the slot boundary. First one in records
-                    // the durable coordinates.
-                    let mut c = crash.borrow_mut();
-                    if c.is_none() {
-                        *c = Some(CrashInfo {
-                            slot: n,
-                            status: db.log_status(),
-                        });
-                    }
-                    crashed.store(true, Ordering::SeqCst);
+                    // Lockstep: the plan fires at this ordinal before any
+                    // work this slot, so the crash lands exactly at the
+                    // slot boundary. The first worker to see it records
+                    // the durable coordinates; the rest idle from here.
+                    *crash.borrow_mut() = Some(CrashInfo {
+                        slot: n,
+                        status: db.log_status(),
+                    });
                     return;
                 }
 
@@ -558,7 +570,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
                 // Fuzzy checkpoint capture rides along after the slot's
                 // transaction: chunked read-only copies of this worker's
                 // own oracle rows, no quiescing.
-                if n >= ckpt_start && slot.cp_image.is_none() {
+                if n >= schedule.ckpt_start && slot.cp_image.is_none() {
                     let _t = obs::span(engine, Phase::Checkpoint, worker);
                     if !slot.cp_started {
                         slot.cp_started = true;
@@ -586,7 +598,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let crashed = crash_info.is_some();
     let status = match crash_info {
         Some(c) => {
-            debug_assert_eq!(c.slot, kill_at);
+            debug_assert_eq!(c.slot, schedule.kill_at);
             debug_assert!(fired >= 1);
             c.status
         }
@@ -599,9 +611,10 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     };
 
     // Harvest: the streams, the latency samples, merged checkpoints. The
-    // engine has nothing more to say after that and goes — sessions hold
-    // it alive too — before the three passes build their targets.
-    let streams = db.log_streams();
+    // streams are taken, not copied: the engine has nothing more to say
+    // and goes — its last handle is the last worker's session, dropped
+    // below — before the three passes build their targets.
+    let streams = db.take_log_streams();
     let mut commit_latencies = db.take_commit_latencies();
     commit_latencies.sort_by(f64::total_cmp);
     drop(db);
@@ -612,7 +625,7 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         .collect();
     let mut ckpts: Vec<Option<Checkpoint>> = (0..streams.len()).map(|_| None).collect();
     let mut capture_done: Vec<bool> = vec![true; streams.len()];
-    for slot in &slots_mx {
+    for slot in &slots {
         let mut slot = slot.borrow_mut();
         slot.session = None;
         let stream = stream_of(system, slot.worker);
@@ -696,22 +709,21 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     let mut lost = 0u64;
     let mut phantom = 0u64;
     let mut aborted_effects = 0u64;
-    for slot in &slots_mx {
+    // A lost row counts as zero increments.
+    let hits = |t: TableId, key| rec_db.value(t.0, key).map_or(0, |row| Counters::hits(&row));
+    for slot in &slots {
         let slot = slot.borrow();
         let f = status[stream_of(system, slot.worker)].flushed;
         for ki in 0..KEYS_PER_WORKER as usize {
             let acked = slot.horizons[ki].iter().filter(|&&h| h <= f).count() as u64;
-            // A lost row counts as zero increments.
-            let actual = rec_db
-                .value(ctable.0, slot.keys[ki])
-                .map_or(0, Counters::hits);
+            let actual = hits(ctable, slot.keys[ki]);
             confirmed += acked;
             committed += slot.committed[ki];
             lost += acked.saturating_sub(actual);
             phantom += actual.saturating_sub(slot.committed[ki]);
         }
         for &key in &slot.scratch {
-            aborted_effects += rec_db.value(stable.0, key).map_or(0, Counters::hits);
+            aborted_effects += hits(stable, key);
         }
     }
 
@@ -1145,5 +1157,313 @@ mod tests {
             !r.commit_latencies.is_empty(),
             "the log device produced no latency samples"
         );
+    }
+
+    /// The target [`ApplyDb`] replaced, kept as the reference the flat one
+    /// is checked against: one `Vec<Value>` per row.
+    #[derive(Default)]
+    struct Reference {
+        tables: BTreeMap<u32, BTreeMap<u64, Vec<Value>>>,
+        in_txn: bool,
+    }
+
+    impl Reference {
+        fn digests(&self) -> Vec<(u32, u64)> {
+            let mut encoded = tuple::BytesMut::new();
+            self.tables
+                .iter()
+                .map(|(&t, rows)| {
+                    let mut h = Fnv::default();
+                    h.word(rows.len() as u64);
+                    for (&k, row) in rows {
+                        h.word(k);
+                        encoded.clear();
+                        tuple::encode_into(row, &mut encoded);
+                        h.bytes(&encoded);
+                    }
+                    (t, h.0)
+                })
+                .collect()
+        }
+    }
+
+    impl Session for Reference {
+        fn name(&self) -> &'static str {
+            "recover-reference"
+        }
+        fn core(&self) -> usize {
+            0
+        }
+        fn begin(&mut self) {
+            assert!(!self.in_txn, "Reference: nested begin");
+            self.in_txn = true;
+        }
+        fn commit(&mut self) -> oltp::OltpResult<()> {
+            assert!(self.in_txn, "Reference: commit outside txn");
+            self.in_txn = false;
+            Ok(())
+        }
+        fn abort(&mut self) {
+            self.in_txn = false;
+        }
+        fn insert(&mut self, t: TableId, key: u64, row: &[Value]) -> oltp::OltpResult<()> {
+            match self.tables.entry(t.0).or_default().entry(key) {
+                Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
+                Entry::Vacant(slot) => {
+                    slot.insert(row.to_vec());
+                    Ok(())
+                }
+            }
+        }
+        fn read_with(
+            &mut self,
+            t: TableId,
+            key: u64,
+            f: &mut dyn FnMut(&[Value]),
+        ) -> oltp::OltpResult<bool> {
+            let row = self.tables.get(&t.0).and_then(|rows| rows.get(&key));
+            Ok(row.map(|r| f(r)).is_some())
+        }
+        fn update(
+            &mut self,
+            t: TableId,
+            key: u64,
+            f: &mut dyn FnMut(&mut oltp::Row),
+        ) -> oltp::OltpResult<bool> {
+            let row = self
+                .tables
+                .get_mut(&t.0)
+                .and_then(|rows| rows.get_mut(&key));
+            Ok(row.map(f).is_some())
+        }
+        fn scan(
+            &mut self,
+            t: TableId,
+            lo: u64,
+            hi: u64,
+            f: &mut dyn FnMut(u64, &[Value]) -> bool,
+        ) -> oltp::OltpResult<u64> {
+            let mut n = 0;
+            if let Some(rows) = self.tables.get(&t.0) {
+                for (&k, r) in rows.range(lo..=hi) {
+                    n += 1;
+                    if !f(k, r) {
+                        break;
+                    }
+                }
+            }
+            Ok(n)
+        }
+        fn delete(&mut self, t: TableId, key: u64) -> oltp::OltpResult<bool> {
+            Ok(self
+                .tables
+                .get_mut(&t.0)
+                .is_some_and(|rows| rows.remove(&key).is_some()))
+        }
+    }
+
+    const ENGINES: [SystemKind; 5] = [
+        SystemKind::ShoreMt,
+        SystemKind::DbmsD,
+        SystemKind::VoltDb,
+        SystemKind::HyPer,
+        SystemKind::DbmsM {
+            index: engines::DbmsMIndex::Hash,
+            compiled: true,
+        },
+    ];
+
+    /// Committed oracle increments and workload transactions, `rounds` per
+    /// worker, with every third increment aborted.
+    fn traffic(
+        c: &Counters,
+        w: &mut dyn workloads::Workload,
+        sessions: &mut [Box<dyn Session>],
+        rounds: u64,
+    ) {
+        for n in 0..rounds {
+            for s in sessions.iter_mut() {
+                let (worker, s) = (s.core(), s.as_mut());
+                s.begin();
+                let key = c.keys(worker)[(n % KEYS_PER_WORKER) as usize];
+                if c.bump(s, key).is_err() || n % 3 == 2 || s.commit().is_err() {
+                    s.abort();
+                }
+                if w.exec(s, worker).is_err() {
+                    s.abort();
+                }
+            }
+        }
+    }
+
+    /// A small durable run on `system`, killed with one oracle increment in
+    /// flight: every stream's durable prefix, and per stream a complete
+    /// checkpoint of its workers' oracle rows taken halfway.
+    fn killed_run(system: SystemKind) -> (Vec<Vec<LogRecord>>, Vec<Checkpoint>) {
+        let mut w = WorkloadCfg::Micro {
+            size: workloads::DbSize::Mb1,
+            rows_per_txn: 2,
+            read_only: false,
+            strings: false,
+        }
+        .build();
+        let mut counters = None;
+        let (_sim, mut db) = SystemBuilder::new(system).cores(2).partitions(2).load(
+            MachineConfig::ivy_bridge(2),
+            |db| {
+                db.enable_durability(&DurabilityCfg { epoch: 4 });
+                let c = Counters::create(db, "counters", 2, KEYS_PER_WORKER, 0);
+                for worker in 0..2 {
+                    c.load(db.session(worker).as_mut(), worker);
+                }
+                w.setup(db, 2);
+                counters = Some(c);
+            },
+        );
+        let c = counters.expect("the loader ran");
+        db.flush_all();
+        let mut sessions: Vec<Box<dyn Session>> = (0..2).map(|worker| db.session(worker)).collect();
+        traffic(&c, w.as_mut(), &mut sessions, 12);
+
+        let streams = db.log_status().len();
+        let mut ckpts: Vec<Checkpoint> = Vec::new();
+        for (worker, s) in sessions.iter_mut().enumerate() {
+            let stream = stream_of(system, worker);
+            let begin_lsn = db.log_status()[stream].horizon;
+            let mut cp = Checkpointer::new(c.table, c.keys(worker));
+            while !cp.done() {
+                cp.step(s.as_mut(), CKPT_CHUNK)
+                    .expect("an idle engine lets a capture read");
+            }
+            let part = Checkpoint {
+                begin_lsn,
+                end_lsn: db.log_status()[stream].horizon,
+                complete: true,
+                tables: vec![cp.into_image()],
+            };
+            match ckpts.get_mut(stream) {
+                Some(ck) => ck.absorb(part),
+                None => ckpts.push(part),
+            }
+        }
+        assert_eq!(ckpts.len(), streams);
+        db.flush_all();
+        traffic(&c, w.as_mut(), &mut sessions, 12);
+
+        // In flight at the kill: worker 0's increment; worker 1's commits
+        // after it close a group, which takes its records along on a
+        // shared stream.
+        let s = sessions[0].as_mut();
+        s.begin();
+        c.bump(s, c.keys(0)[1]).expect("an uncontended increment");
+        traffic(&c, w.as_mut(), &mut sessions[1..], 6);
+
+        let status = db.log_status();
+        let logs = db.take_log_streams();
+        let durable = logs.iter().zip(&status);
+        let durable = durable.map(|(recs, st)| durable_prefix(recs, st.flushed).to_vec());
+        (durable.collect(), ckpts)
+    }
+
+    fn assert_same(flat: &ApplyDb, reference: &Reference, what: &str) {
+        assert_eq!(flat.digests(), reference.digests(), "{what}: digests");
+        assert_eq!(flat.tables.len(), reference.tables.len(), "{what}: tables");
+        for (&t, rows) in &reference.tables {
+            assert_eq!(
+                flat.tables[&t].at.len(),
+                rows.len(),
+                "{what}: table {t} rows"
+            );
+            for (&k, row) in rows {
+                assert_eq!(
+                    flat.value(t, k).as_ref(),
+                    Some(row),
+                    "{what}: table {t} key {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_flat_target_recovers_and_replays_as_the_reference_does() {
+        let mut seen = RecoveryStats::default();
+        for system in ENGINES {
+            let (logs, ckpts) = killed_run(system);
+            // No checkpoint, a crashed (incomplete) one, a complete one.
+            for complete in [None, Some(false), Some(true)] {
+                let what = format!("{} recover, checkpoint {complete:?}", system.label());
+                let (mut flat, mut reference) = (ApplyDb::new(), Reference::default());
+                for (recs, ck) in logs.iter().zip(&ckpts) {
+                    let ck = complete.map(|complete| Checkpoint {
+                        complete,
+                        ..ck.clone()
+                    });
+                    let got = recover(ck.as_ref(), recs, &mut flat).expect("flat recovery");
+                    let want =
+                        recover(ck.as_ref(), recs, &mut reference).expect("reference recovery");
+                    assert_eq!(got, want, "{what}: stats");
+                    seen.image_rows += got.image_rows;
+                    seen.unfinished += got.unfinished;
+                    seen.undo_applied += got.undo_applied;
+                }
+                assert_same(&flat, &reference, &what);
+            }
+            let (mut flat, mut reference) = (ApplyDb::new(), Reference::default());
+            for recs in &logs {
+                let got = replay(recs, &mut flat).expect("flat replay");
+                let want = replay(recs, &mut reference).expect("reference replay");
+                assert_eq!(got, want, "{}: replay stats", system.label());
+            }
+            assert_same(&flat, &reference, &format!("{} replay", system.label()));
+        }
+        // The runs reached the image load and the undo pass.
+        assert!(seen.image_rows > 0 && seen.unfinished > 0 && seen.undo_applied > 0);
+    }
+
+    /// The [`Session`] contract both targets keep; `t` holds nothing yet.
+    fn session_contract(s: &mut dyn Session, t: TableId) {
+        let row = |v: i64| vec![Value::Long(v), Value::from("row")];
+        let missing = TableId(t.0 + 1);
+        s.begin();
+        for k in [5, 1, 9, 3] {
+            s.insert(t, k, &row(k as i64)).expect("a fresh key inserts");
+        }
+        let dup = Err(OltpError::DuplicateKey { table: t, key: 5 });
+        assert_eq!(s.insert(t, 5, &row(0)), dup);
+        for (table, key) in [(t, 7), (missing, 1)] {
+            assert_eq!(s.update(table, key, &mut |_| panic!("no row")), Ok(false));
+            assert_eq!(s.delete(table, key), Ok(false));
+            assert_eq!(
+                s.read_with(table, key, &mut |_| panic!("no row")),
+                Ok(false)
+            );
+        }
+        assert_eq!(s.update(t, 3, &mut |r| r[0] = Value::Long(30)), Ok(true));
+        assert_eq!(s.delete(t, 9), Ok(true));
+        let mut seen = Vec::new();
+        let scanned = s.scan(t, 0, 100, &mut |k, r| {
+            seen.push((k, r.to_vec()));
+            true
+        });
+        assert_eq!(scanned, Ok(3));
+        let updated = vec![Value::Long(30), Value::from("row")];
+        assert_eq!(seen, [(1, row(1)), (3, updated), (5, row(5))]);
+        assert_eq!(s.scan(t, 2, 100, &mut |k, _| k != 3), Ok(1));
+        let mut read = None;
+        assert_eq!(
+            s.read_with(t, 5, &mut |r| read = Some(r.to_vec())),
+            Ok(true)
+        );
+        assert_eq!(read, Some(row(5)));
+        s.commit().expect("the target commits");
+    }
+
+    #[test]
+    fn both_targets_keep_the_session_contract() {
+        let (mut flat, mut reference) = (ApplyDb::new(), Reference::default());
+        session_contract(&mut flat, TableId(3));
+        session_contract(&mut reference, TableId(3));
+        assert_same(&flat, &reference, "contract");
+        assert_eq!(flat.value(3, 9), None);
     }
 }

@@ -226,6 +226,10 @@ impl crate::durability::DurableDb for DbmsM {
         vec![self.shared.inner.borrow().wal.records().to_vec()]
     }
 
+    fn take_log_streams(&mut self) -> Vec<Vec<LogRecord>> {
+        vec![self.shared.inner.borrow_mut().wal.take_records()]
+    }
+
     fn log_status(&self) -> Vec<LogStatus> {
         vec![wal_status(0, &self.shared.inner.borrow().wal)]
     }

@@ -21,7 +21,8 @@
 //! HyPer, one engine-wide otherwise) for the crash-recovery harness: cut
 //! each at its flushed horizon — LSNs rise along a stream, so what
 //! survives is a prefix and can be borrowed — and feed
-//! [`storage::recovery::recover`].
+//! [`storage::recovery::recover`]. A harness done with the engine takes
+//! the streams ([`DurableDb::take_log_streams`]) rather than copying them.
 
 use oltp::Db;
 use storage::wal::{LogRecord, Lsn, Wal, WalStats};
@@ -70,8 +71,16 @@ pub trait DurableDb: Db {
     /// (partitioned engines: index = partition), each in append order
     /// with strictly increasing LSNs. Includes unflushed records — the
     /// prefix at or below [`LogStatus::flushed`] is what survives a crash.
-    /// This is the one copy of the log a harness needs to make.
+    /// A copy, for callers that keep using the engine (the engine tests,
+    /// the `benchmark` package's traced durable run); a harness that is
+    /// done with the engine takes the records with
+    /// [`DurableDb::take_log_streams`] instead.
     fn log_streams(&self) -> Vec<Vec<LogRecord>>;
+
+    /// The same streams as [`DurableDb::log_streams`], moved out: no record
+    /// is copied, and the engine retains none afterwards, so dropping it
+    /// frees no log.
+    fn take_log_streams(&mut self) -> Vec<Vec<LogRecord>>;
 
     /// Current horizon/flushed coordinates of every stream.
     fn log_status(&self) -> Vec<LogStatus>;

@@ -234,6 +234,10 @@ impl<P: PartitionProfile> crate::durability::DurableDb for PartitionedEngine<P> 
         self.each_wal(|_, wal, _| wal.records().to_vec())
     }
 
+    fn take_log_streams(&mut self) -> Vec<Vec<LogRecord>> {
+        self.each_wal(|_, wal, _| wal.take_records())
+    }
+
     fn log_status(&self) -> Vec<LogStatus> {
         self.each_wal(|p, wal, _| wal_status(p, wal))
     }

@@ -165,6 +165,9 @@ mod tests {
         let streams = db.log_streams();
         let kinds: Vec<LogKind> = streams[0].iter().map(|r| r.kind).collect();
         assert_eq!(kinds, [LogKind::Begin, LogKind::Insert, LogKind::Commit]);
+        // Taking moves the same records out and leaves none retained.
+        assert_eq!(db.take_log_streams(), streams);
+        assert_eq!(db.log_streams(), [Vec::new()]);
     }
 
     #[test]

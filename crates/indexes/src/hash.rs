@@ -7,6 +7,11 @@
 //! to the probed key; therefore \[it\] requires fewer random data requests
 //! incurring fewer data misses" (§6.1). Collisions overflow into a
 //! chain.
+//!
+//! On the host, entries live in one `Vec` and chains link them by
+//! position, so dropping an index frees one buffer instead of one box per
+//! key in hash order. The simulated layout is the `addr` of each entry
+//! and does not depend on where the host keeps it.
 
 use uarch_sim::Mem;
 
@@ -23,8 +28,13 @@ struct Entry {
     payload: u64,
     /// Simulated address of this chain entry.
     addr: u64,
-    next: Option<Box<Entry>>,
+    /// The next entry of the chain.
+    next: u32,
 }
+
+/// The end of a chain (and an empty slot): past every entry a host can
+/// hold, so [`HashIndex::chain`] stops there.
+const NIL: u32 = u32::MAX;
 
 const ENTRY_BYTES: u64 = 32; // overflow entry: key + payload + next + slack
 const SLOT_BYTES: u64 = 24; // inline bucket entry: key + payload + overflow ptr
@@ -32,7 +42,11 @@ const SLOT_BYTES: u64 = 24; // inline bucket entry: key + payload + overflow ptr
 /// A bucket-chained hash index. No key order, so no range scans — exactly
 /// why DBMS M switches to its B-tree for TPC-C.
 pub struct HashIndex {
-    dir: Vec<Option<Box<Entry>>>,
+    /// Each slot's chain head.
+    dir: Vec<u32>,
+    /// Every entry the chains link; removed ones wait in `free` for reuse.
+    entries: Vec<Entry>,
+    free: Vec<u32>,
     /// Simulated base address of the directory (`SLOT_BYTES` per slot).
     dir_addr: u64,
     /// Fibonacci hashing extracts the *high* bits: `hash >> shift`.
@@ -49,7 +63,9 @@ impl HashIndex {
         let slots = ((expected.max(16) as f64 / 0.75) as u64).next_power_of_two();
         let dir_addr = mem.alloc(slots * SLOT_BYTES, 64);
         HashIndex {
-            dir: (0..slots).map(|_| None).collect(),
+            dir: vec![NIL; slots as usize],
+            entries: Vec::new(),
+            free: Vec::new(),
             dir_addr,
             shift: 64 - slots.trailing_zeros(),
             len: 0,
@@ -82,19 +98,20 @@ impl HashIndex {
     /// like a real rehash would).
     fn grow(&mut self, mem: &Mem) {
         let new_slots = (self.dir.len() * 4).next_power_of_two();
-        let mut new_dir: Vec<Option<Box<Entry>>> = (0..new_slots).map(|_| None).collect();
+        let mut new_dir = vec![NIL; new_slots];
         let new_addr = mem.alloc(new_slots as u64 * SLOT_BYTES, 64);
         let new_shift = 64 - (new_slots as u64).trailing_zeros();
         mem.exec(self.len * 8 + 500);
         for head in self.dir.drain(..) {
             let mut cur = head;
-            while let Some(mut e) = cur {
-                cur = e.next.take();
+            while cur != NIL {
+                let e = &mut self.entries[cur as usize];
                 mem.read(e.addr, 24);
                 let slot = (hash(e.key) >> new_shift) as usize;
                 mem.write(new_addr + slot as u64 * SLOT_BYTES, SLOT_BYTES as u32);
-                e.next = new_dir[slot].take();
-                new_dir[slot] = Some(e);
+                let next = std::mem::replace(&mut e.next, new_dir[slot]);
+                new_dir[slot] = cur;
+                cur = next;
             }
         }
         self.dir = new_dir;
@@ -103,18 +120,20 @@ impl HashIndex {
         self.bytes += new_slots as u64 * SLOT_BYTES;
     }
 
+    /// The entries of `slot`'s chain, head first.
+    fn chain(&self, slot: usize) -> impl Iterator<Item = (u32, &Entry)> {
+        let mut cur = self.dir[slot];
+        std::iter::from_fn(move || {
+            let at = cur;
+            let e = self.entries.get(at as usize)?;
+            cur = e.next;
+            Some((at, e))
+        })
+    }
+
     fn longest_chain(&self) -> u32 {
-        self.dir
-            .iter()
-            .map(|head| {
-                let mut n = 0;
-                let mut cur = head.as_deref();
-                while let Some(e) = cur {
-                    n += 1;
-                    cur = e.next.as_deref();
-                }
-                n
-            })
+        (0..self.dir.len())
+            .map(|slot| self.chain(slot).count() as u32)
             .max()
             .unwrap_or(0)
     }
@@ -137,33 +156,39 @@ impl Index for HashIndex {
         let slot = self.slot_of(key);
         self.touch_slot(mem, slot, false);
         // Duplicate check walks the chain.
-        let mut cur = self.dir[slot].as_deref();
-        let mut first = true;
-        while let Some(e) = cur {
+        for (i, (_, e)) in self.chain(slot).enumerate() {
             mem.exec(8);
-            if !first {
+            if i > 0 {
                 mem.read(e.addr, 24);
             }
-            first = false;
             if e.key == key {
                 return false;
             }
-            cur = e.next.as_deref();
         }
         // New entries go to the bucket head: the previous head (if any)
         // spills from the inline slot to an overflow allocation.
         let addr = mem.alloc(ENTRY_BYTES, 8);
-        if self.dir[slot].is_some() {
+        let next = self.dir[slot];
+        if next != NIL {
             mem.write(addr, 24);
         }
         self.touch_slot(mem, slot, true);
-        let next = self.dir[slot].take();
-        self.dir[slot] = Some(Box::new(Entry {
+        let entry = Entry {
             key,
             payload,
             addr,
             next,
-        }));
+        };
+        self.dir[slot] = match self.free.pop() {
+            Some(at) => {
+                self.entries[at as usize] = entry;
+                at
+            }
+            None => {
+                self.entries.push(entry);
+                u32::try_from(self.entries.len() - 1).expect("fewer than 2^32 entries")
+            }
+        };
         self.bytes += ENTRY_BYTES;
         self.len += 1;
         true
@@ -173,18 +198,14 @@ impl Index for HashIndex {
         mem.exec(15);
         let slot = self.slot_of(key);
         self.touch_slot(mem, slot, false);
-        let mut cur = self.dir[slot].as_deref();
-        let mut first = true;
-        while let Some(e) = cur {
+        for (i, (_, e)) in self.chain(slot).enumerate() {
             mem.exec(8);
-            if !first {
+            if i > 0 {
                 mem.read(e.addr, 24); // overflow entries are heap hops
             }
-            first = false;
             if e.key == key {
                 return Some(e.payload);
             }
-            cur = e.next.as_deref();
         }
         None
     }
@@ -194,31 +215,29 @@ impl Index for HashIndex {
         let slot = self.slot_of(key);
         self.touch_slot(mem, slot, false);
         let slot_addr = self.dir_addr + slot as u64 * SLOT_BYTES;
-        let mut cur = &mut self.dir[slot];
-        let mut first = true;
-        loop {
-            match cur {
-                None => return None,
-                Some(e) if e.key == key => {
-                    // The inline head lives in the directory slot; chained
-                    // entries are heap allocations.
-                    mem.write(if first { slot_addr } else { e.addr }, 24);
-                    let payload = e.payload;
-                    let next = e.next.take();
-                    *cur = next;
-                    self.len -= 1;
-                    return Some(payload);
-                }
-                Some(e) => {
-                    mem.exec(8);
-                    if !first {
-                        mem.read(e.addr, 24);
-                    }
-                    first = false;
-                    cur = &mut cur.as_mut().unwrap().next;
-                }
+        let (mut prev, mut found) = (None, None);
+        for (at, e) in self.chain(slot) {
+            if e.key == key {
+                // The inline head lives in the directory slot; chained
+                // entries are heap allocations.
+                mem.write(if prev.is_none() { slot_addr } else { e.addr }, 24);
+                found = Some((at, e.payload, e.next));
+                break;
             }
+            mem.exec(8);
+            if prev.is_some() {
+                mem.read(e.addr, 24);
+            }
+            prev = Some(at);
         }
+        let (at, payload, next) = found?;
+        match prev {
+            None => self.dir[slot] = next,
+            Some(p) => self.entries[p as usize].next = next,
+        }
+        self.free.push(at);
+        self.len -= 1;
+        Some(payload)
     }
 
     fn replace(&mut self, mem: &Mem, key: u64, payload: u64) -> Option<u64> {
@@ -226,23 +245,20 @@ impl Index for HashIndex {
         let slot = self.slot_of(key);
         self.touch_slot(mem, slot, false);
         let slot_addr = self.dir_addr + slot as u64 * SLOT_BYTES;
-        let mut cur = self.dir[slot].as_deref_mut();
-        let mut first = true;
-        while let Some(e) = cur {
+        let mut found = None;
+        for (i, (at, e)) in self.chain(slot).enumerate() {
             mem.exec(8);
-            if !first {
+            if i > 0 {
                 mem.read(e.addr, 24);
             }
             if e.key == key {
-                let old = e.payload;
-                e.payload = payload;
-                mem.write(if first { slot_addr + 8 } else { e.addr + 8 }, 8);
-                return Some(old);
+                mem.write(if i == 0 { slot_addr + 8 } else { e.addr + 8 }, 8);
+                found = Some(at);
+                break;
             }
-            first = false;
-            cur = e.next.as_deref_mut();
         }
-        None
+        let e = &mut self.entries[found? as usize];
+        Some(std::mem::replace(&mut e.payload, payload))
     }
 
     fn scan(

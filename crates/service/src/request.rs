@@ -6,8 +6,9 @@
 //! [`Response`] variants — the wire module maps them 1:1 onto frames,
 //! and the dispatcher pattern-matches on them. This is what lets the
 //! batching dispatcher coalesce [`Request::Execute`]s per core without
-//! knowing anything about statement contents, and what group commit
-//! (ROADMAP item 4) will hook into.
+//! knowing anything about statement contents. (Group commit lives below
+//! this layer, in the engines' WALs: `storage::wal` flushes a group of
+//! commits per epoch.)
 
 use oltp::OltpError;
 

@@ -28,11 +28,14 @@
 //! record without one makes it aborted, neither leaves it unfinished. The
 //! analysis keeps one `(txn, fate)` entry per transaction that has a
 //! Commit or Abort record, sorted by id, and the apply loops look a
-//! record's transaction up by binary search — an id that is not found is
+//! record's transaction up in it — an id that is not found is
 //! unfinished. The table is complete before the first lookup and never
-//! changes after, so a lookup is a pure function of the id and the last
-//! answer can be reused while the id repeats, which it does for every
-//! record but the first of a transaction on an uninterleaved stream. The
+//! changes after, so a lookup is a pure function of the id. A lookup is
+//! a forward cursor: ids mostly ascend along a stream, so it starts where
+//! the last one landed, probes the next few entries and only then falls
+//! back to a binary search (interleaved streams, an id below the last).
+//! While an id repeats, which it does for every record but the first of
+//! a transaction on an uninterleaved stream, the first probe answers. The
 //! analysis also notes where the first unfinished record sits, so undo
 //! scans the tail a crash can have left open and not the whole log.
 
@@ -42,6 +45,9 @@ use oltp::{tuple, OltpError, Session, TableId};
 use crate::checkpoint::Checkpoint;
 use crate::txn::TxnId;
 use crate::wal::{LogKind, LogRecord, Lsn};
+
+/// Entries a [`Fates`] lookup probes past its cursor before it searches.
+const PROBE: usize = 4;
 
 /// Redo actions applied per transaction batch during [`recover`] (bounds
 /// recovery-transaction size without changing the result — every action
@@ -127,8 +133,8 @@ struct Fates {
     /// One entry per transaction with a Commit or Abort record, sorted
     /// by id.
     ended: Vec<(TxnId, Fate)>,
-    /// The last lookup.
-    memo: Option<(TxnId, Fate)>,
+    /// Where the last lookup's id sits (or would sit) in `ended`.
+    at: usize,
     /// Distinct transactions of each fate.
     committed: u64,
     aborted: u64,
@@ -154,7 +160,7 @@ impl Fates {
         let mut fates = Fates {
             aborted: ended.len() as u64 - committed,
             ended,
-            memo: None,
+            at: 0,
             committed,
             unfinished: 0,
             undo_from: records.len(),
@@ -176,16 +182,21 @@ impl Fates {
     }
 
     fn of(&mut self, txn: TxnId) -> Fate {
-        match self.memo {
-            Some((t, fate)) if t == txn => fate,
-            _ => {
-                let fate = match self.ended.binary_search_by_key(&txn, |e| e.0) {
-                    Ok(i) => self.ended[i].1,
-                    Err(_) => Fate::Unfinished,
-                };
-                self.memo = Some((txn, fate));
-                fate
-            }
+        // Every entry below `lo` has a smaller id than `txn`: `lo` is the
+        // cursor when the entry before it does, 0 otherwise.
+        let lo = match self.at.checked_sub(1) {
+            Some(prev) if self.ended[prev].0 >= txn => 0,
+            _ => self.at,
+        };
+        let rest = &self.ended[lo..];
+        self.at = lo
+            + match rest.iter().take(PROBE).position(|e| e.0 >= txn) {
+                Some(i) => i,
+                None => rest.partition_point(|e| e.0 < txn),
+            };
+        match self.ended.get(self.at) {
+            Some(&(t, fate)) if t == txn => fate,
+            _ => Fate::Unfinished,
         }
     }
 }
@@ -1146,6 +1157,45 @@ pub(crate) mod tests {
             (7, Fate::Committed),
         ] {
             assert_eq!(fates.of(TxnId(txn)), fate, "txn {txn}");
+        }
+    }
+
+    #[test]
+    fn the_cursor_answers_as_a_binary_search_does_in_any_lookup_order() {
+        // Ids 0..90: multiples of 3 commit, ids 2 mod 3 abort, the rest
+        // never end.
+        let records: Vec<LogRecord> = (0..90u64)
+            .filter(|t| t % 3 != 1)
+            .map(|t| LogRecord {
+                lsn: Lsn(t + 1),
+                txn: TxnId(t),
+                kind: if t % 3 == 0 {
+                    LogKind::Commit
+                } else {
+                    LogKind::Abort
+                },
+                len: 24,
+                table: 0,
+                key: 0,
+                redo: None,
+                undo: None,
+            })
+            .collect();
+        let mut fates = Fates::analyse(&records);
+        let ended = fates.ended.clone();
+        let ascending: Vec<u64> = (0..100).collect();
+        let descending: Vec<u64> = (0..100).rev().collect();
+        // Two streams' ids interleaved, then long jumps both ways.
+        let interleaved: Vec<u64> = (0..50).flat_map(|i| [i, i + 45, i]).collect();
+        let jumps: Vec<u64> = (0..300u64).map(|i| i * 37 % 101).collect();
+        for order in [ascending, descending, interleaved, jumps] {
+            for txn in order {
+                let want = match ended.binary_search_by_key(&TxnId(txn), |e| e.0) {
+                    Ok(i) => ended[i].1,
+                    Err(_) => Fate::Unfinished,
+                };
+                assert_eq!(fates.of(TxnId(txn)), want, "txn {txn}");
+            }
         }
     }
 }

@@ -336,6 +336,12 @@ impl Wal {
     pub fn records(&self) -> &[LogRecord] {
         &self.records
     }
+
+    /// Move the retained records out, leaving none retained; appends keep
+    /// retaining. LSNs go on from the horizon.
+    pub fn take_records(&mut self) -> Vec<LogRecord> {
+        std::mem::take(&mut self.records)
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! The state `SystemBuilder::load` leaves behind, pinned before anyone
-//! builds a loaded-engine image on top of it (ROADMAP item 4(b)): two loads
+//! builds a loaded-engine image on top of it (ROADMAP item 7): two loads
 //! on fresh simulators must be indistinguishable — same allocation cursor,
 //! same code modules, all-zero counters, same rows under the same keys —
 //! and the single-worker digests are constants, so a change to how a
