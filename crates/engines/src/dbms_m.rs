@@ -505,14 +505,13 @@ impl Session for DbmsMSession {
             let installed = match &w.kind {
                 WriteKind::Insert(data) => {
                     log_bytes += data.len() as u32;
-                    let id = table.versions.insert(mem_mvcc, data.clone(), commit_ts);
+                    let id = table.versions.insert(mem_mvcc, data, commit_ts);
                     // `false`: a duplicate was created since our check.
                     let _i = self.ports.span(Phase::Index);
                     table.index.as_index().insert(mem_index, w.key, id.to_u64())
                 }
                 WriteKind::Update(id, data) => {
                     log_bytes += data.len() as u32 * 2;
-                    let data = data.clone();
                     table
                         .versions
                         .install(mem_mvcc, *id, data, txn.snapshot, commit_ts)

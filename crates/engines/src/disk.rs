@@ -22,6 +22,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use indexes::Index;
 use obs::Phase;
 use oltp::{tuple, CcPolicy, Db, OltpError, OltpResult, Row, Session, TableDef, TableId, Value};
@@ -419,13 +420,12 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         let data = tuple::encode(row);
         P::value_work(&self.ports, data.len());
         let len = data.len() as u32;
-        let redo = data.clone();
         let (tables, pool) = (&mut inner.tables, &mut inner.pool);
         let mem_heap = self.ports.mem(P::ROLES.heap);
         let rid = {
             let _s = self.ports.span(Phase::Storage);
             mem_heap.exec(P::COST.heap_wrap);
-            tables[ti].heap.insert(pool, mem_heap, data)
+            tables[ti].heap.insert(pool, mem_heap, &data)
         };
         let inserted = {
             let _i = self.ports.span(Phase::Index);
@@ -444,7 +444,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         mem.exec(P::COST.log_update);
         inner
             .wal
-            .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&redo), None, len);
+            .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&data), None, len);
         Ok(())
     }
 
@@ -503,13 +503,12 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         debug_assert!(tables[ti].def.schema.check(&row), "row/schema mismatch");
         let data = tuple::encode(&row);
         let len = data.len() as u32;
-        let redo = data.clone();
         let new_rid = {
             let _s = self.ports.span(Phase::Storage);
             P::value_work(&self.ports, data.len() * 2);
             tables[ti]
                 .heap
-                .update(pool, mem, rid, data)
+                .update(pool, mem, rid, &data)
                 .expect("row vanished mid-update")
         };
         if new_rid != rid {
@@ -526,7 +525,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             LogKind::Update,
             t.0,
             key,
-            Some(&redo),
+            Some(&data),
             undo.as_ref(),
             len * 2,
         );
@@ -594,7 +593,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             return Ok(false);
         };
         let rid = Rid::from_u64(payload);
-        let mut undo: Option<bytes::Bytes> = None;
+        let mut undo: Option<Bytes> = None;
         {
             let _s = self.ports.span(Phase::Storage);
             let mem = self.ports.mem(P::ROLES.heap);
@@ -603,9 +602,9 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             if inner.wal.retaining() {
                 // Before-image read so recovery can restore the row if
                 // this transaction never commits (durable mode only).
-                tables[ti]
-                    .heap
-                    .read(pool, mem, rid, &mut |d| undo = Some(d.clone()));
+                tables[ti].heap.read(pool, mem, rid, &mut |d| {
+                    undo = Some(Bytes::copy_from_slice(d))
+                });
             }
             tables[ti].heap.delete(pool, mem, rid);
         }

@@ -16,7 +16,6 @@
 //! of magnitude below the other systems, the ART, and index, row and value
 //! work all running in the one compiled-procedure segment.
 
-use bytes::Bytes;
 use indexes::Art;
 use obs::Phase;
 use oltp::{tuple, Row};
@@ -121,7 +120,7 @@ impl PartitionProfile for HyPerProfile {
     }
 
     /// Value work and the row store are one stretch of generated code.
-    fn store_insert(ports: &Ports, table: &mut PTable<Art>, data: Bytes) -> RowId {
+    fn store_insert(ports: &Ports, table: &mut PTable<Art>, data: &[u8]) -> RowId {
         let _s = ports.span(Phase::Storage);
         Self::value_work(ports, table, data.len());
         table.store.insert(ports.mem(PROC), data)

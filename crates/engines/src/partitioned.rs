@@ -112,7 +112,7 @@ pub trait PartitionProfile: 'static {
     fn value_work(ports: &Ports, table: &PTable<Self::Index>, bytes: usize);
     /// Process a new row's values and place it in the store. Owns its
     /// spans.
-    fn store_insert(ports: &Ports, table: &mut PTable<Self::Index>, data: Bytes) -> RowId;
+    fn store_insert(ports: &Ports, table: &mut PTable<Self::Index>, data: &[u8]) -> RowId;
     /// One row of a range scan (step, dereference, value work), inside
     /// the kernel's storage span. `None` if the row does not decode.
     fn scan_row(ports: &Ports, store: &MemStore, id: RowId) -> Option<Row>;
@@ -410,7 +410,7 @@ impl<P: PartitionProfile> PartitionSession<P> {
         let encoded = tuple::encode(&row);
         let _s = self.ports.span(Phase::Storage);
         P::value_work(&self.ports, table, encoded.len() * 2);
-        table.store.update(mem, id, encoded.clone());
+        table.store.update(mem, id, &encoded);
         Some((undo, encoded))
     }
 
@@ -545,12 +545,9 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
         let _h = home_guard(&shared.core.sim, shared.placement, p);
         let part = &mut *shared.parts[p].borrow_mut();
         self.claim(part, t, key, true)?;
-        let encoded = tuple::encode(row);
-        // Durable mode: the log carries data records too (the default
-        // command/redo log appends only Commit markers).
-        let redo = part.wal.retaining().then(|| encoded.clone());
+        let data = tuple::encode(row);
         let table = &mut part.tables[ti];
-        let id = P::store_insert(&self.ports, table, encoded);
+        let id = P::store_insert(&self.ports, table, &data);
         let inserted = {
             let _i = self.ports.span(Phase::Index);
             let mem = self.ports.mem(P::ROLES.index);
@@ -561,12 +558,14 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             table.store.delete(self.ports.mem(P::ROLES.store), id);
             return Err(OltpError::DuplicateKey { table: t, key });
         }
-        if let Some(redo) = redo {
+        // Durable mode: the log carries data records too (the default
+        // command/redo log appends only Commit markers).
+        if part.wal.retaining() {
             let _l = self.ports.span(Phase::Log);
             let mem = self.ports.mem(P::ROLES.log);
-            let len = redo.len() as u32;
+            let len = data.len() as u32;
             part.wal
-                .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&redo), None, len);
+                .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&data), None, len);
         }
         Ok(())
     }
@@ -691,7 +690,9 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             if part.wal.retaining() {
                 // Before-image read so recovery can restore the row if
                 // this transaction never commits (durable mode only).
-                table.store.read(mem, id, &mut |d| undo = Some(d.clone()));
+                table
+                    .store
+                    .read(mem, id, &mut |d| undo = Some(Bytes::copy_from_slice(d)));
             }
             table.store.delete(mem, id);
         }

@@ -18,7 +18,6 @@
 
 use std::cell::Cell;
 
-use bytes::Bytes;
 use indexes::{CcBTree, Index};
 use obs::Phase;
 use oltp::{tuple, Row};
@@ -178,7 +177,7 @@ impl PartitionProfile for VoltDbProfile {
     /// The EE serializes the tuple, the index layer prepares the key,
     /// then the table store takes the row — three separately attributed
     /// steps.
-    fn store_insert(ports: &Ports, table: &mut PTable<CcBTree>, data: Bytes) -> RowId {
+    fn store_insert(ports: &Ports, table: &mut PTable<CcBTree>, data: &[u8]) -> RowId {
         {
             let _s = ports.span(Phase::Storage);
             Self::value_work(ports, table, data.len());

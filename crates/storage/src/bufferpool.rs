@@ -204,7 +204,6 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use uarch_sim::{MachineConfig, Sim};
 
     fn mem() -> Mem {
@@ -219,8 +218,7 @@ mod tests {
             .map(|i| {
                 let pid = pool.new_page(&mem);
                 pool.with_page_mut(&mem, pid, |p, base| {
-                    p.insert(&mem, base, Bytes::from(vec![i as u8; 16]))
-                        .unwrap()
+                    p.insert(&mem, base, &[i as u8; 16]).unwrap()
                 });
                 pid
             })

@@ -3,7 +3,6 @@
 //! A heap file is a list of slotted pages; tuples are addressed by
 //! [`Rid`] (page ordinal + slot) which packs into a `u64` index payload.
 
-use bytes::Bytes;
 use uarch_sim::Mem;
 
 use crate::bufferpool::BufferPool;
@@ -62,7 +61,7 @@ impl HeapFile {
     }
 
     /// Insert a tuple, returning its Rid.
-    pub fn insert(&mut self, pool: &mut BufferPool, mem: &Mem, data: Bytes) -> Rid {
+    pub fn insert(&mut self, pool: &mut BufferPool, mem: &Mem, data: &[u8]) -> Rid {
         assert!(
             data.len() as u32 + crate::page::HEADER_BYTES + 8 <= crate::page::PAGE_SIZE,
             "tuple of {} bytes cannot fit any page",
@@ -75,7 +74,7 @@ impl HeapFile {
             }
             let page_ord = self.insert_cursor;
             let pid = self.pages[page_ord];
-            let slot = pool.with_page_mut(mem, pid, |p, base| p.insert(mem, base, data.clone()));
+            let slot = pool.with_page_mut(mem, pid, |p, base| p.insert(mem, base, data));
             match slot {
                 Some(s) => {
                     self.rows += 1;
@@ -95,7 +94,7 @@ impl HeapFile {
         pool: &mut BufferPool,
         mem: &Mem,
         rid: Rid,
-        f: &mut dyn FnMut(&Bytes),
+        f: &mut dyn FnMut(&[u8]),
     ) -> bool {
         let Some(&pid) = self.pages.get(rid.page as usize) else {
             return false;
@@ -111,19 +110,17 @@ impl HeapFile {
         pool: &mut BufferPool,
         mem: &Mem,
         rid: Rid,
-        data: Bytes,
+        data: &[u8],
     ) -> Option<Rid> {
         let &pid = self.pages.get(rid.page as usize)?;
         let ok = pool.with_page_mut(mem, pid, |p, base| {
-            p.update(mem, base, SlotId(rid.slot), data.clone())
+            p.update(mem, base, SlotId(rid.slot), data)
         });
         if ok {
             return Some(rid);
         }
         // Tuple grew past its page: relocate.
-        let existed = pool
-            .with_page_mut(mem, pid, |p, base| p.delete(mem, base, SlotId(rid.slot)))
-            .is_some();
+        let existed = pool.with_page_mut(mem, pid, |p, base| p.delete(mem, base, SlotId(rid.slot)));
         if !existed {
             return None;
         }
@@ -136,9 +133,7 @@ impl HeapFile {
         let Some(&pid) = self.pages.get(rid.page as usize) else {
             return false;
         };
-        let gone = pool.with_page_mut(mem, pid, |p, base| {
-            p.delete(mem, base, SlotId(rid.slot)).is_some()
-        });
+        let gone = pool.with_page_mut(mem, pid, |p, base| p.delete(mem, base, SlotId(rid.slot)));
         if gone {
             self.rows -= 1;
             // Allow future inserts to refill earlier pages.
@@ -148,7 +143,7 @@ impl HeapFile {
     }
 
     /// Full scan in page order.
-    pub fn scan(&self, pool: &mut BufferPool, mem: &Mem, f: &mut dyn FnMut(Rid, &Bytes) -> bool) {
+    pub fn scan(&self, pool: &mut BufferPool, mem: &Mem, f: &mut dyn FnMut(Rid, &[u8]) -> bool) {
         for (ord, &pid) in self.pages.iter().enumerate() {
             let keep_going = pool.with_page(mem, pid, |p, base| {
                 p.scan(mem, base, &mut |slot, d| {
@@ -199,7 +194,7 @@ mod tests {
         let (mem, mut pool) = setup();
         let mut heap = HeapFile::new();
         let rids: Vec<Rid> = (0..1000u32)
-            .map(|i| heap.insert(&mut pool, &mem, Bytes::from(i.to_le_bytes().to_vec())))
+            .map(|i| heap.insert(&mut pool, &mem, &i.to_le_bytes()))
             .collect();
         assert!(heap.pages() > 1);
         assert_eq!(heap.rows(), 1000);
@@ -217,17 +212,12 @@ mod tests {
         let (mem, mut pool) = setup();
         let mut heap = HeapFile::new();
         // Fill some of the page so a huge update cannot relocate in-page.
-        let _ = heap.insert(&mut pool, &mem, Bytes::from(vec![9u8; 600]));
-        let rid = heap.insert(&mut pool, &mem, Bytes::from(vec![1u8; 16]));
+        let _ = heap.insert(&mut pool, &mem, &[9u8; 600]);
+        let rid = heap.insert(&mut pool, &mem, &[1u8; 16]);
         // Same-size update keeps the Rid.
-        assert_eq!(
-            heap.update(&mut pool, &mem, rid, Bytes::from(vec![2u8; 16])),
-            Some(rid)
-        );
+        assert_eq!(heap.update(&mut pool, &mem, rid, &[2u8; 16]), Some(rid));
         // An update that outgrows the page relocates to another page.
-        let new_rid = heap
-            .update(&mut pool, &mem, rid, Bytes::from(vec![3u8; 8000]))
-            .unwrap();
+        let new_rid = heap.update(&mut pool, &mem, rid, &[3u8; 8000]).unwrap();
         assert_ne!(new_rid, rid);
         let mut len = 0;
         heap.read(&mut pool, &mem, new_rid, &mut |d| len = d.len());
@@ -240,7 +230,7 @@ mod tests {
         let (mem, mut pool) = setup();
         let mut heap = HeapFile::new();
         let rids: Vec<Rid> = (0..10u8)
-            .map(|i| heap.insert(&mut pool, &mem, Bytes::from(vec![i; 8])))
+            .map(|i| heap.insert(&mut pool, &mem, &[i; 8]))
             .collect();
         assert!(heap.delete(&mut pool, &mem, rids[4]));
         assert!(!heap.delete(&mut pool, &mem, rids[4]));

@@ -29,6 +29,10 @@
 # 9. One thread owns a simulator: under crates/ the word `unsafe` appears
 #    only in `forbid` lines, and crates/uarch_sim/src names no `Atomic`,
 #    `Mutex`, `RwLock`, `UnsafeCell`, `OnceLock` or `thread_local`.
+# 10. The row stores keep bytes, not a heap block per row: above its
+#    first `#[cfg(test)]`, no code line of crates/storage/src/{page,heap,
+#    memstore,mvcc}.rs names `Bytes` or `Box` (the per-row reference
+#    stores the differential tests drive live below that line).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
@@ -86,6 +90,15 @@ if grep -rnE 'Atomic|Mutex|RwLock|UnsafeCell|OnceLock|thread_local' "$sim"; then
     echo "structure: the simulator synchronises between threads again" >&2
     bad=1
 fi
+
+for f in crates/storage/src/{page,heap,memstore,mvcc}.rs; do
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])(Bytes|Box)([^[:alnum:]_]|$)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$f"; then
+        echo "structure: $f keeps a heap block per row again" >&2
+        bad=1
+    fi
+done
 
 while IFS='|' read -r _ crate _ modules _; do
     dir="$(sed -n 's/^ *`\(crates\/[a-z_]*\)`.*/\1/p' <<<"$crate")"
