@@ -53,7 +53,7 @@ use faults::FaultPlan;
 use microarch::{measure_workers, Measurement, Pacing, WindowSpec};
 use obs::json::Json;
 use obs::Phase;
-use oltp::{tuple, OltpError, Session, TableId, Value};
+use oltp::{check_image, tuple, OltpError, Session, TableId, Value};
 use storage::checkpoint::{Checkpoint, Checkpointer};
 use storage::recovery::{recover, replay, RecoveryStats, ReplayStats};
 use storage::wal::{LogRecord, Lsn};
@@ -217,12 +217,13 @@ impl RecoverReport {
 
 /// Recovery target: a plain multi-table row store behind the [`Session`]
 /// trait. Recovery replays *into* this instead of a live engine so the
-/// recovered state can be digested per table and compared bit-for-bit
+/// recovered state can be digested per table and compared byte for byte
 /// against an independent reference re-execution.
 ///
-/// A table keeps its rows encoded in one byte arena, indexed by key: an
-/// insert encodes the row once, an update appends the re-encoded row and
-/// leaves the old bytes dead, a delete drops the key. No row owns an
+/// A table keeps its rows encoded in one byte arena, indexed by key: a
+/// logged image is checked and appended as it is (the image methods), a
+/// row insert encodes the row once, an update appends the new bytes and
+/// leaves the old ones dead, a delete drops the key. No row owns an
 /// allocation of its own: building and freeing a target costs the arena
 /// and the key index's nodes.
 #[derive(Default)]
@@ -247,6 +248,13 @@ fn append(arena: &mut tuple::BytesMut, row: &[Value]) -> (usize, usize) {
     (start, arena.len())
 }
 
+/// Append the encoded row `image` to `arena`; its byte range there.
+fn keep(arena: &mut tuple::BytesMut, image: &[u8]) -> (usize, usize) {
+    let start = arena.len();
+    arena.extend_from_slice(image);
+    (start, arena.len())
+}
+
 /// Decode the row stored at `range` of `arena`.
 fn row_at(arena: &[u8], (start, end): (usize, usize)) -> oltp::Row {
     tuple::decode(&arena[start..end]).expect("a stored row decodes")
@@ -262,6 +270,22 @@ impl ApplyDb {
     pub fn value(&self, table: u32, key: u64) -> Option<oltp::Row> {
         let rows = self.tables.get(&table)?;
         rows.at.get(&key).map(|&at| row_at(&rows.arena, at))
+    }
+
+    /// Whether `other` holds the same tables, and in each the same keys
+    /// with byte-identical rows: what equal [`ApplyDb::digests`] stand
+    /// for, without the hash.
+    pub fn same_rows(&self, other: &ApplyDb) -> bool {
+        let same_table = |a: &Rows, b: &Rows| {
+            a.at.len() == b.at.len()
+                && a.at
+                    .iter()
+                    .zip(&b.at)
+                    .all(|((k, &x), (l, &y))| k == l && a.arena[x.0..x.1] == b.arena[y.0..y.1])
+        };
+        self.tables.len() == other.tables.len()
+            && (self.tables.iter().zip(&other.tables))
+                .all(|((t, a), (u, b))| t == u && same_table(a, b))
     }
 
     /// Per-table FNV digests over `(key, encoded row)` in key order.
@@ -358,6 +382,34 @@ impl Session for ApplyDb {
             .tables
             .get_mut(&t.0)
             .is_some_and(|rows| rows.at.remove(&key).is_some()))
+    }
+    fn insert_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<()> {
+        check_image(image)?;
+        let Rows { arena, at } = self.tables.entry(t.0).or_default();
+        match at.entry(key) {
+            Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
+            Entry::Vacant(slot) => {
+                slot.insert(keep(arena, image));
+                Ok(())
+            }
+        }
+    }
+    fn update_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<bool> {
+        check_image(image)?;
+        let Some(Rows { arena, at }) = self.tables.get_mut(&t.0) else {
+            return Ok(false);
+        };
+        let Some(range) = at.get_mut(&key) else {
+            return Ok(false);
+        };
+        *range = keep(arena, image);
+        Ok(true)
+    }
+    fn upsert_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<()> {
+        check_image(image)?;
+        let Rows { arena, at } = self.tables.entry(t.0).or_default();
+        at.insert(key, keep(arena, image));
+        Ok(())
     }
 }
 
@@ -690,8 +742,8 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
     };
     let (rec_db, rec_stats) = recover_once();
     let (rec_db2, _) = recover_once();
-    let digests = rec_db.digests();
-    let second_match = digests == rec_db2.digests();
+    let second_match = rec_db.same_rows(&rec_db2);
+    drop(rec_db2);
 
     let mut ref_db = ApplyDb::new();
     let mut ref_stats = ReplayStats::default();
@@ -701,7 +753,9 @@ pub fn run(cfg: &RecoverCfg) -> RecoverReport {
         ref_stats.losers += s.losers;
         ref_stats.applied += s.applied;
     }
-    let digests_match = digests == ref_db.digests();
+    let digests_match = rec_db.same_rows(&ref_db);
+    drop(ref_db);
+    let digests = rec_db.digests();
 
     // Oracle verification against the recovered state.
     let mut confirmed = 0u64;
@@ -1456,6 +1510,146 @@ mod tests {
         );
         assert_eq!(read, Some(row(5)));
         s.commit().expect("the target commits");
+    }
+
+    fn encoded(row: &[Value]) -> Vec<u8> {
+        let mut buf = tuple::BytesMut::new();
+        tuple::encode_into(row, &mut buf);
+        buf.to_vec()
+    }
+
+    /// A winner inserts `(1, 10)` under key 1 of table 0; a second winner
+    /// writes key `key` (1: an update, 2: an insert) with `image`.
+    fn two_winners(key: u64, image: &[u8]) -> Vec<LogRecord> {
+        use storage::wal::{Image, LogKind};
+        use storage::TxnId;
+        let rec = |lsn, txn, kind, key, redo: Option<&[u8]>| LogRecord {
+            lsn: Lsn(lsn),
+            txn: TxnId(txn),
+            kind,
+            len: 40,
+            table: 0,
+            key,
+            redo: redo.map(Image::copy_of),
+            undo: None,
+        };
+        let kind = if key == 1 {
+            LogKind::Update
+        } else {
+            LogKind::Insert
+        };
+        let first = encoded(&[Value::Long(1), Value::Long(10)]);
+        vec![
+            rec(1, 1, LogKind::Begin, 0, None),
+            rec(2, 1, LogKind::Insert, 1, Some(&first)),
+            rec(3, 1, LogKind::Commit, 0, None),
+            rec(4, 2, LogKind::Begin, 0, None),
+            rec(5, 2, kind, key, Some(image)),
+            rec(6, 2, LogKind::Commit, 0, None),
+        ]
+    }
+
+    #[test]
+    fn a_corrupt_image_stops_either_pass_and_is_not_stored() {
+        use storage::recovery::ReplayError;
+        use storage::TxnId;
+
+        let first = vec![Value::Long(1), Value::Long(10)];
+        let good = encoded(&[Value::Long(2), Value::Long(20)]);
+        let truncated = good[..good.len() - 1].to_vec();
+        let mut bad_tag = good.clone();
+        bad_tag[2 + 9] = 0x7F; // the second column's tag
+        let systems = [ENGINES[0], ENGINES[3], ENGINES[4]];
+        for bad in [&truncated, &bad_tag] {
+            for key in [1, 2] {
+                let records = two_winners(key, bad);
+                for recovering in [true, false] {
+                    let what = format!("key {key}, recover {recovering}, image {bad:?}");
+                    let pass = |s: &mut dyn Session| {
+                        let r = match recovering {
+                            true => recover(None, &records, s).map(drop),
+                            false => replay(&records, s).map(drop),
+                        };
+                        assert!(
+                            matches!(r, Err(ReplayError::MissingRedo(TxnId(2)))),
+                            "{what}: {r:?}"
+                        );
+                    };
+                    let mut flat = ApplyDb::new();
+                    pass(&mut flat);
+                    assert_eq!(flat.value(0, 1), Some(first.clone()), "{what}");
+                    assert_eq!(flat.tables[&0].at.len(), 1, "{what}");
+                    for system in systems {
+                        let mut table = None;
+                        let (_sim, db) =
+                            SystemBuilder::new(system).load(MachineConfig::ivy_bridge(1), |db| {
+                                table = Some(Counters::create(db, "t", 1, 4, 0).table);
+                            });
+                        let t = table.expect("the loader ran");
+                        let mut s = db.session(0);
+                        pass(s.as_mut());
+                        // The failed pass leaves its transaction open, and
+                        // it sees what the first winner wrote and no more.
+                        assert_eq!(s.read(t, 1).unwrap(), Some(first.clone()), "{what}");
+                        assert_eq!(s.read(t, 2).unwrap(), None, "{what}");
+                    }
+                }
+            }
+        }
+        // The same log with a good image applies.
+        let mut flat = ApplyDb::new();
+        recover(None, &two_winners(2, &good), &mut flat).expect("a good image applies");
+        assert_eq!(
+            flat.value(0, 2),
+            Some(vec![Value::Long(2), Value::Long(20)])
+        );
+    }
+
+    #[test]
+    fn same_rows_is_what_equal_digests_stand_for() {
+        let row = |v: i64| [Value::Long(v), Value::from("row")];
+        // One target filled through the image methods, one through rows.
+        let (mut images, mut rows) = (ApplyDb::new(), ApplyDb::new());
+        for k in 0..50u64 {
+            images
+                .upsert_image(TableId(k as u32 % 3), k, &encoded(&row(k as i64)))
+                .unwrap();
+            rows.insert(TableId(k as u32 % 3), k, &row(k as i64))
+                .unwrap();
+        }
+        images
+            .update_image(TableId(1), 4, &encoded(&row(-4)))
+            .unwrap();
+        rows.update(TableId(1), 4, &mut |r| r[0] = Value::Long(-4))
+            .unwrap();
+        assert!(images.same_rows(&rows) && rows.same_rows(&images));
+        assert_eq!(images.digests(), rows.digests());
+        // A changed row, a missing row and an emptied table each differ.
+        let differs = |f: &mut dyn FnMut(&mut ApplyDb)| {
+            let mut other = ApplyDb::new();
+            for k in 0..50u64 {
+                other
+                    .insert(TableId(k as u32 % 3), k, &row(k as i64))
+                    .unwrap();
+            }
+            other
+                .update(TableId(1), 4, &mut |r| r[0] = Value::Long(-4))
+                .unwrap();
+            f(&mut other);
+            assert!(!images.same_rows(&other) && !other.same_rows(&images));
+            assert_ne!(images.digests(), other.digests());
+        };
+        differs(&mut |db| {
+            db.update(TableId(2), 5, &mut |r| r[1] = Value::from("rox"))
+                .unwrap();
+        });
+        differs(&mut |db| {
+            db.delete(TableId(0), 3).unwrap();
+        });
+        differs(&mut |db| {
+            db.insert(TableId(7), 1, &row(1)).unwrap();
+            db.delete(TableId(7), 1).unwrap();
+        });
     }
 
     #[test]

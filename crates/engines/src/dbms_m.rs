@@ -22,14 +22,16 @@
 //! commit.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use indexes::{CcBTree, HashIndex, Index};
 use obs::Phase;
-use oltp::{tuple, CcPolicy, Db, OltpError, OltpResult, Row, Session, TableDef, TableId, Value};
+use oltp::tuple::{self, BytesMut};
+use oltp::{CcPolicy, Db, OltpError, OltpResult, Row, Session, TableDef, TableId, Value};
 use storage::wal::LogRecord;
 use storage::{mvcc::InstallOutcome, LogKind, RowId, TxnId, TxnManager, VersionStore, Wal};
+use uarch_sim::rng::IntMap;
 use uarch_sim::{Mem, Sim};
 
 pub use crate::common::DbmsMIndex;
@@ -133,9 +135,10 @@ struct Table {
     str_key: bool,
 }
 
+#[derive(Clone, Copy)]
 enum WriteKind {
-    Insert(Bytes),
-    Update(RowId, Bytes),
+    Insert,
+    Update(RowId),
     Delete(RowId),
 }
 
@@ -143,6 +146,86 @@ struct WriteOp {
     table: usize,
     key: u64,
     kind: WriteKind,
+    /// The row image of an insert or update, in [`WriteSet::images`].
+    image: Range<usize>,
+}
+
+/// A transaction's buffered writes, in the order commit installs them.
+/// Their row images sit end to end in one buffer; rewriting an own
+/// write appends its new image and leaves the old bytes dead until the
+/// transaction ends. `latest` maps each written `(table, key)` to the
+/// position of its latest write, so reading one's own writes costs a
+/// lookup, not a scan of the write set.
+#[derive(Default)]
+struct WriteSet {
+    writes: Vec<WriteOp>,
+    images: BytesMut,
+    latest: IntMap<(usize, u64), usize>,
+}
+
+impl WriteSet {
+    fn clear(&mut self) {
+        self.writes.clear();
+        self.images.clear();
+        self.latest.clear();
+    }
+
+    /// The latest write of `key` in table `ti`.
+    fn last_write(&self, ti: usize, key: u64) -> Option<&WriteOp> {
+        self.latest.get(&(ti, key)).map(|&at| &self.writes[at])
+    }
+
+    fn image(&self, w: &WriteOp) -> &[u8] {
+        &self.images[w.image.clone()]
+    }
+
+    /// Encode `row` at the end of the image buffer; where it landed.
+    fn encode(&mut self, row: &[Value]) -> Range<usize> {
+        let start = self.images.len();
+        tuple::encode_into(row, &mut self.images);
+        start..self.images.len()
+    }
+
+    /// Buffer a write of `row` (none for a delete); its image's length.
+    fn push(&mut self, table: usize, key: u64, kind: WriteKind, row: Option<&[Value]>) -> usize {
+        let image = row.map_or(0..0, |row| self.encode(row));
+        let len = image.len();
+        self.latest.insert((table, key), self.writes.len());
+        self.writes.push(WriteOp {
+            table,
+            key,
+            kind,
+            image,
+        });
+        len
+    }
+
+    /// Replace the image of `key`'s latest write, an insert or update.
+    fn rewrite(&mut self, ti: usize, key: u64, row: &[Value]) {
+        let at = self.latest[&(ti, key)];
+        self.writes[at].image = self.encode(row);
+    }
+
+    /// Drop `key`'s latest write; an earlier write of the key, if any,
+    /// becomes the latest again.
+    fn forget(&mut self, ti: usize, key: u64) {
+        let at = self
+            .latest
+            .remove(&(ti, key))
+            .expect("a buffered write to forget");
+        self.writes.remove(at);
+        for pos in self.latest.values_mut() {
+            if *pos > at {
+                *pos -= 1;
+            }
+        }
+        let earlier = self.writes[..at]
+            .iter()
+            .rposition(|w| w.table == ti && w.key == key);
+        if let Some(pos) = earlier {
+            self.latest.insert((ti, key), pos);
+        }
+    }
 }
 
 /// Transaction-local state: the snapshot and the private write set. Lives
@@ -151,7 +234,7 @@ struct WriteOp {
 struct ActiveTxn {
     id: TxnId,
     snapshot: u64,
-    writes: Vec<WriteOp>,
+    writes: WriteSet,
 }
 
 /// Mutable engine state shared by all sessions.
@@ -181,6 +264,9 @@ struct DbmsMSession {
     ports: Ports,
     cur: Option<ActiveTxn>,
     ops_in_txn: u32,
+    /// The last finished transaction's write set, emptied, for the next
+    /// one to reuse.
+    spare: WriteSet,
 }
 
 impl DbmsM {
@@ -213,6 +299,18 @@ impl DbmsM {
     /// Transactions aborted by commit-time validation (diagnostics).
     pub fn validation_aborts(&self) -> u64 {
         self.shared.inner.borrow().validation_aborts
+    }
+
+    fn open(&self, core: usize) -> DbmsMSession {
+        let ports = Ports::open(&self.shared.core, core);
+        self.shared.latches.session_opened();
+        DbmsMSession {
+            shared: Rc::clone(&self.shared),
+            ports,
+            cur: None,
+            ops_in_txn: 0,
+            spare: WriteSet::default(),
+        }
     }
 }
 
@@ -328,16 +426,19 @@ impl DbmsMSession {
     }
 
     /// Read-your-writes: check the transaction's own write set first.
-    fn own_write(&self, ti: usize, key: u64) -> Option<Option<&Bytes>> {
-        let txn = self.cur.as_ref()?;
-        txn.writes
-            .iter()
-            .rev()
-            .find(|w| w.table == ti && w.key == key)
-            .map(|w| match &w.kind {
-                WriteKind::Insert(b) | WriteKind::Update(_, b) => Some(b),
-                WriteKind::Delete(_) => None,
-            })
+    fn own_write(&self, ti: usize, key: u64) -> Option<Option<&[u8]>> {
+        let writes = &self.cur.as_ref()?.writes;
+        let w = writes.last_write(ti, key)?;
+        Some(match w.kind {
+            WriteKind::Insert | WriteKind::Update(_) => Some(writes.image(w)),
+            WriteKind::Delete(_) => None,
+        })
+    }
+
+    /// Keep a finished transaction's write set for the next one.
+    fn recycle(&mut self, mut writes: WriteSet) {
+        writes.clear();
+        self.spare = writes;
     }
 }
 
@@ -399,14 +500,7 @@ impl Db for DbmsM {
     }
 
     fn session(&self, core: usize) -> Box<dyn Session> {
-        let ports = Ports::open(&self.shared.core, core);
-        self.shared.latches.session_opened();
-        Box::new(DbmsMSession {
-            shared: Rc::clone(&self.shared),
-            ports,
-            cur: None,
-            ops_in_txn: 0,
-        })
+        Box::new(self.open(core))
     }
 }
 
@@ -441,7 +535,7 @@ impl Session for DbmsMSession {
         self.cur = Some(ActiveTxn {
             id,
             snapshot,
-            writes: Vec::new(),
+            writes: std::mem::take(&mut self.spare),
         });
     }
 
@@ -481,7 +575,8 @@ impl Session for DbmsMSession {
         let mem_index = self.ports.mem(INDEX);
         let mem_log = self.ports.mem(LOG);
         let mut log_bytes = 0u32;
-        for w in &txn.writes {
+        for w in &txn.writes.writes {
+            let data = txn.writes.image(w);
             // Redo logging: in-memory engines recover from the redo
             // stream (there are no pages to replay into). No
             // before-images: uncommitted MVCC writes are never visible
@@ -489,9 +584,9 @@ impl Session for DbmsMSession {
             // back (undo stays `None`).
             {
                 let _l = self.ports.span(Phase::Log);
-                let (kind, redo, len) = match &w.kind {
-                    WriteKind::Insert(data) => (LogKind::Insert, Some(data), data.len() as u32),
-                    WriteKind::Update(_, data) => (LogKind::Update, Some(data), data.len() as u32),
+                let (kind, redo, len) = match w.kind {
+                    WriteKind::Insert => (LogKind::Insert, Some(data), data.len() as u32),
+                    WriteKind::Update(_) => (LogKind::Update, Some(data), data.len() as u32),
                     WriteKind::Delete(_) => (LogKind::Delete, None, 16),
                 };
                 let table = w.table as u32;
@@ -502,26 +597,24 @@ impl Session for DbmsMSession {
             let _s = self.ports.span(Phase::Storage);
             mem_mvcc.exec(cost::INSTALL);
             let table = &mut inner.tables[w.table];
-            let installed = match &w.kind {
-                WriteKind::Insert(data) => {
+            let installed = match w.kind {
+                WriteKind::Insert => {
                     log_bytes += data.len() as u32;
                     let id = table.versions.insert(mem_mvcc, data, commit_ts);
                     // `false`: a duplicate was created since our check.
                     let _i = self.ports.span(Phase::Index);
                     table.index.as_index().insert(mem_index, w.key, id.to_u64())
                 }
-                WriteKind::Update(id, data) => {
+                WriteKind::Update(id) => {
                     log_bytes += data.len() as u32 * 2;
                     table
                         .versions
-                        .install(mem_mvcc, *id, data, txn.snapshot, commit_ts)
+                        .install(mem_mvcc, id, data, txn.snapshot, commit_ts)
                         == InstallOutcome::Installed
                 }
                 WriteKind::Delete(id) => {
                     log_bytes += 16;
-                    let outcome = table
-                        .versions
-                        .delete(mem_mvcc, *id, txn.snapshot, commit_ts);
+                    let outcome = table.versions.delete(mem_mvcc, id, txn.snapshot, commit_ts);
                     if outcome == InstallOutcome::Installed {
                         let _i = self.ports.span(Phase::Index);
                         table.index.as_index().remove(mem_index, w.key);
@@ -549,6 +642,8 @@ impl Session for DbmsMSession {
             cc.commit(txn.id.0, core, mem_txn);
         }
         shared.core.metrics.commits.inc(core);
+        drop(_c);
+        self.recycle(txn.writes);
         Ok(())
     }
 
@@ -560,6 +655,8 @@ impl Session for DbmsMSession {
                 cc.abort(txn.id.0, self.ports.core, self.ports.mem(TXN));
             }
             self.shared.core.metrics.aborts.inc(self.ports.core);
+            drop(_c);
+            self.recycle(txn.writes);
         }
     }
 
@@ -599,21 +696,16 @@ impl Session for DbmsMSession {
                 }
             }
         }
-        let data = tuple::encode(row);
+        let txn = self.cur.as_mut().expect("checked active");
+        let len = txn.writes.push(ti, key, WriteKind::Insert, Some(row));
         {
             let _s = self.ports.span(Phase::Storage);
-            self.value_work(data.len());
+            self.value_work(len);
         }
         {
             let _i = self.ports.span(Phase::Index);
             self.key_work(inner, ti);
         }
-        let txn = self.cur.as_mut().expect("checked active");
-        txn.writes.push(WriteOp {
-            table: ti,
-            key,
-            kind: WriteKind::Insert(data),
-        });
         Ok(())
     }
 
@@ -685,18 +777,8 @@ impl Session for DbmsMSession {
             let Some(bytes) = own else { return Ok(false) };
             let mut row = tuple::decode(bytes).expect("own write decodes");
             f(&mut row);
-            let data = tuple::encode(&row);
             let txn = self.cur.as_mut().expect("active");
-            let w = txn
-                .writes
-                .iter_mut()
-                .rev()
-                .find(|w| w.table == ti && w.key == key)
-                .expect("own write exists");
-            match &mut w.kind {
-                WriteKind::Insert(b) | WriteKind::Update(_, b) => *b = data,
-                WriteKind::Delete(_) => unreachable!("own_write returned Some"),
-            }
+            txn.writes.rewrite(ti, key, &row);
             return Ok(true);
         }
         let mem_index = self.ports.mem(INDEX);
@@ -726,17 +808,12 @@ impl Session for DbmsMSession {
             inner.tables[ti].def.schema.check(&row),
             "row/schema mismatch"
         );
-        let data = tuple::encode(&row);
+        let txn = self.cur.as_mut().expect("active");
+        let len = txn.writes.push(ti, key, WriteKind::Update(id), Some(&row));
         {
             let _s = self.ports.span(Phase::Storage);
-            self.value_work(data.len() * 2);
+            self.value_work(len * 2);
         }
-        let txn = self.cur.as_mut().expect("active");
-        txn.writes.push(WriteOp {
-            table: ti,
-            key,
-            kind: WriteKind::Update(id, data),
-        });
         Ok(true)
     }
 
@@ -810,20 +887,11 @@ impl Session for DbmsMSession {
                 return Ok(false);
             }
             // Deleting an own insert/update: mark the latest write deleted.
-            let txn = self.cur.as_mut().expect("active");
-            let pos = txn
-                .writes
-                .iter()
-                .rposition(|w| w.table == ti && w.key == key)
-                .expect("own write exists");
-            match &txn.writes[pos].kind {
-                WriteKind::Insert(_) => {
-                    txn.writes.remove(pos);
-                }
-                WriteKind::Update(id, _) => {
-                    let id = *id;
-                    txn.writes[pos].kind = WriteKind::Delete(id);
-                }
+            let writes = &mut self.cur.as_mut().expect("active").writes;
+            let at = writes.latest[&(ti, key)];
+            match writes.writes[at].kind {
+                WriteKind::Insert => writes.forget(ti, key),
+                WriteKind::Update(id) => writes.writes[at].kind = WriteKind::Delete(id),
                 WriteKind::Delete(_) => unreachable!("own_write returned Some"),
             }
             return Ok(true);
@@ -846,11 +914,7 @@ impl Session for DbmsMSession {
             return Ok(false);
         }
         let txn = self.cur.as_mut().expect("active");
-        txn.writes.push(WriteOp {
-            table: ti,
-            key,
-            kind: WriteKind::Delete(id),
-        });
+        txn.writes.push(ti, key, WriteKind::Delete(id), None);
         Ok(true)
     }
 }
@@ -963,6 +1027,107 @@ mod tests {
         assert!(s.read(t, 9).unwrap().is_none());
         s.commit().unwrap();
         assert_eq!(db.row_count(t), 0);
+    }
+
+    /// How `own_write` found a key's latest write before the write set
+    /// kept a map: a scan backwards over the writes.
+    fn scanned(ws: &WriteSet, ti: usize, key: u64) -> Option<usize> {
+        ws.writes
+            .iter()
+            .rposition(|w| w.table == ti && w.key == key)
+    }
+
+    /// The map names the write the scan finds, for every key `0..keys`.
+    fn assert_latest_is_scanned(s: &DbmsMSession, t: TableId, keys: u64) {
+        let ws = &s.cur.as_ref().expect("a transaction is open").writes;
+        let ti = t.0 as usize;
+        for key in 0..keys {
+            let mapped = ws.latest.get(&(ti, key)).copied();
+            assert_eq!(mapped, scanned(ws, ti, key), "key {key}");
+        }
+    }
+
+    fn val(s: &mut DbmsMSession, t: TableId, key: u64) -> Option<i64> {
+        s.read(t, key).unwrap().map(|r| r[1].long())
+    }
+
+    #[test]
+    fn own_writes_are_found_as_a_backward_scan_finds_them() {
+        let mut db = setup(DbmsMIndex::Hash, true);
+        let t = micro_table(&mut db);
+        let mut s = db.open(0);
+        let row = |k: u64, v: i64| [Value::Long(k as i64), Value::Long(v)];
+        s.begin();
+        s.insert(t, 7, &row(7, 70)).unwrap();
+        s.commit().unwrap();
+
+        s.begin();
+        // Insert, update twice and delete one key, reading after each step.
+        s.insert(t, 5, &row(5, 1)).unwrap();
+        assert_eq!(val(&mut s, t, 5), Some(1));
+        assert_latest_is_scanned(&s, t, 8);
+        for v in [2, 3] {
+            assert!(s.update(t, 5, &mut |r| r[1] = Value::Long(v)).unwrap());
+            assert_eq!(val(&mut s, t, 5), Some(v));
+            assert_latest_is_scanned(&s, t, 8);
+        }
+        assert!(s.delete(t, 5).unwrap());
+        assert_eq!(val(&mut s, t, 5), None);
+        assert_latest_is_scanned(&s, t, 8);
+        // A committed key: its update turns into a delete, an insert
+        // follows it, and deleting that insert leaves the delete latest.
+        assert!(s.update(t, 7, &mut |r| r[1] = Value::Long(71)).unwrap());
+        assert!(s.delete(t, 7).unwrap());
+        s.insert(t, 7, &row(7, 72)).unwrap();
+        assert_eq!(val(&mut s, t, 7), Some(72));
+        assert_latest_is_scanned(&s, t, 8);
+        assert!(s.delete(t, 7).unwrap());
+        assert_eq!(val(&mut s, t, 7), None);
+        assert!(!s.delete(t, 7).unwrap());
+        assert_latest_is_scanned(&s, t, 8);
+        s.commit().unwrap();
+        assert_eq!(db.row_count(t), 0);
+
+        // Seeded transactions against a model: committed rows plus the
+        // open transaction's overlay, where the latest write wins.
+        let mut rng = uarch_sim::rng::XorShift64::new(11);
+        let mut committed = std::collections::BTreeMap::<u64, i64>::new();
+        for round in 0..40 {
+            let mut overlay = committed.clone();
+            s.begin();
+            for step in 0..40 {
+                let key = rng.next_below(6);
+                let v = round * 100 + step;
+                let had = overlay.get(&key).copied();
+                match rng.next_below(4) {
+                    0 => {
+                        let done = s.insert(t, key, &row(key, v)).is_ok();
+                        assert_eq!(done, had.is_none());
+                        overlay.entry(key).or_insert(v);
+                    }
+                    1 => {
+                        let done = s.update(t, key, &mut |r| r[1] = Value::Long(v));
+                        assert_eq!(done.unwrap(), had.is_some());
+                        if had.is_some() {
+                            overlay.insert(key, v);
+                        }
+                    }
+                    2 => {
+                        assert_eq!(s.delete(t, key).unwrap(), had.is_some());
+                        overlay.remove(&key);
+                    }
+                    _ => assert_eq!(val(&mut s, t, key), had),
+                }
+                assert_latest_is_scanned(&s, t, 6);
+            }
+            if rng.chance(0.7) {
+                s.commit().unwrap();
+                committed = overlay;
+            } else {
+                s.abort();
+            }
+        }
+        assert_eq!(db.row_count(t), committed.len() as u64);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use indexes::Index;
 use obs::Phase;
 use oltp::{tuple, CcPolicy, Db, OltpError, OltpResult, Row, Session, TableDef, TableId, Value};
@@ -34,7 +33,7 @@ use storage::{
 use uarch_sim::{Mem, Sim};
 
 use crate::durability::{configure_wal, flush_behind, wal_status, DurabilityCfg, LogStatus};
-use crate::scaffold::{table_index, EngineCore, LatchModel, Module, Ports};
+use crate::scaffold::{table_index, EngineCore, LatchModel, Module, Ports, RowImages};
 
 /// Per-phase instruction budgets of the storage manager (tuned against the
 /// paper's bars; see results/figures.md).
@@ -128,6 +127,7 @@ struct DiskSession<P: DiskProfile> {
     ports: Ports,
     cur: Option<TxnId>,
     ops_in_txn: u32,
+    images: RowImages,
 }
 
 /// Buffer-pool frames: sized to keep every experiment memory-resident
@@ -230,6 +230,7 @@ impl<P: DiskProfile> Db for DiskEngine<P> {
             ports,
             cur: None,
             ops_in_txn: 0,
+            images: RowImages::default(),
         })
     }
 }
@@ -417,7 +418,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         );
         self.exec_op();
         self.lock_pair(inner, t, key, true)?;
-        let data = tuple::encode(row);
+        let data = self.images.encode(row);
         P::value_work(&self.ports, data.len());
         let len = data.len() as u32;
         let (tables, pool) = (&mut inner.tables, &mut inner.pool);
@@ -425,7 +426,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         let rid = {
             let _s = self.ports.span(Phase::Storage);
             mem_heap.exec(P::COST.heap_wrap);
-            tables[ti].heap.insert(pool, mem_heap, &data)
+            tables[ti].heap.insert(pool, mem_heap, data)
         };
         let inserted = {
             let _i = self.ports.span(Phase::Index);
@@ -444,7 +445,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         mem.exec(P::COST.log_update);
         inner
             .wal
-            .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&data), None, len);
+            .append_data(mem, txn, LogKind::Insert, t.0, key, Some(data), None, len);
         Ok(())
     }
 
@@ -468,7 +469,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
                 decoded = tuple::decode(d).ok();
             });
         // A stored tuple that fails to decode reads as absent (engines
-        // only read back what `tuple::encode` wrote).
+        // only read back what `tuple::encode_into` wrote).
         let Some(row) = decoded else { return Ok(false) };
         P::value_work(&self.ports, tuple::encoded_len(&row));
         f(&row);
@@ -489,26 +490,30 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         let mem = self.ports.mem(P::ROLES.bpool);
         let (tables, pool) = (&mut inner.tables, &mut inner.pool);
         let mut row: Option<Row> = None;
+        // Before-image for undo-capable recovery (durable mode only).
+        let keep_undo = inner.wal.retaining();
+        let images = &mut self.images;
         {
             let _s = self.ports.span(Phase::Storage);
             mem.exec(P::COST.heap_wrap);
             tables[ti].heap.read(pool, mem, rid, &mut |d| {
                 row = tuple::decode(d).ok();
+                if keep_undo {
+                    images.keep_undo(d);
+                }
             });
         }
         let Some(mut row) = row else { return Ok(false) };
-        // Before-image for undo-capable recovery (durable mode only).
-        let undo = inner.wal.retaining().then(|| tuple::encode(&row));
         f(&mut row);
         debug_assert!(tables[ti].def.schema.check(&row), "row/schema mismatch");
-        let data = tuple::encode(&row);
+        let data = images.encode(&row);
         let len = data.len() as u32;
         let new_rid = {
             let _s = self.ports.span(Phase::Storage);
             P::value_work(&self.ports, data.len() * 2);
             tables[ti]
                 .heap
-                .update(pool, mem, rid, &data)
+                .update(pool, mem, rid, data)
                 .expect("row vanished mid-update")
         };
         if new_rid != rid {
@@ -525,8 +530,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             LogKind::Update,
             t.0,
             key,
-            Some(&data),
-            undo.as_ref(),
+            Some(&images.redo),
+            keep_undo.then_some(&images.undo),
             len * 2,
         );
         Ok(true)
@@ -593,7 +598,7 @@ impl<P: DiskProfile> Session for DiskSession<P> {
             return Ok(false);
         };
         let rid = Rid::from_u64(payload);
-        let mut undo: Option<Bytes> = None;
+        let mut captured = false;
         {
             let _s = self.ports.span(Phase::Storage);
             let mem = self.ports.mem(P::ROLES.heap);
@@ -603,7 +608,8 @@ impl<P: DiskProfile> Session for DiskSession<P> {
                 // Before-image read so recovery can restore the row if
                 // this transaction never commits (durable mode only).
                 tables[ti].heap.read(pool, mem, rid, &mut |d| {
-                    undo = Some(Bytes::copy_from_slice(d))
+                    self.images.keep_undo(d);
+                    captured = true;
                 });
             }
             tables[ti].heap.delete(pool, mem, rid);
@@ -611,9 +617,10 @@ impl<P: DiskProfile> Session for DiskSession<P> {
         let _l = self.ports.span(Phase::Log);
         let mem = self.ports.mem(P::ROLES.log);
         mem.exec(P::COST.log_update);
+        let undo = captured.then_some(&self.images.undo[..]);
         inner
             .wal
-            .append_data(mem, txn, LogKind::Delete, t.0, key, None, undo.as_ref(), 16);
+            .append_data(mem, txn, LogKind::Delete, t.0, key, None, undo, 16);
         Ok(true)
     }
 }

@@ -23,7 +23,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use indexes::Index;
 use obs::Phase;
 use oltp::{tuple, CcPolicy, Db, OltpError, OltpResult, Row, Session, TableDef, TableId, Value};
@@ -33,7 +32,7 @@ use uarch_sim::{AllocHomeGuard, Mem, Sim};
 
 use crate::durability::{configure_wal, flush_behind, wal_status, DurabilityCfg, LogStatus};
 use crate::placement::Placement;
-use crate::scaffold::{str_key, table_index, EngineCore, Module, Ports};
+use crate::scaffold::{str_key, table_index, EngineCore, Module, Ports, RowImages};
 
 /// Budgets of the steps the kernel itself charges (everything else is
 /// charged inside profile hooks).
@@ -160,6 +159,9 @@ struct PartitionSession<P: PartitionProfile> {
     ports: Ports,
     cur: Option<TxnId>,
     ops_in_txn: u32,
+    /// Behind a `RefCell` because a cross-partition update rewrites its
+    /// row from inside [`PartitionSession::mp_route`], which holds `&self`.
+    images: RefCell<RowImages>,
 }
 
 impl<P: PartitionProfile> PartitionedEngine<P> {
@@ -295,6 +297,7 @@ impl<P: PartitionProfile> Db for PartitionedEngine<P> {
             ports: Ports::open(&self.shared.core, core),
             cur: None,
             ops_in_txn: 0,
+            images: RefCell::default(),
         })
     }
 }
@@ -380,9 +383,9 @@ impl<P: PartitionProfile> PartitionSession<P> {
         })
     }
 
-    /// Read-modify-write the row at `payload` in place. Returns the
-    /// before-image (when `keep_undo`) and the after-image, or `None` if
-    /// the stored row does not decode.
+    /// Read-modify-write the row at `payload` in place, leaving the
+    /// after-image (and, when `keep_undo`, the before-image) in
+    /// `self.images`. `false` if the stored row does not decode.
     fn rewrite_row(
         &self,
         table: &mut PTable<P::Index>,
@@ -390,28 +393,31 @@ impl<P: PartitionProfile> PartitionSession<P> {
         payload: u64,
         keep_undo: bool,
         f: &mut dyn FnMut(&mut Row),
-    ) -> Option<(Option<Bytes>, Bytes)> {
+    ) -> bool {
         let id = RowId::from_u64(payload);
         let mem = self.ports.mem(P::ROLES.store);
+        let images = &mut *self.images.borrow_mut();
         let mut row: Option<Row> = None;
         {
             let _s = self.ports.span(Phase::Storage);
-            table
-                .store
-                .read(mem, id, &mut |d| row = tuple::decode(d).ok());
+            table.store.read(mem, id, &mut |d| {
+                row = tuple::decode(d).ok();
+                if keep_undo {
+                    images.keep_undo(d);
+                }
+            });
         }
-        let mut row = row?;
-        let undo = keep_undo.then(|| tuple::encode(&row));
+        let Some(mut row) = row else { return false };
         f(&mut row);
         debug_assert!(
             self.shared.defs.borrow()[ti].schema.check(&row),
             "row/schema mismatch"
         );
-        let encoded = tuple::encode(&row);
+        let encoded = images.encode(&row);
         let _s = self.ports.span(Phase::Storage);
         P::value_work(&self.ports, table, encoded.len() * 2);
-        table.store.update(mem, id, &encoded);
-        Some((undo, encoded))
+        table.store.update(mem, id, encoded);
+        true
     }
 
     /// Own-partition probe missed on a multi-socket machine: the key may
@@ -545,9 +551,9 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
         let _h = home_guard(&shared.core.sim, shared.placement, p);
         let part = &mut *shared.parts[p].borrow_mut();
         self.claim(part, t, key, true)?;
-        let data = tuple::encode(row);
+        let data = self.images.get_mut().encode(row);
         let table = &mut part.tables[ti];
-        let id = P::store_insert(&self.ports, table, &data);
+        let id = P::store_insert(&self.ports, table, data);
         let inserted = {
             let _i = self.ports.span(Phase::Index);
             let mem = self.ports.mem(P::ROLES.index);
@@ -565,7 +571,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             let mem = self.ports.mem(P::ROLES.log);
             let len = data.len() as u32;
             part.wal
-                .append_data(mem, txn, LogKind::Insert, t.0, key, Some(&data), None, len);
+                .append_data(mem, txn, LogKind::Insert, t.0, key, Some(data), None, len);
         }
         Ok(())
     }
@@ -604,21 +610,22 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             let table = &mut part.tables[ti];
             P::key_work(&self.ports, table);
             if let Some(payload) = self.probe(table, key) {
-                let Some((undo, encoded)) = self.rewrite_row(table, ti, payload, durable, f) else {
+                if !self.rewrite_row(table, ti, payload, durable, f) {
                     return Ok(false);
-                };
+                }
                 if durable {
                     let _l = self.ports.span(Phase::Log);
                     let mem = self.ports.mem(P::ROLES.log);
-                    let len = encoded.len() as u32;
+                    let images = self.images.get_mut();
+                    let len = images.redo.len() as u32;
                     part.wal.append_data(
                         mem,
                         txn,
                         LogKind::Update,
                         t.0,
                         key,
-                        Some(&encoded),
-                        undo.as_ref(),
+                        Some(&images.redo),
+                        Some(&images.undo),
                         len * 2,
                     );
                 }
@@ -626,7 +633,7 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             }
         }
         let hit = self.mp_route(ti, key, p, |table, payload| {
-            self.rewrite_row(table, ti, payload, false, f).is_some()
+            self.rewrite_row(table, ti, payload, false, f)
         });
         Ok(hit.unwrap_or(false))
     }
@@ -683,24 +690,27 @@ impl<P: PartitionProfile> Session for PartitionSession<P> {
             return Ok(false);
         };
         let id = RowId::from_u64(payload);
-        let mut undo: Option<Bytes> = None;
+        let images = self.images.get_mut();
+        let mut captured = false;
         {
             let _s = self.ports.span(Phase::Storage);
             let mem = self.ports.mem(P::ROLES.store);
             if part.wal.retaining() {
                 // Before-image read so recovery can restore the row if
                 // this transaction never commits (durable mode only).
-                table
-                    .store
-                    .read(mem, id, &mut |d| undo = Some(Bytes::copy_from_slice(d)));
+                table.store.read(mem, id, &mut |d| {
+                    images.keep_undo(d);
+                    captured = true;
+                });
             }
             table.store.delete(mem, id);
         }
         if part.wal.retaining() {
             let _l = self.ports.span(Phase::Log);
             let mem = self.ports.mem(P::ROLES.log);
+            let undo = captured.then_some(&images.undo[..]);
             part.wal
-                .append_data(mem, txn, LogKind::Delete, t.0, key, None, undo.as_ref(), 16);
+                .append_data(mem, txn, LogKind::Delete, t.0, key, None, undo, 16);
         }
         Ok(true)
     }

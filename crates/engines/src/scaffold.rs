@@ -11,6 +11,8 @@
 //! * [`Ports`] — one session's core and a [`Mem`] per module.
 //! * [`LatchModel`] — the `open_sessions` contention tax of the
 //!   shared-everything engines.
+//! * [`RowImages`] — a session's reusable buffers for the encoded rows
+//!   its writes store and log.
 //!
 //! The module is private and its items `pub`: profiles name them in trait
 //! signatures, code outside the crate cannot.
@@ -20,7 +22,8 @@ use std::rc::Rc;
 
 use obs::metrics::{Counter, EngineMetrics};
 use obs::{Phase, SpanGuard};
-use oltp::{CcPolicy, ConcurrencyControl, OltpError, OltpResult, TableDef, TableId};
+use oltp::tuple::{self, BytesMut};
+use oltp::{CcPolicy, ConcurrencyControl, OltpError, OltpResult, TableDef, TableId, Value};
 use uarch_sim::{Mem, ModuleId, ModuleSpec, Sim};
 
 /// One code module of an engine: footprint / reuse / branchiness per the
@@ -227,6 +230,31 @@ impl LatchModel {
             mem.exec(self.spin * others as u64);
             self.waits.inc(core);
         }
+    }
+}
+
+/// A session's row images, reused across its writes: each written row is
+/// encoded once into `redo`, and the same bytes go to the store and to
+/// the log; in durable mode the row's stored bytes are copied into `undo`
+/// first, as the before-image the log keeps.
+#[derive(Default)]
+pub struct RowImages {
+    pub redo: BytesMut,
+    pub undo: BytesMut,
+}
+
+impl RowImages {
+    /// Encode `row` as the after-image, replacing the last one.
+    pub fn encode(&mut self, row: &[Value]) -> &[u8] {
+        self.redo.clear();
+        tuple::encode_into(row, &mut self.redo);
+        &self.redo
+    }
+
+    /// Copy `stored` as the before-image, replacing the last one.
+    pub fn keep_undo(&mut self, stored: &[u8]) {
+        self.undo.clear();
+        self.undo.extend_from_slice(stored);
     }
 }
 

@@ -242,6 +242,50 @@ pub trait Session {
         self.read_with(table, key, &mut |r| out = Some(r.to_vec()))?;
         Ok(out)
     }
+
+    /// Insert the row encoded in `image` ([`crate::tuple`]) under `key`.
+    ///
+    /// Recovery applies logged row images through this method and its
+    /// two siblings. The defaults decode the image and call the row
+    /// methods, so an engine target runs the same operations a workload
+    /// would. A target that keeps rows encoded overrides all three and
+    /// stores the bytes as they are, once [`check_image`] accepts them.
+    /// Either way, an image that does not decode is refused and nothing
+    /// is stored.
+    fn insert_image(&mut self, table: TableId, key: u64, image: &[u8]) -> OltpResult<()> {
+        let row = decode_image(image)?;
+        self.insert(table, key, &row)
+    }
+
+    /// Replace the row under `key` with the one encoded in `image`;
+    /// returns whether it existed (see [`Session::insert_image`]).
+    fn update_image(&mut self, table: TableId, key: u64, image: &[u8]) -> OltpResult<bool> {
+        let row = decode_image(image)?;
+        self.update(table, key, &mut |target| target.clone_from(&row))
+    }
+
+    /// The idempotent full-image write: replace the row under `key` if it
+    /// exists, insert it otherwise (see [`Session::insert_image`]).
+    fn upsert_image(&mut self, table: TableId, key: u64, image: &[u8]) -> OltpResult<()> {
+        if !self.update_image(table, key, image)? {
+            self.insert_image(table, key, image)?;
+        }
+        Ok(())
+    }
+}
+
+/// What the image methods of [`Session`] return for an image that does
+/// not decode.
+const BAD_IMAGE: OltpError = OltpError::Aborted("row image does not decode");
+
+fn decode_image(image: &[u8]) -> OltpResult<Row> {
+    crate::tuple::decode(image).map_err(|_| BAD_IMAGE)
+}
+
+/// Refuse, as the image methods of [`Session`] do, an image that would
+/// not decode; the check walks the bytes and allocates nothing.
+pub fn check_image(image: &[u8]) -> OltpResult<()> {
+    crate::tuple::check(image).map_err(|_| BAD_IMAGE)
 }
 
 /// Run one transaction as a closure with automatic commit (the benchmarks'

@@ -33,7 +33,7 @@ pub mod tuple;
 pub mod value;
 
 pub use cc::{CcPolicy, CcResult, CcViolation, ConcurrencyControl};
-pub use engine::{run_txn, Db, OltpError, OltpResult, Row, Session, TableId};
+pub use engine::{check_image, run_txn, Db, OltpError, OltpResult, Row, Session, TableId};
 pub use keys::KeyPack;
 pub use retry::{Backoff, ErrorClass, RetryPolicy, RetryStats, TxnOutcome};
 pub use schema::{Column, Schema, TableDef};

@@ -10,7 +10,8 @@
 //! once, and dropping a store frees hundreds of buffers, not one per
 //! row. Like the simulated bump allocator the stores mirror, the arena
 //! only appends: bytes a row leaves behind (a growing update, a delete)
-//! stay until the store is dropped.
+//! stay until the store is dropped. A retaining [`crate::wal::Wal`] keeps
+//! its logged row images in chunks of the same [`CHUNK_BYTES`].
 //!
 //! Host layout only: no simulated address is derived from a position.
 

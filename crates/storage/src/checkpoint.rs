@@ -26,7 +26,8 @@
 //!    horizons, like per-page recLSNs.
 
 use bytes::Bytes;
-use oltp::{tuple, OltpError, OltpResult, Session, TableId};
+use oltp::tuple::{self, BytesMut};
+use oltp::{OltpError, OltpResult, Session, TableId};
 
 use crate::wal::Lsn;
 
@@ -94,6 +95,8 @@ pub struct Checkpointer {
     keys: Vec<u64>,
     cursor: usize,
     rows: Vec<(u64, Bytes)>,
+    /// Each captured row is encoded here, then copied out at its size.
+    stage: BytesMut,
 }
 
 impl Checkpointer {
@@ -105,6 +108,7 @@ impl Checkpointer {
             keys,
             cursor: 0,
             rows: Vec::new(),
+            stage: BytesMut::new(),
         }
     }
 
@@ -128,13 +132,15 @@ impl Checkpointer {
         let mut failed: Option<OltpError> = None;
         while self.cursor < end {
             let key = self.keys[self.cursor];
-            let mut captured: Option<Bytes> = None;
+            let mut captured = false;
             match s.read_with(self.table, key, &mut |row| {
-                captured = Some(tuple::encode(row));
+                self.stage.clear();
+                tuple::encode_into(row, &mut self.stage);
+                captured = true;
             }) {
                 Ok(_found) => {
-                    if let Some(bytes) = captured {
-                        self.rows.push((key, bytes));
+                    if captured {
+                        self.rows.push((key, Bytes::copy_from_slice(&self.stage)));
                     }
                     self.cursor += 1;
                     visited += 1;
@@ -213,7 +219,7 @@ mod tests {
         assert!(cp.done());
         assert_eq!(
             cp.into_image().rows,
-            vec![(2, tuple::encode(&[Value::Long(2)]))]
+            vec![(2, Bytes::from(vec![0, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0]))]
         );
     }
 

@@ -59,7 +59,7 @@ pub use mvcc::VersionStore;
 pub use page::{Page, PageId, SlotId, PAGE_SIZE};
 pub use recovery::{recover, replay, RecoveryStats, ReplayError, ReplayStats};
 pub use txn::{TxnId, TxnManager};
-pub use wal::{LogKind, LogRecord, Lsn, Wal, WalStats};
+pub use wal::{Image, LogKind, LogRecord, Lsn, Wal, WalStats};
 
 /// Differential-test rig for the row stores: two identical machines, one
 /// for the store under test and one for its reference, and a seeded row

@@ -38,9 +38,17 @@
 //! a transaction on an uninterleaved stream, the first probe answers. The
 //! analysis also notes where the first unfinished record sits, so undo
 //! scans the tail a crash can have left open and not the whole log.
+//!
+//! Row images stay bytes from the log to the target: the apply loops hand
+//! each logged or checkpointed image to the session's image methods
+//! ([`Session::insert_image`], [`Session::update_image`],
+//! [`Session::upsert_image`]). An engine target decodes it there and runs
+//! its ordinary row operations; a target that keeps rows encoded stores
+//! the bytes as they are. Either way an image that does not decode stops
+//! the pass with [`ReplayError::MissingRedo`], and the walk that tells a
+//! corrupt image from a refused one runs only when the target refused.
 
-use bytes::Bytes;
-use oltp::{tuple, OltpError, Session, TableId};
+use oltp::{tuple, OltpError, OltpResult, Session, TableId};
 
 use crate::checkpoint::Checkpoint;
 use crate::txn::TxnId;
@@ -234,16 +242,16 @@ pub fn replay(records: &[LogRecord], s: &mut dyn Session) -> Result<ReplayStats,
             LogKind::Insert => {
                 ensure_open(s, &mut open);
                 let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
-                let row = tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
-                s.insert(TableId(r.table), r.key, &row)?;
+                apply(redo, r.txn, |image| {
+                    s.insert_image(TableId(r.table), r.key, image)
+                })?;
                 stats.applied += 1;
             }
             LogKind::Update => {
                 ensure_open(s, &mut open);
                 let redo = r.redo.as_ref().ok_or(ReplayError::MissingRedo(r.txn))?;
-                let row = tuple::decode(redo).map_err(|_| ReplayError::MissingRedo(r.txn))?;
-                let updated = s.update(TableId(r.table), r.key, &mut |target| {
-                    target.clone_from(&row);
+                let updated = apply(redo, r.txn, |image| {
+                    s.update_image(TableId(r.table), r.key, image)
                 })?;
                 if !updated {
                     // Update of a row created by the same transaction
@@ -316,23 +324,32 @@ impl Batch {
     }
 }
 
+/// Hand `image` to one of the session's image methods. A refusal is the
+/// record's redo missing if the image does not decode, and the target's
+/// error otherwise.
+fn apply<T>(
+    image: &[u8],
+    txn: TxnId,
+    to: impl FnOnce(&[u8]) -> OltpResult<T>,
+) -> Result<T, ReplayError> {
+    to(image).map_err(|e| match tuple::check(image) {
+        Ok(()) => ReplayError::Apply(e),
+        Err(_) => ReplayError::MissingRedo(txn),
+    })
+}
+
 /// Idempotent full-image write: update the row if present, insert it
 /// otherwise.
 fn upsert(
     s: &mut dyn Session,
     table: u32,
     key: u64,
-    bytes: &Bytes,
+    image: &[u8],
     txn: TxnId,
 ) -> Result<(), ReplayError> {
-    let row = tuple::decode(bytes).map_err(|_| ReplayError::MissingRedo(txn))?;
-    let updated = s.update(TableId(table), key, &mut |target| {
-        target.clone_from(&row);
-    })?;
-    if !updated {
-        s.insert(TableId(table), key, &row)?;
-    }
-    Ok(())
+    apply(image, txn, |image| {
+        s.upsert_image(TableId(table), key, image)
+    })
 }
 
 /// Restore a database from a fuzzy checkpoint plus one log stream.
@@ -454,8 +471,9 @@ pub fn recover(
 pub(crate) mod tests {
     use super::*;
     use crate::checkpoint::{Checkpoint, TableImage};
-    use crate::wal::Wal;
+    use crate::wal::{Image, Wal};
     use oltp::Value;
+    use std::collections::btree_map::Entry;
     use uarch_sim::{MachineConfig, Mem, Sim};
 
     fn mem() -> Mem {
@@ -464,6 +482,18 @@ pub(crate) mod tests {
 
     fn row(v: i64) -> Vec<Value> {
         vec![Value::Long(v)]
+    }
+
+    /// `row(v)`, encoded.
+    fn enc(v: i64) -> Vec<u8> {
+        let mut buf = tuple::BytesMut::new();
+        tuple::encode_into(&row(v), &mut buf);
+        buf.to_vec()
+    }
+
+    /// `row(v)`, encoded into a checkpoint image's row.
+    fn ckpt_row(key: u64, v: i64) -> (u64, bytes::Bytes) {
+        (key, bytes::Bytes::from(enc(v)))
     }
 
     fn rec(wal: &mut Wal, mem: &Mem, txn: u64, kind: LogKind, key: u64, v: Option<i64>) {
@@ -479,16 +509,16 @@ pub(crate) mod tests {
         v: Option<i64>,
         before: Option<i64>,
     ) {
-        let redo = v.map(|x| tuple::encode(&row(x)));
-        let undo = before.map(|x| tuple::encode(&row(x)));
+        let redo = v.map(enc);
+        let undo = before.map(enc);
         wal.append_data(
             mem,
             TxnId(txn),
             kind,
             0,
             key,
-            redo.as_ref(),
-            undo.as_ref(),
+            redo.as_deref(),
+            undo.as_deref(),
             16,
         );
     }
@@ -586,6 +616,128 @@ pub(crate) mod tests {
         }
     }
 
+    /// A target that keeps each row encoded, keyed by table and key, and
+    /// overrides the image methods to store an image's bytes as they are:
+    /// the byte path. Its row methods decode and re-encode, so the
+    /// decode-path reference can drive it too and the two leave rows that
+    /// compare byte for byte.
+    #[derive(Default)]
+    struct ByteDb {
+        rows: std::collections::BTreeMap<(u32, u64), Vec<u8>>,
+        in_txn: bool,
+    }
+
+    impl ByteDb {
+        fn digest(&self) -> u64 {
+            let mut h = uarch_sim::rng::Fnv::default();
+            for (&(t, k), bytes) in &self.rows {
+                h.word(t.into()).word(k).bytes(bytes);
+            }
+            h.0
+        }
+    }
+
+    fn encoded(row: &[Value]) -> Vec<u8> {
+        let mut buf = tuple::BytesMut::new();
+        tuple::encode_into(row, &mut buf);
+        buf.to_vec()
+    }
+
+    impl Session for ByteDb {
+        fn name(&self) -> &'static str {
+            "bytes"
+        }
+        fn core(&self) -> usize {
+            0
+        }
+        fn begin(&mut self) {
+            assert!(!self.in_txn);
+            self.in_txn = true;
+        }
+        fn commit(&mut self) -> oltp::OltpResult<()> {
+            assert!(self.in_txn);
+            self.in_txn = false;
+            Ok(())
+        }
+        fn abort(&mut self) {
+            self.in_txn = false;
+        }
+        fn insert(&mut self, t: TableId, key: u64, r: &[Value]) -> oltp::OltpResult<()> {
+            match self.rows.entry((t.0, key)) {
+                Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
+                Entry::Vacant(slot) => {
+                    slot.insert(encoded(r));
+                    Ok(())
+                }
+            }
+        }
+        fn read_with(
+            &mut self,
+            t: TableId,
+            key: u64,
+            f: &mut dyn FnMut(&[Value]),
+        ) -> oltp::OltpResult<bool> {
+            let row = self
+                .rows
+                .get(&(t.0, key))
+                .map(|b| tuple::decode(b).unwrap());
+            Ok(row.map(|r| f(&r)).is_some())
+        }
+        fn update(
+            &mut self,
+            t: TableId,
+            key: u64,
+            f: &mut dyn FnMut(&mut oltp::Row),
+        ) -> oltp::OltpResult<bool> {
+            let Some(bytes) = self.rows.get_mut(&(t.0, key)) else {
+                return Ok(false);
+            };
+            let mut row = tuple::decode(bytes).unwrap();
+            f(&mut row);
+            *bytes = encoded(&row);
+            Ok(true)
+        }
+        fn scan(
+            &mut self,
+            t: TableId,
+            lo: u64,
+            hi: u64,
+            f: &mut dyn FnMut(u64, &[Value]) -> bool,
+        ) -> oltp::OltpResult<u64> {
+            let mut n = 0;
+            for (&(_, k), b) in self.rows.range((t.0, lo)..=(t.0, hi)) {
+                n += 1;
+                if !f(k, &tuple::decode(b).unwrap()) {
+                    break;
+                }
+            }
+            Ok(n)
+        }
+        fn delete(&mut self, t: TableId, key: u64) -> oltp::OltpResult<bool> {
+            Ok(self.rows.remove(&(t.0, key)).is_some())
+        }
+        fn insert_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<()> {
+            oltp::check_image(image)?;
+            match self.rows.entry((t.0, key)) {
+                Entry::Occupied(_) => Err(OltpError::DuplicateKey { table: t, key }),
+                Entry::Vacant(slot) => {
+                    slot.insert(image.to_vec());
+                    Ok(())
+                }
+            }
+        }
+        fn update_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<bool> {
+            oltp::check_image(image)?;
+            let row = self.rows.get_mut(&(t.0, key));
+            Ok(row.map(|b| *b = image.to_vec()).is_some())
+        }
+        fn upsert_image(&mut self, t: TableId, key: u64, image: &[u8]) -> oltp::OltpResult<()> {
+            oltp::check_image(image)?;
+            self.rows.insert((t.0, key), image.to_vec());
+            Ok(())
+        }
+    }
+
     #[test]
     fn committed_work_is_replayed_losers_are_not() {
         let mem = mem();
@@ -606,7 +758,7 @@ pub(crate) mod tests {
         rec(&mut wal, &mem, 3, LogKind::Commit, 0, None);
 
         let mut db = MiniDb::new();
-        let stats = replay(wal.records(), &mut db).unwrap();
+        let stats = replay(&wal.records(), &mut db).unwrap();
         assert_eq!(stats.txns, 2);
         assert_eq!(stats.losers, 1);
         assert_eq!(stats.applied, 4);
@@ -626,7 +778,7 @@ pub(crate) mod tests {
         rec(&mut wal, &mem, 1, LogKind::Commit, 0, None);
         let mut db = MiniDb::new();
         assert!(matches!(
-            replay(wal.records(), &mut db),
+            replay(&wal.records(), &mut db),
             Err(ReplayError::MissingRedo(_))
         ));
     }
@@ -662,13 +814,13 @@ pub(crate) mod tests {
         let mem = mem();
         let wal = crash_log(&mem);
         let mut a = MiniDb::new();
-        let stats = recover(None, wal.records(), &mut a).unwrap();
+        let stats = recover(None, &wal.records(), &mut a).unwrap();
         assert_eq!(stats.winners, 2);
         assert_eq!(stats.aborted, 1);
         assert_eq!(stats.unfinished, 1);
         assert_eq!(stats.image_rows, 0);
         let mut b = MiniDb::new();
-        replay(wal.records(), &mut b).unwrap();
+        replay(&wal.records(), &mut b).unwrap();
         assert_eq!(a.rows, b.rows, "no image: recover == reference replay");
         assert_eq!(a.rows.get(&1), Some(&row(10)));
         assert_eq!(a.rows.get(&2), Some(&row(21)));
@@ -680,7 +832,7 @@ pub(crate) mod tests {
     fn fuzzy_image_with_uncommitted_effect_is_undone() {
         let mem = mem();
         let wal = crash_log(&mem);
-        let records = wal.records();
+        let records = &wal.records();
         let end = records.last().unwrap().lsn;
         // A fuzzy image taken after T4's update landed: it captured the
         // uncommitted 1=77 and the committed 2=21, covering all records.
@@ -690,11 +842,7 @@ pub(crate) mod tests {
             complete: true,
             tables: vec![TableImage {
                 table: 0,
-                rows: vec![
-                    (1, tuple::encode(&row(77))),
-                    (2, tuple::encode(&row(21))),
-                    (5, tuple::encode(&row(50))),
-                ],
+                rows: vec![ckpt_row(1, 77), ckpt_row(2, 21), ckpt_row(5, 50)],
             }],
         };
         let mut db = MiniDb::new();
@@ -711,14 +859,14 @@ pub(crate) mod tests {
     fn incomplete_checkpoint_is_ignored() {
         let mem = mem();
         let wal = crash_log(&mem);
-        let records = wal.records();
+        let records = &wal.records();
         let ckpt = Checkpoint {
             begin_lsn: records.last().unwrap().lsn,
             end_lsn: records.last().unwrap().lsn,
             complete: false,
             tables: vec![TableImage {
                 table: 0,
-                rows: vec![(1, tuple::encode(&row(777)))],
+                rows: vec![ckpt_row(1, 777)],
             }],
         };
         let mut db = MiniDb::new();
@@ -734,13 +882,14 @@ pub(crate) mod tests {
         let wal = crash_log(&mem);
         let mut a = MiniDb::new();
         let mut b = MiniDb::new();
-        let sa = recover(None, wal.records(), &mut a).unwrap();
-        let sb = recover(None, wal.records(), &mut b).unwrap();
+        let records = wal.records();
+        let sa = recover(None, &records, &mut a).unwrap();
+        let sb = recover(None, &records, &mut b).unwrap();
         assert_eq!(sa, sb);
         assert_eq!(a.rows, b.rows, "two recoveries are bit-identical");
         // And recovering *again into the recovered state* converges too
         // (full-image actions are idempotent).
-        let again = recover(None, wal.records(), &mut a).unwrap();
+        let again = recover(None, &records, &mut a).unwrap();
         assert_eq!(again.redo_applied, sa.redo_applied);
         assert_eq!(a.rows, b.rows);
     }
@@ -751,6 +900,25 @@ pub(crate) mod tests {
     mod reference {
         use super::super::*;
         use std::collections::HashSet;
+
+        /// The full-image write as it was before the image methods: the
+        /// image is decoded here and applied as a row.
+        fn upsert(
+            s: &mut dyn Session,
+            table: u32,
+            key: u64,
+            bytes: &[u8],
+            txn: TxnId,
+        ) -> Result<(), ReplayError> {
+            let row = tuple::decode(bytes).map_err(|_| ReplayError::MissingRedo(txn))?;
+            let updated = s.update(TableId(table), key, &mut |target| {
+                target.clone_from(&row);
+            })?;
+            if !updated {
+                s.insert(TableId(table), key, &row)?;
+            }
+            Ok(())
+        }
 
         pub(super) fn replay(
             records: &[LogRecord],
@@ -973,18 +1141,15 @@ pub(crate) mod tests {
                     len: 40,
                     table: 0,
                     key,
-                    redo: redo.map(|v| tuple::encode(&row(v))),
-                    undo: undo.map(|v| tuple::encode(&row(v))),
+                    redo: redo.map(|v| Image::copy_of(&enc(v))),
+                    undo: undo.map(|v| Image::copy_of(&enc(v))),
                 });
             };
         for step in 0..steps {
             if step == cut {
                 ckpt.begin_lsn = Lsn(records.len() as u64);
                 ckpt.end_lsn = ckpt.begin_lsn;
-                ckpt.tables[0].rows = table
-                    .iter()
-                    .map(|(&k, &v)| (k, tuple::encode(&row(v))))
-                    .collect();
+                ckpt.tables[0].rows = table.iter().map(|(&k, &v)| ckpt_row(k, v)).collect();
             }
             if open.len() < 3 && (open.is_empty() || rng.chance(0.3)) {
                 if rng.chance(0.75) {
@@ -1118,6 +1283,121 @@ pub(crate) mod tests {
         // The generator reached every class it exists to reach.
         assert!(seen.winners > 1000 && seen.aborted > 300 && seen.unfinished > 300);
         assert!(seen.undo_applied > 300 && seen.redo_skipped > 300 && with_image > 100);
+    }
+
+    /// Generated stream `seed`, moved onto table `table`.
+    fn generated_stream(seed: u64, table: u32) -> (Vec<LogRecord>, Checkpoint) {
+        let (mut records, mut ckpt) = generated_log(seed, 20 + seed % 120);
+        for r in &mut records {
+            r.table = table;
+        }
+        ckpt.tables[0].table = table;
+        (records, ckpt)
+    }
+
+    #[test]
+    fn the_byte_path_applies_as_the_decode_path_does() {
+        let mut seen = RecoveryStats::default();
+        let mut deletes = 0;
+        for seed in 1..=150u64 {
+            // Two streams into one target, as partitioned engines recover.
+            let streams = [generated_stream(seed, 0), generated_stream(seed + 1000, 1)];
+            deletes += streams
+                .iter()
+                .flat_map(|(records, _)| records)
+                .filter(|r| r.kind == LogKind::Delete)
+                .count();
+            for complete in [None, Some(false), Some(true)] {
+                let what = format!("seed {seed}, checkpoint {complete:?}");
+                let (mut bytes, mut rows) = (ByteDb::default(), ByteDb::default());
+                for (records, ckpt) in &streams {
+                    let ckpt = complete.map(|complete| Checkpoint {
+                        complete,
+                        ..ckpt.clone()
+                    });
+                    let got = recover(ckpt.as_ref(), records, &mut bytes).expect("byte path");
+                    let want =
+                        reference::recover(ckpt.as_ref(), records, &mut rows).expect("decode path");
+                    assert_eq!(got, want, "{what}: RecoveryStats");
+                    seen.image_rows += got.image_rows;
+                    seen.unfinished += got.unfinished;
+                    seen.undo_applied += got.undo_applied;
+                    seen.redo_applied += got.redo_applied;
+                }
+                assert_eq!(bytes.digest(), rows.digest(), "{what}: digests");
+                assert_eq!(bytes.rows, rows.rows, "{what}: rows");
+            }
+            let (mut bytes, mut rows) = (ByteDb::default(), ByteDb::default());
+            for (records, _) in &streams {
+                let got = replay(records, &mut bytes).expect("byte path");
+                let want = reference::replay(records, &mut rows).expect("decode path");
+                assert_eq!(got, want, "seed {seed}: ReplayStats");
+            }
+            assert_eq!(bytes.digest(), rows.digest(), "seed {seed}: replay digests");
+            assert_eq!(bytes.rows, rows.rows, "seed {seed}: replayed rows");
+        }
+        assert!(seen.image_rows > 1000 && seen.unfinished > 300 && seen.undo_applied > 300);
+        assert!(seen.redo_applied > 1000 && deletes > 300);
+    }
+
+    /// A winner that inserts key 1, then a winner that writes key `key`
+    /// (1 updates it, 2 inserts it) with `image`.
+    fn two_winners(key: u64, image: &[u8]) -> Vec<LogRecord> {
+        let rec = |lsn, txn, kind, key, redo: Option<&[u8]>| LogRecord {
+            lsn: Lsn(lsn),
+            txn: TxnId(txn),
+            kind,
+            len: 40,
+            table: 0,
+            key,
+            redo: redo.map(Image::copy_of),
+            undo: None,
+        };
+        let kind = if key == 1 {
+            LogKind::Update
+        } else {
+            LogKind::Insert
+        };
+        vec![
+            rec(1, 1, LogKind::Begin, 0, None),
+            rec(2, 1, LogKind::Insert, 1, Some(&enc(10))),
+            rec(3, 1, LogKind::Commit, 0, None),
+            rec(4, 2, LogKind::Begin, 0, None),
+            rec(5, 2, kind, key, Some(image)),
+            rec(6, 2, LogKind::Commit, 0, None),
+        ]
+    }
+
+    #[test]
+    fn a_corrupt_image_is_missing_redo_on_both_paths_and_stores_nothing() {
+        let good = enc(20);
+        let truncated = good[..good.len() - 3].to_vec();
+        let mut bad_tag = good.clone();
+        bad_tag[2] = 0x7F;
+        for bad in [&truncated, &bad_tag] {
+            for key in [1, 2] {
+                let records = two_winners(key, bad);
+                let missing = |r: Result<_, ReplayError>| {
+                    matches!(r, Err(ReplayError::MissingRedo(TxnId(2))))
+                };
+                let (mut a, mut b) = (MiniDb::new(), MiniDb::new());
+                assert!(missing(recover(None, &records, &mut a).map(drop)));
+                assert!(missing(replay(&records, &mut b).map(drop)));
+                for db in [a, b] {
+                    assert_eq!(db.rows.into_iter().collect::<Vec<_>>(), [(1, row(10))]);
+                }
+                let (mut a, mut b) = (ByteDb::default(), ByteDb::default());
+                assert!(missing(recover(None, &records, &mut a).map(drop)));
+                assert!(missing(replay(&records, &mut b).map(drop)));
+                for db in [a, b] {
+                    assert_eq!(db.rows.into_iter().collect::<Vec<_>>(), [((0, 1), enc(10))]);
+                }
+            }
+        }
+        // The same log with a good image applies.
+        let mut db = ByteDb::default();
+        recover(None, &two_winners(2, &good), &mut db).expect("a good image applies");
+        assert_eq!(db.rows.len(), 2);
     }
 
     #[test]

@@ -24,10 +24,25 @@
 //! * records retained with [`Wal::retain_records`] carry redo *and* undo
 //!   payloads, which is what lets [`crate::recovery`] roll unfinished
 //!   transactions out of a fuzzy checkpoint image.
+//!
+//! A row image reaches the log as bytes the writing session encoded once
+//! and still owns; [`Wal::append_data`] borrows them. Only a retaining
+//! log keeps a copy: it appends the image to the stream's open chunk of
+//! [`CHUNK_BYTES`], so a logged row costs its bytes in a shared chunk, not
+//! a heap block of its own. A record whose images sit in the open chunk
+//! waits beside it with their offsets. When the next images do not fit,
+//! the chunk is frozen into an `Arc` and the waiting records become
+//! [`LogRecord`]s, each image an [`Image`] that views the frozen chunk.
+//! So [`Wal::take_records`] freezes one chunk and moves the records out,
+//! and [`Wal::records`] shares the frozen chunks and copies the open one.
 
-use bytes::Bytes;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use uarch_sim::{LogDevice, Mem, NvmeProfile};
 
+use crate::arena::CHUNK_BYTES;
 use crate::txn::TxnId;
 
 /// Log sequence number.
@@ -72,11 +87,118 @@ pub struct LogRecord {
     pub key: u64,
     /// After-image (encoded row) for redo; `None` for control records
     /// and deletes.
-    pub redo: Option<Bytes>,
+    pub redo: Option<Image>,
     /// Before-image (encoded row) for undo; `None` for control records,
     /// for inserts (undo of an insert is a delete), and when the engine
     /// runs without undo capture (the default, image-free mode).
-    pub undo: Option<Bytes>,
+    pub undo: Option<Image>,
+}
+
+/// A row image a [`LogRecord`] carries: `len` bytes at `at` of one frozen
+/// chunk of its stream's images (see the module docs). Clones share the
+/// chunk; the chunk is freed with the last image into it.
+#[derive(Clone)]
+pub struct Image {
+    chunk: Arc<Vec<u8>>,
+    at: u32,
+    len: u32,
+}
+
+impl Image {
+    /// An image in a chunk of its own, holding a copy of `bytes` (for
+    /// records built by hand).
+    pub fn copy_of(bytes: &[u8]) -> Image {
+        Image {
+            chunk: Arc::new(bytes.to_vec()),
+            at: 0,
+            len: bytes.len() as u32,
+        }
+    }
+}
+
+impl Deref for Image {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        let at = self.at as usize;
+        &self.chunk[at..at + self.len as usize]
+    }
+}
+
+impl PartialEq for Image {
+    fn eq(&self, other: &Image) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Image {}
+
+impl fmt::Debug for Image {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Image").field(&&**self).finish()
+    }
+}
+
+/// A retained record whose images are still offsets into the open chunk.
+struct Held {
+    lsn: Lsn,
+    txn: TxnId,
+    kind: LogKind,
+    len: u32,
+    table: u32,
+    key: u64,
+    redo: Stored,
+    undo: Stored,
+}
+
+/// Where an image sits in the open chunk; `len == NO_IMAGE` when there
+/// is none.
+#[derive(Clone, Copy)]
+struct Stored {
+    at: u32,
+    len: u32,
+}
+
+const NO_IMAGE: u32 = u32::MAX;
+
+impl Stored {
+    fn keep(chunk: &mut Vec<u8>, bytes: Option<&[u8]>) -> Stored {
+        let Some(b) = bytes else {
+            return Stored {
+                at: 0,
+                len: NO_IMAGE,
+            };
+        };
+        let at = chunk.len();
+        chunk.extend_from_slice(b);
+        Stored {
+            at: u32::try_from(at).expect("a chunk under 4 GB"),
+            len: u32::try_from(b.len()).expect("a row image under 4 GB"),
+        }
+    }
+
+    fn image(self, chunk: &Arc<Vec<u8>>) -> Option<Image> {
+        (self.len != NO_IMAGE).then(|| Image {
+            chunk: Arc::clone(chunk),
+            at: self.at,
+            len: self.len,
+        })
+    }
+}
+
+impl Held {
+    fn hand_out(&self, chunk: &Arc<Vec<u8>>) -> LogRecord {
+        LogRecord {
+            lsn: self.lsn,
+            txn: self.txn,
+            kind: self.kind,
+            len: self.len,
+            table: self.table,
+            key: self.key,
+            redo: self.redo.image(chunk),
+            undo: self.undo.image(chunk),
+        }
+    }
 }
 
 const RECORD_HEADER: u32 = 24;
@@ -116,9 +238,12 @@ pub struct Wal {
     high_water: u64,
     /// Bytes appended since the last flush.
     unflushed_bytes: u64,
-    /// Optionally retained records.
+    /// Optionally retained records: those whose images sit in frozen
+    /// chunks, then those still waiting on the open chunk.
     retain: bool,
     records: Vec<LogRecord>,
+    waiting: Vec<Held>,
+    chunk: Vec<u8>,
     /// The durable log device, when attached (group flushes then carry
     /// real submit/complete latency).
     device: Option<LogDevice>,
@@ -161,6 +286,8 @@ impl Wal {
             unflushed_bytes: 0,
             retain: false,
             records: Vec::new(),
+            waiting: Vec::new(),
+            chunk: Vec::new(),
             device: None,
             pending_commit_at: Vec::new(),
             commit_latencies: Vec::new(),
@@ -236,8 +363,9 @@ impl Wal {
     }
 
     /// Append a data record carrying its redo information and (optionally)
-    /// its before-image (retained only when record retention is on; the
-    /// simulated log-buffer traffic is identical either way).
+    /// its before-image, both encoded rows the caller keeps. They are
+    /// copied only when record retention is on; the simulated log-buffer
+    /// traffic is identical either way.
     #[allow(clippy::too_many_arguments)]
     pub fn append_data(
         &mut self,
@@ -246,8 +374,8 @@ impl Wal {
         kind: LogKind,
         table: u32,
         key: u64,
-        redo: Option<&Bytes>,
-        undo: Option<&Bytes>,
+        redo: Option<&[u8]>,
+        undo: Option<&[u8]>,
         payload_len: u32,
     ) -> Lsn {
         let len = RECORD_HEADER + payload_len;
@@ -272,15 +400,25 @@ impl Wal {
         self.unflushed_bytes += u64::from(len);
         self.durable_horizon = lsn;
         if self.retain {
-            self.records.push(LogRecord {
+            let need = redo.map_or(0, <[u8]>::len) + undo.map_or(0, <[u8]>::len);
+            if self.chunk.len() + need > CHUNK_BYTES {
+                self.freeze();
+            }
+            if self.chunk.capacity() == 0 {
+                // An image longer than a chunk gets a chunk of its size.
+                self.chunk.reserve_exact(need.max(CHUNK_BYTES));
+            }
+            let redo = Stored::keep(&mut self.chunk, redo);
+            let undo = Stored::keep(&mut self.chunk, undo);
+            self.waiting.push(Held {
                 lsn,
                 txn,
                 kind,
                 len,
                 table,
                 key,
-                redo: redo.cloned(),
-                undo: undo.cloned(),
+                redo,
+                undo,
             });
         }
         if matches!(kind, LogKind::Commit) {
@@ -328,18 +466,32 @@ impl Wal {
         self.durable_horizon
     }
 
-    /// Retained records (empty unless [`Wal::retain_records`] was enabled),
-    /// in append order. Every append takes the next LSN and pushes its
-    /// record under the same `&mut self`, so LSNs strictly increase along
-    /// the slice and the records at or below any horizon are a prefix of
-    /// it — `partition_point(|r| r.lsn <= flushed)` finds its end.
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    /// Freeze the open chunk: the records waiting on it join the handed-out
+    /// form, their images viewing the chunk through one shared `Arc`.
+    fn freeze(&mut self) {
+        let chunk = Arc::new(std::mem::take(&mut self.chunk));
+        let waiting = self.waiting.drain(..);
+        self.records.extend(waiting.map(|h| h.hand_out(&chunk)));
     }
 
-    /// Move the retained records out, leaving none retained; appends keep
-    /// retaining. LSNs go on from the horizon.
+    /// A copy of the retained records (empty unless
+    /// [`Wal::retain_records`] was enabled), in append order. The copies
+    /// share the frozen chunks and get a copy of the open one. Every
+    /// append takes the next LSN and pushes its record under the same
+    /// `&mut self`, so LSNs strictly increase along the records and the
+    /// ones at or below any horizon are a prefix —
+    /// `partition_point(|r| r.lsn <= flushed)` finds its end.
+    pub fn records(&self) -> Vec<LogRecord> {
+        let open = Arc::new(self.chunk.clone());
+        let waiting = self.waiting.iter().map(|h| h.hand_out(&open));
+        self.records.iter().cloned().chain(waiting).collect()
+    }
+
+    /// Move the retained records out, as [`Wal::records`] orders them,
+    /// leaving none retained; appends keep retaining, into a new chunk.
+    /// LSNs go on from the horizon. No image byte is copied.
     pub fn take_records(&mut self) -> Vec<LogRecord> {
+        self.freeze();
         std::mem::take(&mut self.records)
     }
 }
@@ -430,6 +582,126 @@ mod tests {
             assert!(recs[cut..].iter().all(|r| r.lsn > wal.flushed()));
         }
         assert!(wal.backpressure_flushes > 0 && wal.flushed() < wal.horizon());
+    }
+
+    /// One append: `(txn, kind, table, key, redo, undo, payload_len)`.
+    type Appended = (
+        TxnId,
+        LogKind,
+        u32,
+        u64,
+        Option<Vec<u8>>,
+        Option<Vec<u8>>,
+        u32,
+    );
+
+    #[test]
+    fn handed_out_records_are_the_appended_ones_byte_for_byte() {
+        use crate::arena::CHUNK_BYTES;
+        use uarch_sim::rng::XorShift64;
+
+        let mem = mem();
+        let mut wal = Wal::new(&mem, 1 << 16, 4);
+        wal.retain_records(true);
+        let mut rng = XorShift64::new(17);
+        let mut appended: Vec<Appended> = Vec::new();
+        // Images of 0-299 bytes cross several chunk boundaries; one fills
+        // a chunk exactly and two are longer than a chunk.
+        let special = [
+            (700, CHUNK_BYTES),
+            (1500, CHUNK_BYTES + 1),
+            (2200, 3 * CHUNK_BYTES),
+        ];
+        for i in 0..3000u64 {
+            let image = |rng: &mut XorShift64| {
+                let len = special
+                    .iter()
+                    .find(|s| s.0 == i)
+                    .map_or_else(|| rng.next_below(300) as usize, |s| s.1);
+                (0..len).map(|_| rng.next_u64() as u8).collect::<Vec<u8>>()
+            };
+            let pick = if special.iter().any(|s| s.0 == i) {
+                1
+            } else {
+                rng.next_below(5)
+            };
+            let (kind, redo, undo) = match pick {
+                0 => (LogKind::Begin, None, None),
+                1 => (LogKind::Insert, Some(image(&mut rng)), None),
+                2 => (
+                    LogKind::Update,
+                    Some(image(&mut rng)),
+                    Some(image(&mut rng)),
+                ),
+                3 => (LogKind::Delete, None, Some(image(&mut rng))),
+                _ => (LogKind::Commit, None, None),
+            };
+            let (txn, table, key) = (TxnId(i / 3), i as u32 % 7, rng.next_u64());
+            let payload = rng.next_below(500) as u32;
+            let (r, u) = (redo.as_deref(), undo.as_deref());
+            wal.append_data(&mem, txn, kind, table, key, r, u, payload);
+            appended.push((txn, kind, table, key, redo, undo, payload));
+        }
+        let copied = wal.records();
+        let taken = wal.take_records();
+        assert_eq!(copied, taken, "a copy and a take hand out the same records");
+        assert_eq!(taken.len(), appended.len());
+        for (i, (r, a)) in taken.iter().zip(&appended).enumerate() {
+            let (txn, kind, table, key, redo, undo, payload) = a;
+            assert_eq!(r.lsn, Lsn(i as u64 + 1));
+            assert_eq!((r.txn, r.kind, r.table, r.key), (*txn, *kind, *table, *key));
+            assert_eq!(r.len, RECORD_HEADER + payload);
+            assert_eq!(r.redo.as_deref(), redo.as_deref(), "record {i}: redo");
+            assert_eq!(r.undo.as_deref(), undo.as_deref(), "record {i}: undo");
+        }
+        // The images share a few chunks, one `Arc` each.
+        let mut chunks: Vec<*const Vec<u8>> = taken
+            .iter()
+            .flat_map(|r| [&r.redo, &r.undo])
+            .flatten()
+            .map(|img| Arc::as_ptr(&img.chunk))
+            .collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        let bytes: usize = appended
+            .iter()
+            .flat_map(|a| [&a.4, &a.5])
+            .flatten()
+            .map(Vec::len)
+            .sum();
+        assert!(
+            chunks.len() <= bytes / CHUNK_BYTES + 3,
+            "{} chunks",
+            chunks.len()
+        );
+        // Nothing is left behind; the log goes on from its horizon.
+        assert!(wal.records().is_empty() && wal.take_records().is_empty());
+        let lsn = wal.append_data(&mem, TxnId(9), LogKind::Insert, 1, 2, Some(b"xy"), None, 2);
+        let next = wal.take_records();
+        assert_eq!(next.len(), 1);
+        assert_eq!(
+            (next[0].lsn, next[0].redo.as_deref()),
+            (lsn, Some(&b"xy"[..]))
+        );
+        assert_eq!(lsn, Lsn(appended.len() as u64 + 1));
+    }
+
+    #[test]
+    fn a_log_that_does_not_retain_keeps_no_image() {
+        let mem = mem();
+        let mut wal = Wal::new(&mem, 1 << 16, 4);
+        wal.append_data(
+            &mem,
+            TxnId(1),
+            LogKind::Insert,
+            0,
+            1,
+            Some(&[1; 64]),
+            None,
+            64,
+        );
+        assert_eq!(wal.chunk.capacity(), 0);
+        assert!(wal.records().is_empty() && wal.take_records().is_empty());
     }
 
     #[test]

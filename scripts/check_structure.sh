@@ -33,6 +33,11 @@
 #    first `#[cfg(test)]`, no code line of crates/storage/src/{page,heap,
 #    memstore,mvcc}.rs names `Bytes` or `Box` (the per-row reference
 #    stores the differential tests drive live below that line).
+# 11. A written row is encoded once, into a buffer its session owns, and
+#    the store and the log borrow those bytes: above the `#[cfg(test)]`
+#    that opens its tests module, no code line of crates/engines/src names
+#    `tuple::encode(` or `Bytes::copy_from_slice` (a fresh heap block per
+#    written or logged row image).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 bad=0
@@ -96,6 +101,15 @@ for f in crates/storage/src/{page,heap,memstore,mvcc}.rs; do
             !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])(Bytes|Box)([^[:alnum:]_]|$)/ { print FILENAME ":" FNR ": " $0; hit = 1 }
             END { exit !hit }' "$f"; then
         echo "structure: $f keeps a heap block per row again" >&2
+        bad=1
+    fi
+done
+
+for f in crates/engines/src/*.rs; do
+    if awk '/^#\[cfg\(test\)\]/ { exit }
+            !/^[[:space:]]*\/\// && /tuple::encode\(|Bytes::copy_from_slice/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+            END { exit !hit }' "$f"; then
+        echo "structure: $f allocates a row image per write again" >&2
         bad=1
     fi
 done

@@ -127,6 +127,11 @@ impl BytesMut {
         self.data.clear();
     }
 
+    /// Append a copy of `extend`.
+    pub fn extend_from_slice(&mut self, extend: &[u8]) {
+        self.data.extend_from_slice(extend);
+    }
+
     /// Convert into an immutable [`Bytes`].
     pub fn freeze(self) -> Bytes {
         Bytes::from(self.data)

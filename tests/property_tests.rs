@@ -238,7 +238,8 @@ fn random_row(rng: &mut StdRng) -> Vec<Value> {
 fn tuple_codec_round_trips() {
     for_each_case("tuple_codec_round_trips", |rng| {
         let row = random_row(rng);
-        let encoded = tuple::encode(&row);
+        let mut encoded = tuple::BytesMut::new();
+        tuple::encode_into(&row, &mut encoded);
         assert_eq!(encoded.len(), tuple::encoded_len(&row));
         assert_eq!(tuple::decode(&encoded).unwrap(), row);
     });
